@@ -1,9 +1,15 @@
 // google-benchmark microbenchmarks for the wire/crypto hot paths the
 // scanners execute millions of times: varints, transport parameters,
-// frames, Initial packet protection and the crypto substrate.
+// frames, Initial packet protection and the crypto substrate. SHA-256
+// and the Initial key derivation built on it run once per SHA-256
+// kernel the host offers (BM_Sha256/scalar/..., BM_Sha256/sha_ni/...).
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "crypto/aes.h"
+#include "crypto/cpu.h"
 #include "crypto/rng.h"
 #include "crypto/sha256.h"
 #include "internet/tp_catalog.h"
@@ -50,13 +56,15 @@ void BM_TransportParamsDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_TransportParamsDecode)->Arg(0)->Arg(5)->Arg(30);
 
-void BM_Sha256(benchmark::State& state) {
+// The backend that selects the kernel is forced for the whole timed
+// loop (crypto/cpu.h: portable pins scalar SHA-256).
+void BM_Sha256(benchmark::State& state, crypto::Backend backend) {
+  crypto::ScopedBackendOverride force(backend);
   crypto::Rng rng(1);
   auto data = rng.bytes(static_cast<size_t>(state.range(0)));
   for (auto _ : state) benchmark::DoNotOptimize(crypto::Sha256::hash(data));
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1200)->Arg(16384);
 
 void BM_AesGcmSeal(benchmark::State& state) {
   crypto::Rng rng(2);
@@ -108,14 +116,15 @@ void BM_InitialUnprotect(benchmark::State& state) {
 }
 BENCHMARK(BM_InitialUnprotect);
 
-void BM_InitialKeyDerivation(benchmark::State& state) {
+void BM_InitialKeyDerivation(benchmark::State& state,
+                             crypto::Backend backend) {
+  crypto::ScopedBackendOverride force(backend);
   crypto::Rng rng(5);
   auto dcid = rng.bytes(8);
   for (auto _ : state)
     benchmark::DoNotOptimize(
         quic::derive_initial_secrets(quic::kVersion1, dcid));
 }
-BENCHMARK(BM_InitialKeyDerivation);
 
 void BM_FrameDecode(benchmark::State& state) {
   crypto::Rng rng(6);
@@ -130,4 +139,28 @@ BENCHMARK(BM_FrameDecode);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  struct Kernel {
+    const char* name;
+    crypto::Backend backend;
+  };
+  std::vector<Kernel> kernels = {{"scalar", crypto::Backend::kPortable}};
+  if (crypto::sha256_hardware_available())
+    kernels.push_back({"sha_ni", crypto::Backend::kPortableBatched});
+  for (const Kernel& kernel : kernels) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_Sha256/") + kernel.name).c_str(), BM_Sha256,
+        kernel.backend)
+        ->Arg(64)
+        ->Arg(1200)
+        ->Arg(16384);
+    benchmark::RegisterBenchmark(
+        (std::string("BM_InitialKeyDerivation/") + kernel.name).c_str(),
+        BM_InitialKeyDerivation, kernel.backend);
+  }
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

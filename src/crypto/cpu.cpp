@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <string_view>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <cpuid.h>
@@ -18,10 +19,15 @@ CpuFeatures probe_cpu() {
   CpuFeatures features;
 #if defined(__x86_64__) || defined(_M_X64)
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  bool ssse3_sse41 = false;
   if (__get_cpuid(1, &eax, &ebx, &ecx, &edx)) {
     features.aes = ecx & (1u << 25);     // AES-NI
     features.pclmul = ecx & (1u << 1);   // PCLMULQDQ
+    ssse3_sse41 = (ecx & (1u << 9)) && (ecx & (1u << 19));
   }
+  // __get_cpuid_count fails cleanly when leaf 7 is above the max leaf.
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx))
+    features.sha = ssse3_sse41 && (ebx & (1u << 29));  // SHA extensions
 #elif defined(__aarch64__) && defined(__linux__)
   // HWCAP_AES (1<<3) and HWCAP_PMULL (1<<4) from <asm/hwcap.h>, spelled
   // literally so the probe builds against older libc headers too.
@@ -36,6 +42,16 @@ CpuFeatures probe_cpu() {
 // because campaign workers construct AEAD contexts while a test or CLI
 // main thread may have set the override just before launching them.
 std::atomic<int> g_override{-1};
+
+// QREPRO_CRYPTO_BACKEND=portable, read once: SHA-256 objects are built
+// per hash, so they must not pay a getenv each.
+bool env_pins_portable() {
+  static const bool kPinned = [] {
+    const char* env = std::getenv("QREPRO_CRYPTO_BACKEND");
+    return env != nullptr && std::string_view(env) == "portable";
+  }();
+  return kPinned;
+}
 
 }  // namespace
 
@@ -111,6 +127,20 @@ Backend resolve_backend() {
       env && *env != '\0')
     return parse_backend(env);
   return best_backend();
+}
+
+bool sha256_hardware_available() {
+#ifdef QREPRO_HAVE_SHANI
+  return cpu_features().sha;
+#else
+  return false;
+#endif
+}
+
+bool sha256_hardware_selected() {
+  if (!sha256_hardware_available()) return false;
+  if (auto forced = backend_override()) return *forced != Backend::kPortable;
+  return !env_pins_portable();
 }
 
 }  // namespace crypto

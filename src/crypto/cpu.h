@@ -5,8 +5,9 @@
 //
 // Backends:
 //   kPortable        the original table-based scalar kernels, one
-//                    counter block at a time. The byte-identity
-//                    reference every other backend is diffed against.
+//                    counter block at a time, and the scalar SHA-256
+//                    block function. The byte-identity reference every
+//                    other backend is diffed against.
 //   kPortableBatched portable T-table AES with a round-interleaved
 //                    4-block CTR kernel (ILP win on every ISA,
 //                    including hosts with no AES instructions at all).
@@ -16,10 +17,18 @@
 //                    translation unit with per-file ISA flags and only
 //                    selected when CPUID reports both AES and PCLMUL.
 //
-// AES-GCM is deterministic, so ciphertext and tags are backend-
-// invariant by construction: forcing any backend changes wall-clock
-// only, never a single output byte (tests/test_crypto and the engine
-// differential battery hold every backend to that).
+// SHA-256 rides on the same selection with no backend value of its own:
+// kPortable pins the scalar block kernel, and every other backend runs
+// the SHA-NI kernel (crypto/sha256_shani.cpp) wherever it is compiled
+// in and CpuFeatures::sha is set. So --crypto-backend portable and
+// QREPRO_CRYPTO_BACKEND=portable A/B both SHA-256 kernels as well as
+// the AES ones. Each Sha256 object takes its kernel from
+// sha256_hardware_selected() at construction.
+//
+// AES-GCM and SHA-256 are deterministic, so ciphertext, tags and digests
+// are backend-invariant by construction: forcing any backend changes
+// wall-clock only, never a single output byte (tests/test_crypto and
+// the engine differential battery hold every backend to that).
 //
 // Selection order: API override (set_backend_override, the CLIs'
 // --crypto-backend) > QREPRO_CRYPTO_BACKEND environment variable >
@@ -42,10 +51,13 @@ enum class Backend {
 /// Result of the one-time hardware probe (CPUID on x86-64, getauxval
 /// on AArch64; all-false elsewhere). `aes`/`pclmul` report the x86
 /// AES-NI and PCLMULQDQ bits or their AArch64 crypto-extension
-/// equivalents (AES/PMULL).
+/// equivalents (AES/PMULL). `sha` is x86-only: the SHA extensions
+/// (CPUID.7.0:EBX[29]) together with the SSSE3 and SSE4.1 shuffles the
+/// SHA-NI kernel also needs.
 struct CpuFeatures {
   bool aes = false;
   bool pclmul = false;
+  bool sha = false;
 };
 
 /// Cached hardware probe; the first call runs CPUID/getauxval.
@@ -77,6 +89,17 @@ std::optional<Backend> backend_override();
 /// std::invalid_argument when the environment names an unknown or
 /// unavailable backend (loudly, on first AEAD construction).
 Backend resolve_backend();
+
+/// True when the SHA-NI SHA-256 kernel is compiled into this binary and
+/// CpuFeatures::sha is set.
+bool sha256_hardware_available();
+
+/// Whether a Sha256 constructed right now runs the SHA-NI kernel: it is
+/// available and the selected backend is not kPortable (override >
+/// QREPRO_CRYPTO_BACKEND, read once per process). Never throws: an
+/// unknown or unavailable backend name in the environment still fails
+/// on the first AEAD construction, not on a hash.
+bool sha256_hardware_selected();
 
 /// RAII override for tests: forces `backend` for the scope's lifetime
 /// and restores the previous override on destruction.

@@ -1,29 +1,73 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string_view>
+
+#include "crypto/cpu.h"
+#include "crypto/sha256_kernel.h"
+#include "wire/buffer.h"
 
 namespace crypto {
 
 namespace {
 
-constexpr std::array<uint32_t, 64> kRoundConstants = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+using sha256_kernel::kRoundConstants;
 
 inline uint32_t rotr(uint32_t x, int n) { return x >> n | x << (32 - n); }
 
+// The reference kernel: FIPS 180-4 section 6.2.2 one block at a time.
+void compress_scalar(uint32_t state[8], const uint8_t* p, size_t count) {
+  for (; count > 0; --count, p += 64) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) w[i] = wire::load_u32be(p + 4 * i);
+    for (int i = 16; i < 64; ++i) {
+      uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      uint32_t ch = (e & f) ^ (~e & g);
+      uint32_t t1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+decltype(&compress_scalar) select_kernel() {
+#ifdef QREPRO_HAVE_SHANI
+  if (sha256_hardware_selected()) return sha256_kernel::shani;
+#endif
+  return compress_scalar;
+}
+
 }  // namespace
+
+Sha256::Sha256() : kernel_(select_kernel()) { reset(); }
+
+bool Sha256::hardware_kernel() const { return kernel_ != compress_scalar; }
 
 void Sha256::reset() {
   state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
@@ -32,86 +76,48 @@ void Sha256::reset() {
   block_len_ = 0;
 }
 
-void Sha256::process_block(const uint8_t* p) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = static_cast<uint32_t>(p[4 * i]) << 24 |
-           static_cast<uint32_t>(p[4 * i + 1]) << 16 |
-           static_cast<uint32_t>(p[4 * i + 2]) << 8 | p[4 * i + 3];
-  }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t t1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::update(std::span<const uint8_t> data) {
-  total_len_ += data.size();
-  size_t off = 0;
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  if (n == 0) return;  // an empty span may carry a null data()
+  total_len_ += n;
   if (block_len_ > 0) {
-    size_t take = std::min(data.size(), 64 - block_len_);
-    std::memcpy(block_.data() + block_len_, data.data(), take);
+    size_t take = std::min(n, 64 - block_len_);
+    std::memcpy(block_.data() + block_len_, p, take);
     block_len_ += take;
-    off = take;
-    if (block_len_ == 64) {
-      process_block(block_.data());
-      block_len_ = 0;
-    }
+    p += take;
+    n -= take;
+    if (block_len_ < 64) return;
+    kernel_(state_.data(), block_.data(), 1);
+    block_len_ = 0;
   }
-  while (off + 64 <= data.size()) {
-    process_block(data.data() + off);
-    off += 64;
+  if (size_t whole = n / 64) {
+    kernel_(state_.data(), p, whole);
+    p += whole * 64;
+    n -= whole * 64;
   }
-  if (off < data.size()) {
-    block_len_ = data.size() - off;
-    std::memcpy(block_.data(), data.data() + off, block_len_);
+  if (n > 0) {
+    std::memcpy(block_.data(), p, n);
+    block_len_ = n;
   }
 }
 
 Sha256Digest Sha256::final() {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  update({&pad, 1});
-  uint8_t zero = 0;
-  while (block_len_ != 56) update({&zero, 1});
-  uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i)
-    len_bytes[i] = static_cast<uint8_t>(bit_len >> (8 * (7 - i)));
-  update({len_bytes, 8});
-  Sha256Digest out;
-  for (int i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<uint8_t>(state_[i] >> 24);
-    out[4 * i + 1] = static_cast<uint8_t>(state_[i] >> 16);
-    out[4 * i + 2] = static_cast<uint8_t>(state_[i] >> 8);
-    out[4 * i + 3] = static_cast<uint8_t>(state_[i]);
+  // 0x80, zero fill to 56 mod 64, then the 64-bit big-endian bit length
+  // (FIPS 180-4 5.1.1): one compression, or two when the 0x80 leaves no
+  // room for the length.
+  const uint64_t bit_len = total_len_ * 8;
+  block_[block_len_++] = 0x80;
+  if (block_len_ > 56) {
+    std::memset(block_.data() + block_len_, 0, 64 - block_len_);
+    kernel_(state_.data(), block_.data(), 1);
+    block_len_ = 0;
   }
+  std::memset(block_.data() + block_len_, 0, 56 - block_len_);
+  wire::store_u64be(block_.data() + 56, bit_len);
+  kernel_(state_.data(), block_.data(), 1);
+  Sha256Digest out;
+  for (int i = 0; i < 8; ++i) wire::store_u32be(out.data() + 4 * i, state_[i]);
   reset();
   return out;
 }

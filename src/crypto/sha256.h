@@ -16,20 +16,30 @@ using Sha256Digest = std::array<uint8_t, kSha256DigestSize>;
 
 /// Incremental SHA-256. Typical use: update() any number of times, then
 /// final(). The object can be reused after reset().
+///
+/// Construction picks the block kernel once (crypto/cpu.h
+/// sha256_hardware_selected(): SHA-NI where available unless the
+/// portable backend is selected, the scalar reference otherwise); copies
+/// keep it. Every kernel produces the same digest.
 class Sha256 {
  public:
-  Sha256() { reset(); }
+  Sha256();
 
   void reset();
   void update(std::span<const uint8_t> data);
   Sha256Digest final();
 
+  /// True when this object compresses with the SHA-NI kernel.
+  bool hardware_kernel() const;
+
   /// One-shot convenience.
   static Sha256Digest hash(std::span<const uint8_t> data);
 
  private:
-  void process_block(const uint8_t* block);
+  using BlockKernel = void (*)(uint32_t state[8], const uint8_t* blocks,
+                               size_t count);
 
+  BlockKernel kernel_;
   std::array<uint32_t, 8> state_{};
   std::array<uint8_t, 64> block_{};
   uint64_t total_len_ = 0;

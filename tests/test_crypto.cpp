@@ -17,84 +17,228 @@ std::vector<uint8_t> str_bytes(std::string_view s) {
   return {s.begin(), s.end()};
 }
 
+// SHA-256 kernels under test: the scalar reference, which the portable
+// backend pins, and SHA-NI, which every other backend selects where the
+// host has it (crypto/cpu.h). The FIPS 180-4, RFC 4231 and RFC 5869
+// vectors below run under each; tests that need SHA-NI skip visibly
+// without it.
+struct Sha256Kernel {
+  const char* name;
+  crypto::Backend backend;  // a backend that selects this kernel
+};
+
+std::vector<Sha256Kernel> sha256_kernels() {
+  std::vector<Sha256Kernel> kernels = {
+      {"scalar", crypto::Backend::kPortable}};
+  if (crypto::sha256_hardware_available())
+    kernels.push_back({"sha_ni", crypto::Backend::kPortableBatched});
+  return kernels;
+}
+
 TEST(Sha256, EmptyInput) {
-  EXPECT_EQ(to_hex(crypto::Sha256::hash({})),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  for (const auto& kernel : sha256_kernels()) {
+    crypto::ScopedBackendOverride force(kernel.backend);
+    EXPECT_EQ(to_hex(crypto::Sha256::hash({})),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+        << kernel.name;
+  }
 }
 
 TEST(Sha256, Abc) {
   auto in = str_bytes("abc");
-  EXPECT_EQ(to_hex(crypto::Sha256::hash(in)),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  for (const auto& kernel : sha256_kernels()) {
+    crypto::ScopedBackendOverride force(kernel.backend);
+    EXPECT_EQ(to_hex(crypto::Sha256::hash(in)),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+        << kernel.name;
+  }
 }
 
 TEST(Sha256, TwoBlockMessage) {
   auto in = str_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
-  EXPECT_EQ(to_hex(crypto::Sha256::hash(in)),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  for (const auto& kernel : sha256_kernels()) {
+    crypto::ScopedBackendOverride force(kernel.backend);
+    EXPECT_EQ(to_hex(crypto::Sha256::hash(in)),
+              "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1")
+        << kernel.name;
+  }
 }
 
 TEST(Sha256, MillionAs) {
-  crypto::Sha256 h;
   std::vector<uint8_t> chunk(1000, 'a');
-  for (int i = 0; i < 1000; ++i) h.update(chunk);
-  EXPECT_EQ(to_hex(h.final()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  for (const auto& kernel : sha256_kernels()) {
+    crypto::ScopedBackendOverride force(kernel.backend);
+    crypto::Sha256 h;
+    for (int i = 0; i < 1000; ++i) h.update(chunk);
+    EXPECT_EQ(to_hex(h.final()),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0")
+        << kernel.name;
+  }
 }
 
 TEST(Sha256, IncrementalMatchesOneShot) {
   std::vector<uint8_t> data(300);
   for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<uint8_t>(i);
-  for (size_t split = 0; split <= data.size(); split += 37) {
+  for (const auto& kernel : sha256_kernels()) {
+    crypto::ScopedBackendOverride force(kernel.backend);
+    for (size_t split = 0; split <= data.size(); split += 37) {
+      crypto::Sha256 h;
+      h.update({data.data(), split});
+      h.update({data.data() + split, data.size() - split});
+      EXPECT_EQ(h.final(), crypto::Sha256::hash(data))
+          << kernel.name << " split=" << split;
+    }
+  }
+}
+
+TEST(Sha256, EveryPrefixLengthMatchesIndependentDigest) {
+  // SHA-256 over the digests of data[0..len) for len = 0..300: every
+  // padding shape (0x80 and the bit length in one block, or spilling
+  // into a second) at every block offset, pinned from an independent
+  // implementation (Python's hashlib).
+  std::vector<uint8_t> data(300);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<uint8_t>(i);
+  for (const auto& kernel : sha256_kernels()) {
+    crypto::ScopedBackendOverride force(kernel.backend);
+    crypto::Sha256 outer;
+    for (size_t len = 0; len <= data.size(); ++len)
+      outer.update(crypto::Sha256::hash({data.data(), len}));
+    EXPECT_EQ(to_hex(outer.final()),
+              "ddbdb189f5834c274dbe603d6d2874adf7234fd8a075c3d1bfbadc2107a75676")
+        << kernel.name;
+  }
+}
+
+TEST(Sha256Kernels, PortableBackendPinsScalar) {
+  {
+    crypto::ScopedBackendOverride force(crypto::Backend::kPortable);
+    EXPECT_FALSE(crypto::sha256_hardware_selected());
+    EXPECT_FALSE(crypto::Sha256().hardware_kernel());
+  }
+  for (crypto::Backend backend :
+       {crypto::Backend::kPortableBatched, crypto::Backend::kAesni}) {
+    if (!crypto::backend_available(backend)) continue;
+    crypto::ScopedBackendOverride force(backend);
+    SCOPED_TRACE(crypto::backend_name(backend));
+    EXPECT_EQ(crypto::sha256_hardware_selected(),
+              crypto::sha256_hardware_available());
+    EXPECT_EQ(crypto::Sha256().hardware_kernel(),
+              crypto::sha256_hardware_available());
+  }
+  // An object keeps the kernel it was built with; copies keep it too.
+  crypto::Sha256 hw = [] {
+    crypto::ScopedBackendOverride force(crypto::Backend::kPortableBatched);
+    return crypto::Sha256();
+  }();
+  crypto::ScopedBackendOverride force(crypto::Backend::kPortable);
+  EXPECT_EQ(hw.hardware_kernel(), crypto::sha256_hardware_available());
+  EXPECT_EQ(crypto::Sha256(hw).hardware_kernel(), hw.hardware_kernel());
+}
+
+TEST(Sha256Kernels, ShaNiMatchesScalarAcrossPaddingEdges) {
+  if (!crypto::sha256_hardware_available())
+    GTEST_SKIP() << "no SHA-NI on this CPU (or not compiled in): the "
+                    "SHA-256/HMAC/HKDF vectors ran on the scalar kernel "
+                    "only and the scalar-vs-SHA-NI sweep did not run";
+  crypto::Rng rng(0x5a256);
+  const auto data = rng.bytes(300);
+  auto hash_split = [&](crypto::Backend backend, size_t len, size_t split) {
+    crypto::ScopedBackendOverride force(backend);
     crypto::Sha256 h;
     h.update({data.data(), split});
-    h.update({data.data() + split, data.size() - split});
-    EXPECT_EQ(h.final(), crypto::Sha256::hash(data)) << "split=" << split;
+    h.update({data.data() + split, len - split});
+    return h.final();
+  };
+  // Padding edges: a tail of up to 55 bytes leaves room for the 0x80
+  // and the length in its block, 56..63 spill into a second one (55/56
+  // in the first block, 119/120 in the second), and 63/64 straddle a
+  // whole-block boundary.
+  const size_t kEdges[] = {55, 56, 63, 64, 119, 120};
+  for (size_t len = 0; len <= data.size(); ++len) {
+    const auto reference = hash_split(crypto::Backend::kPortable, len, 0);
+    std::vector<size_t> splits = {0, len, rng.below(len + 1),
+                                  rng.below(len + 1)};
+    for (size_t edge : kEdges) {
+      for (size_t at = edge - 1; at <= edge + 1; ++at)
+        if (at <= len) splits.push_back(at);
+      // Every split of a message whose length sits on an edge.
+      if (len + 1 >= edge && len <= edge + 1)
+        for (size_t at = 0; at <= len; ++at) splits.push_back(at);
+    }
+    for (size_t split : splits) {
+      ASSERT_EQ(hash_split(crypto::Backend::kPortableBatched, len, split),
+                reference)
+          << "len=" << len << " split=" << split;
+      ASSERT_EQ(hash_split(crypto::Backend::kPortable, len, split), reference)
+          << "scalar len=" << len << " split=" << split;
+    }
   }
 }
 
 TEST(Hmac, Rfc4231Case1) {
   std::vector<uint8_t> key(20, 0x0b);
-  auto mac = crypto::hmac_sha256(key, str_bytes("Hi There"));
-  EXPECT_EQ(to_hex(mac),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+  for (const auto& kernel : sha256_kernels()) {
+    crypto::ScopedBackendOverride force(kernel.backend);
+    auto mac = crypto::hmac_sha256(key, str_bytes("Hi There"));
+    EXPECT_EQ(to_hex(mac),
+              "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7")
+        << kernel.name;
+  }
 }
 
 TEST(Hmac, Rfc4231Case2) {
-  auto mac = crypto::hmac_sha256(str_bytes("Jefe"),
-                                 str_bytes("what do ya want for nothing?"));
-  EXPECT_EQ(to_hex(mac),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+  for (const auto& kernel : sha256_kernels()) {
+    crypto::ScopedBackendOverride force(kernel.backend);
+    auto mac = crypto::hmac_sha256(str_bytes("Jefe"),
+                                   str_bytes("what do ya want for nothing?"));
+    EXPECT_EQ(to_hex(mac),
+              "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843")
+        << kernel.name;
+  }
 }
 
 TEST(Hmac, Rfc4231Case6LongKey) {
   std::vector<uint8_t> key(131, 0xaa);
-  auto mac = crypto::hmac_sha256(
-      key, str_bytes("Test Using Larger Than Block-Size Key - Hash Key First"));
-  EXPECT_EQ(to_hex(mac),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+  for (const auto& kernel : sha256_kernels()) {
+    crypto::ScopedBackendOverride force(kernel.backend);
+    auto mac = crypto::hmac_sha256(
+        key,
+        str_bytes("Test Using Larger Than Block-Size Key - Hash Key First"));
+    EXPECT_EQ(to_hex(mac),
+              "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54")
+        << kernel.name;
+  }
 }
 
 TEST(Hkdf, Rfc5869Case1) {
   std::vector<uint8_t> ikm(22, 0x0b);
   auto salt = from_hex("000102030405060708090a0b0c");
   auto info = from_hex("f0f1f2f3f4f5f6f7f8f9");
-  auto prk = crypto::hkdf_extract(salt, ikm);
-  EXPECT_EQ(to_hex(prk),
-            "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5");
-  auto okm = crypto::hkdf_expand(prk, info, 42);
-  EXPECT_EQ(to_hex(okm),
-            "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
-            "34007208d5b887185865");
+  for (const auto& kernel : sha256_kernels()) {
+    crypto::ScopedBackendOverride force(kernel.backend);
+    auto prk = crypto::hkdf_extract(salt, ikm);
+    EXPECT_EQ(to_hex(prk),
+              "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5")
+        << kernel.name;
+    auto okm = crypto::hkdf_expand(prk, info, 42);
+    EXPECT_EQ(to_hex(okm),
+              "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
+              "34007208d5b887185865")
+        << kernel.name;
+  }
 }
 
 TEST(Hkdf, Rfc5869Case3ZeroSaltInfo) {
   std::vector<uint8_t> ikm(22, 0x0b);
-  auto prk = crypto::hkdf_extract({}, ikm);
-  auto okm = crypto::hkdf_expand(prk, {}, 42);
-  EXPECT_EQ(to_hex(okm),
-            "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
-            "9d201395faa4b61a96c8");
+  for (const auto& kernel : sha256_kernels()) {
+    crypto::ScopedBackendOverride force(kernel.backend);
+    auto prk = crypto::hkdf_extract({}, ikm);
+    auto okm = crypto::hkdf_expand(prk, {}, 42);
+    EXPECT_EQ(to_hex(okm),
+              "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
+              "9d201395faa4b61a96c8")
+        << kernel.name;
+  }
 }
 
 TEST(Aes128, Fips197Vector) {

@@ -585,13 +585,15 @@ TEST(EngineDifferential, CampaignRunIsSingleUse) {
 
 
 TEST(EngineDifferential, CryptoBackendsProduceIdenticalCampaignOutput) {
-  // The AES-GCM kernel backend (DESIGN.md "Crypto backends") may only
-  // change wall-clock, never an output byte: merged rows, merged and
+  // The crypto backend (DESIGN.md "Crypto backends") may only change
+  // wall-clock, never an output byte: merged rows, merged and
   // per-shard metrics JSON, report.json and the qlog trees must be
   // byte-identical between the portable reference backend and the
   // fastest backend this host offers, for every jobs x schedule
-  // combination. Every QUIC handshake in the campaign runs AES-GCM, so
-  // a single diverging keystream or tag byte would cascade into these
+  // combination. Portable also pins scalar SHA-256, so this pits the
+  // scalar kernel against SHA-NI where the host has it. Every QUIC
+  // handshake in the campaign runs AES-GCM and SHA-256, so a single
+  // diverging keystream, tag or digest byte would cascade into these
   // artifacts.
   crypto::Backend contender = crypto::best_backend();
   if (contender == crypto::Backend::kPortable)

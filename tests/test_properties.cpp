@@ -201,6 +201,14 @@ struct WildcardCase {
   bool matches;
 };
 
+// The printed value becomes the ctest name suffix. Without this, GoogleTest
+// prints the struct's raw bytes — the literals' run-time addresses — so the
+// names changed with every discovery under ASLR.
+void PrintTo(const WildcardCase& c, std::ostream* os) {
+  *os << "{\"" << c.pattern << "\", \"" << c.host << "\", "
+      << (c.matches ? "true" : "false") << '}';
+}
+
 class WildcardSweep : public ::testing::TestWithParam<WildcardCase> {};
 
 TEST_P(WildcardSweep, MatchesExpectation) {

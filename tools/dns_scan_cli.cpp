@@ -45,7 +45,9 @@
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   int week = 18;
   std::string list = "alexa";
   bool https_only = false;
@@ -325,4 +327,17 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // No input may abort the tool: a library exception that escapes the
+  // body (such as --week outside [5, 18]) exits 2 with its message.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "dns_scan_cli: %s\n", e.what());
+    return 2;
+  }
 }

@@ -113,9 +113,7 @@ void report_unknown_adversary(const char* flag, const std::string& name) {
   std::fprintf(stderr, ")\n");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   int week = 18;
   bool scan_all = false;
   bool send_http = true;
@@ -434,4 +432,17 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // No input may abort the tool: a library exception that escapes the
+  // body (such as --week outside [5, 18]) exits 2 with its message.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "qscanner_cli: %s\n", e.what());
+    return 2;
+  }
 }

@@ -21,12 +21,13 @@
 # unaffected by the knob).
 #
 # On the plain tree the fast lane also runs a second pass with
-# QREPRO_CRYPTO_BACKEND=portable, forcing every AEAD context onto the
-# reference scalar kernels: the default pass exercises the fastest
-# backend the host offers (aesni where the ISA exists), so between the
-# two passes both ends of the crypto dispatch (DESIGN.md "Crypto
-# backends") stay green -- tests that pin a backend explicitly are
-# unaffected by the knob.
+# QREPRO_CRYPTO_BACKEND=portable, forcing every AEAD context and every
+# SHA-256 object onto the reference scalar kernels: the default pass
+# exercises the fastest kernels the host offers (aesni and SHA-NI where
+# the ISA exists), so between the two passes both ends of the crypto
+# dispatch (DESIGN.md "Crypto backends") stay green, for AES-GCM and
+# SHA-256 alike -- tests that pin a backend explicitly are unaffected
+# by the knob.
 #
 # On the sanitizer trees the fast lane additionally runs one pass with
 # QREPRO_ADVERSARY=broken: every campaign that leaves

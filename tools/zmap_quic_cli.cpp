@@ -64,9 +64,7 @@ void usage() {
                "                     [--crypto-backend NAME]\n");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   int week = 18;
   bool padding = true;
   bool ipv6 = false;
@@ -348,4 +346,17 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // No input may abort the tool: a library exception that escapes the
+  // body (such as --week outside [5, 18]) exits 2 with its message.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "zmap_quic_cli: %s\n", e.what());
+    return 2;
+  }
 }
