@@ -75,10 +75,10 @@ ProfileRun run_campaign(const std::vector<scanner::QscanTarget>& targets,
     qopt.retry.max_attempts = 1 + retries;
     qopt.breaker.enabled = breaker;
     if (breaker) {
-      auto* internet = env.internet;
-      qopt.asn_of = [internet](const netsim::IpAddress& addr) {
-        const auto* host = internet->host_for(addr);
-        return host ? host->profile().asn : 0u;
+      const auto* population = &env.internet->population();
+      qopt.asn_of = [population](const netsim::IpAddress& addr) {
+        const auto* host = population->host_by_address(addr);
+        return host ? host->asn : 0u;
       };
     }
     scanner::QScanner qscanner(env.internet->network(), qopt);

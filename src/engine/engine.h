@@ -118,7 +118,8 @@ std::vector<ShardRange> chunk_ranges(size_t n, size_t chunk_size);
 
 /// The default dynamic chunk size: targets ~8 chunks per worker
 /// (max(1, n / (8 * jobs))), enough granularity for stealing to erase
-/// stragglers while keeping per-chunk world construction amortized.
+/// stragglers. Extra chunks are cheap: a chunk world builds only the
+/// server hosts its targets touch (DESIGN.md "Lazy hosts").
 size_t default_chunk_size(size_t n, int jobs);
 
 /// Everything a slice body may touch. All pointers refer to

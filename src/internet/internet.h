@@ -1,13 +1,17 @@
-// The Internet facade: builds the population for a week, registers
-// every host on the simulated network fabric (UDP/443 + TCP/443),
-// builds the authoritative DNS zones (A/AAAA/HTTPS), and exposes the
-// scan inputs the paper's tooling consumed -- the IPv4 sweep space, the
-// IPv6 hitlist, and the domain corpora.
+// The Internet facade: builds the population for a week and the
+// authoritative DNS zones (A/AAAA/HTTPS), puts each population host on
+// the simulated network fabric (UDP/443 + TCP/443) the first time
+// traffic reaches its address, and exposes the scan inputs the paper's
+// tooling consumed -- the IPv4 sweep space, the IPv6 hitlist, and the
+// domain corpora.
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
+#include "crypto/rng.h"
 #include "dns/resolver.h"
 #include "internet/adversary.h"
 #include "internet/host.h"
@@ -27,8 +31,8 @@ inline constexpr uint16_t kTlsPort = 443;
 /// returns, so one Snapshot can be shared -- concurrently -- by any
 /// number of Internet worlds. The campaign engine builds a single
 /// Snapshot per campaign and hands it to every shard/chunk world,
-/// which keeps the per-world cost down to the genuinely mutable state
-/// (network fabric, server hosts).
+/// which keeps the per-world cost down to the genuinely mutable state:
+/// the network fabric and the server hosts its traffic touches.
 class Snapshot {
  public:
   Snapshot(const PopulationParams& params, int week);
@@ -51,9 +55,14 @@ class Internet {
   Internet(const PopulationParams& params, int week, netsim::EventLoop& loop);
 
   /// World over a shared immutable snapshot. Only the mutable state
-  /// (network fabric, server hosts) is built per world; the snapshot
-  /// may be shared with other worlds on other threads.
+  /// is built per world: the network fabric up front, and each server
+  /// host when the fabric first routes to its address (see host_for).
+  /// The snapshot may be shared with other worlds on other threads.
   Internet(std::shared_ptr<const Snapshot> snapshot, netsim::EventLoop& loop);
+
+  // The network's resolver points back at this world.
+  Internet(const Internet&) = delete;
+  Internet& operator=(const Internet&) = delete;
 
   netsim::Network& network() { return network_; }
   const Population& population() const { return snapshot_->population(); }
@@ -75,31 +84,50 @@ class Internet {
   /// synthetic non-QUIC bulk), ready for the DNS scanner.
   std::vector<std::string> list_corpus(const std::string& list_name) const;
 
-  const ServerHost* host_for(const netsim::IpAddress& addr) const;
+  /// The server host of a population address, built now if traffic
+  /// has not reached it yet; nullptr for any other address. A host is
+  /// a pure function of the snapshot, its address and the overlays
+  /// applied to this world, so when it is built changes no output
+  /// byte. AS attribution needs no server: read the profile via
+  /// population().host_by_address instead.
+  ServerHost* host_for(const netsim::IpAddress& addr);
 
-  /// Overlays `profile` onto every registered host's link (both
+  /// Server hosts built so far: the population hosts this world's
+  /// traffic (or host_for) has touched.
+  size_t hosts_built() const { return hosts_.size(); }
+
+  /// Overlays `profile` onto every population host's link (both
   /// directions of its traffic pass the impairment pipeline) and, when
   /// the profile asks for it, switches the hosts to split handshake
-  /// flights. A clean profile is an exact no-op, so `--impair clean`
-  /// is byte-identical to no flag.
+  /// flights. Hosts already built get the overlay now, the rest when
+  /// they are built; either way the result is the same. A clean
+  /// profile is an exact no-op, so `--impair clean` is byte-identical
+  /// to no flag.
   void apply_impairment(const netsim::ImpairmentProfile& profile);
 
-  /// Overlays `profile` onto every registered host as a deterministic
+  /// Overlays `profile` onto every population host as a deterministic
   /// per-host AdversaryPlan (stateless hash of the population seed and
-  /// the host address -- see internet/adversary.h). The `compliant`
+  /// the host address -- see internet/adversary.h), now for hosts
+  /// already built and at build time for the rest. The `compliant`
   /// profile is an exact no-op, so `--adversary compliant` is
   /// byte-identical to no flag.
   void apply_adversary(const AdversaryProfile& profile);
 
  private:
-  void register_hosts();
+  /// Applies the stored impairment overlay to one host.
+  void impair(ServerHost& host);
 
   netsim::EventLoop& loop_;
   std::shared_ptr<const Snapshot> snapshot_;
   netsim::Network network_;
-  std::vector<std::unique_ptr<ServerHost>> server_hosts_;
-  std::unordered_map<netsim::IpAddress, ServerHost*, netsim::IpAddressHash>
-      host_map_;
+  /// Parent of every host's stream. Rng::fork never advances it, so a
+  /// host's stream does not depend on build order.
+  crypto::Rng host_rng_;
+  std::unordered_map<netsim::IpAddress, std::unique_ptr<ServerHost>,
+                     netsim::IpAddressHash>
+      hosts_;
+  std::optional<netsim::ImpairmentProfile> impairment_;
+  std::optional<AdversaryModel> adversary_;
 };
 
 }  // namespace internet

@@ -63,18 +63,22 @@ void Network::set_metrics(telemetry::MetricsRegistry* metrics) {
 }
 
 void Network::add_udp_service(const Endpoint& at, UdpService* service) {
+  resolve(at.addr);
   udp_services_[at] = service;
 }
 
 void Network::remove_udp_service(const Endpoint& at) {
+  resolve(at.addr);
   udp_services_.erase(at);
 }
 
 void Network::add_tcp_service(const Endpoint& at, TcpService* service) {
+  resolve(at.addr);
   tcp_services_[at] = service;
 }
 
 void Network::set_link(const IpAddress& host, const LinkProperties& props) {
+  resolve(host);
   links_[host] = props;
 }
 
@@ -83,7 +87,8 @@ const LinkProperties& Network::link(const IpAddress& host) const {
   return it == links_.end() ? default_link_ : it->second;
 }
 
-bool Network::tcp_port_open(const Endpoint& at) const {
+bool Network::tcp_port_open(const Endpoint& at) {
+  resolve(at.addr);
   return tcp_services_.contains(at) && !link(at.addr).silent;
 }
 
@@ -97,6 +102,7 @@ std::vector<uint8_t> Network::TcpConnection::exchange(
 
 std::optional<Network::TcpConnection> Network::tcp_connect(
     const Endpoint& from, const Endpoint& to) {
+  resolve(to.addr);
   auto it = tcp_services_.find(to);
   if (it == tcp_services_.end()) return std::nullopt;
   const auto& props = link(to.addr);
@@ -117,6 +123,9 @@ void Network::send_datagram(const Endpoint& from, const Endpoint& to,
   telemetry::add(metric_datagrams_);
   telemetry::add(metric_bytes_, payload.size());
   if (tap_) tap_(from, to, payload);
+  // The destination's link decides the datagram's fate here, before
+  // delivery, so its resolver state must exist now.
+  resolve(to.addr);
   const auto& props = link(to.addr);
   if (props.silent) {
     telemetry::add(metric_dropped_silent_);

@@ -2,9 +2,11 @@
 // link properties (latency, loss, silent drop) and a minimal
 // synchronous TCP abstraction for the TLS-over-TCP scanner.
 //
-// Hosts register services on (address, port). Client sockets deliver
-// datagrams through the shared EventLoop so multi-round-trip protocol
-// exchanges (QUIC handshakes) and timeouts interleave deterministically.
+// Hosts register services on (address, port), either up front or
+// lazily through a resolver the fabric consults on first contact with
+// an address. Client sockets deliver datagrams through the shared
+// EventLoop so multi-round-trip protocol exchanges (QUIC handshakes)
+// and timeouts interleave deterministically.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +15,7 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "netsim/address.h"
@@ -79,6 +82,8 @@ struct LinkProperties {
            reorder > 0 || duplicate > 0 || corrupt > 0 || jitter_us > 0 ||
            rate_limit_pps > 0;
   }
+
+  bool operator==(const LinkProperties&) const = default;
 };
 
 class UdpSocket;
@@ -91,6 +96,21 @@ class Network {
 
   EventLoop& loop() { return loop_; }
 
+  /// Supplies the routing state of an address on first contact: it may
+  /// register services on the address and set its link. The fabric
+  /// offers each address to the resolver at most once, the first time
+  /// it routes to it (send_datagram, tcp_connect, tcp_port_open) or
+  /// registers state on it (the add/remove/set calls below), always
+  /// before reading that address's link or services. An address the
+  /// resolver leaves alone (a sweep dud, a client socket) costs one set
+  /// lookup per later use. Until first contact, link() reports the
+  /// default link for an address the resolver would configure.
+  using Resolver = std::function<void(const IpAddress&)>;
+  void set_resolver(Resolver resolver) { resolver_ = std::move(resolver); }
+
+  /// Explicit registrations resolve the address first, so they layer
+  /// on top of whatever the resolver supplies, as if it had run up
+  /// front.
   void add_udp_service(const Endpoint& at, UdpService* service);
   void remove_udp_service(const Endpoint& at);
   void add_tcp_service(const Endpoint& at, TcpService* service);
@@ -99,7 +119,7 @@ class Network {
   const LinkProperties& link(const IpAddress& host) const;
 
   /// True if a TCP listener exists (a SYN scan hit).
-  bool tcp_port_open(const Endpoint& at) const;
+  bool tcp_port_open(const Endpoint& at);
 
   /// Synchronous TCP connect; nullopt when no listener (RST).
   class TcpConnection {
@@ -143,6 +163,10 @@ class Network {
 
  private:
   friend class UdpSocket;
+  /// Offers `addr` to the resolver on first contact.
+  void resolve(const IpAddress& addr) {
+    if (resolver_ && resolved_.insert(addr).second) resolver_(addr);
+  }
   void deliver(const Endpoint& from, const Endpoint& to,
                std::vector<uint8_t> payload, bool reordered = false);
 
@@ -164,6 +188,8 @@ class Network {
   std::unordered_map<IpAddress, LinkProperties, IpAddressHash> links_;
   std::unordered_map<IpAddress, ImpairState, IpAddressHash> impair_state_;
   LinkProperties default_link_{};
+  Resolver resolver_;
+  std::unordered_set<IpAddress, IpAddressHash> resolved_;
   Tap tap_;
   uint64_t loss_state_;
   uint64_t impair_seed_;

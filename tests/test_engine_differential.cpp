@@ -16,6 +16,8 @@
 //      byte-identical to the static/serial output for every jobs
 //      count, chunk size and impairment profile -- the steal schedule
 //      cannot leak into any output byte.
+//   5. A chunk world builds its server hosts on first contact, and the
+//      order in which they are built cannot leak into any output byte.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -87,6 +89,7 @@ std::string row_of(const scanner::QscanResult& result) {
 
 struct CampaignRun {
   std::vector<std::string> rows;
+  std::vector<std::string> csv;
   std::string metrics_json;
   std::vector<std::string> shard_metrics_json;
   std::string report_json;
@@ -103,6 +106,8 @@ std::string registry_json(const telemetry::MetricsRegistry& registry) {
 // --impair/--retries flags; `schedule`/`chunk_size` mirror
 // --schedule/--chunk-size (static by default: the legacy tests in this
 // file pin the PR-2 scheduler, the Dynamic* tests below sweep both).
+// `prebuild_reversed` makes each body build its slice's server hosts in
+// reverse target order before scanning.
 CampaignRun run_campaign(const std::vector<scanner::QscanTarget>& targets,
                          int jobs, uint64_t seed,
                          const std::string& qlog_dir = "",
@@ -110,7 +115,8 @@ CampaignRun run_campaign(const std::vector<scanner::QscanTarget>& targets,
                          int retries = 0,
                          engine::Schedule schedule = engine::Schedule::kStatic,
                          size_t chunk_size = 0,
-                         const std::string& adversary = "") {
+                         const std::string& adversary = "",
+                         bool prebuild_reversed = false) {
   engine::CampaignOptions options;
   options.jobs = jobs;
   options.seed = seed;
@@ -129,6 +135,9 @@ CampaignRun run_campaign(const std::vector<scanner::QscanTarget>& targets,
   engine::ShardFold<report::ReportAccumulator> fold(
       slots, [] { return report::ReportAccumulator("qscanner"); });
   campaign.run(targets.size(), [&](engine::ShardEnv& env) {
+    if (prebuild_reversed)
+      for (size_t i = env.range.end; i-- > env.range.begin;)
+        env.internet->host_for(targets[i].address);
     auto& acc = fold.slot(env.shard_index);
     const auto& registry = env.internet->population().as_registry();
     scanner::QscanOptions qopt;
@@ -147,8 +156,10 @@ CampaignRun run_campaign(const std::vector<scanner::QscanTarget>& targets,
   });
 
   CampaignRun run;
-  for (const auto& result : engine::concat_shards(std::move(shard_rows)))
+  for (const auto& result : engine::concat_shards(std::move(shard_rows))) {
     run.rows.push_back(row_of(result));
+    run.csv.push_back(report::to_csv_row(report::features_of(result)));
+  }
   run.metrics_json = registry_json(campaign.metrics());
   for (size_t s = 0; s < slots; ++s)
     run.shard_metrics_json.push_back(
@@ -436,6 +447,78 @@ TEST(EngineDifferential, PerChunkOutputMatchesSerialRunOfChunkSeed) {
     auto serial = run_serial_baseline(slice, engine::chunk_seed(kSeed, c));
     EXPECT_EQ(dynamic_run.shard_metrics_json[c], serial.metrics_json);
   }
+}
+
+TEST(EngineDifferential, HostBuildOrderLeavesOutputUnchanged) {
+  // Chunk worlds build a server host when traffic first reaches it. A
+  // body that builds its slice's hosts up front, last target first,
+  // must give byte-identical CSV, merged metrics, report.json and qlog
+  // trees: a host is a pure function of (snapshot, address, overlays),
+  // never of when or in which order it was built.
+  auto targets = campaign_targets(24);
+  constexpr size_t kChunk = 7;
+  struct Profiles {
+    const char* impairment;
+    const char* adversary;
+  };
+  for (const Profiles& profiles :
+       {Profiles{"", ""}, Profiles{"hostile", "malicious"}}) {
+    SCOPED_TRACE(std::string(profiles.impairment) + "+" + profiles.adversary);
+    const int retries = profiles.impairment[0] ? 1 : 0;
+    auto plain_dir = fresh_dir("engine_lazy_plain_qlog");
+    auto plain = run_campaign(targets, 2, kSeed, plain_dir.string(),
+                              profiles.impairment, retries,
+                              engine::Schedule::kDynamic, kChunk,
+                              profiles.adversary);
+    auto prebuilt_dir = fresh_dir("engine_lazy_prebuilt_qlog");
+    auto prebuilt = run_campaign(targets, 2, kSeed, prebuilt_dir.string(),
+                                 profiles.impairment, retries,
+                                 engine::Schedule::kDynamic, kChunk,
+                                 profiles.adversary,
+                                 /*prebuild_reversed=*/true);
+    EXPECT_FALSE(plain.csv.empty());
+    EXPECT_EQ(prebuilt.csv, plain.csv);
+    EXPECT_EQ(prebuilt.metrics_json, plain.metrics_json);
+    EXPECT_EQ(prebuilt.shard_metrics_json, plain.shard_metrics_json);
+    EXPECT_EQ(prebuilt.report_json, plain.report_json);
+    auto plain_traces = dir_snapshot(plain_dir);
+    EXPECT_FALSE(plain_traces.empty());
+    EXPECT_EQ(dir_snapshot(prebuilt_dir), plain_traces);
+  }
+}
+
+TEST(EngineDifferential, ChunkWorldBuildsOnlyTheHostsItsTargetsTouch) {
+  // A world's cost is O(hosts its traffic touches): a chunk that scans
+  // k targets builds at most k server hosts, however large the
+  // population is.
+  auto targets = campaign_targets(24);
+  constexpr size_t kChunk = 7;
+  engine::CampaignOptions options;
+  options.jobs = 1;
+  options.seed = kSeed;
+  options.chunk_size = kChunk;
+  options.week = kWeek;
+  options.population = kPopulation;
+  options.snapshot = shared_snapshot();
+  engine::Campaign campaign(options);
+  std::vector<size_t> built(campaign.slot_count(targets.size()));
+  campaign.run(targets.size(), [&](engine::ShardEnv& env) {
+    EXPECT_EQ(env.internet->hosts_built(), 0u);
+    scanner::QScanner qscanner(env.internet->network(), {});
+    for (size_t i = env.range.begin; i < env.range.end; ++i)
+      qscanner.scan_one(targets[i]);
+    built[static_cast<size_t>(env.shard_index)] =
+        env.internet->hosts_built();
+  });
+  const auto& ranges = campaign.ranges();
+  ASSERT_EQ(built.size(), ranges.size());
+  for (size_t c = 0; c < ranges.size(); ++c) {
+    SCOPED_TRACE("chunk=" + std::to_string(c));
+    EXPECT_GT(built[c], 0u);
+    EXPECT_LE(built[c], ranges[c].size());
+  }
+  EXPECT_LT(ranges.front().size(),
+            shared_snapshot()->population().hosts().size());
 }
 
 TEST(EngineDifferential, ImpairedRunIsReproducible) {

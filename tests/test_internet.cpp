@@ -1,11 +1,15 @@
 // Synthetic-internet model tests: AS registry attribution, the TP
 // catalog invariants the paper states, population structure and weekly
-// evolution rules.
+// evolution rules, and the lazy world that builds a server host on
+// first contact.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "internet/internet.h"
+#include "netsim/impairment.h"
+#include "scanner/qscanner.h"
+#include "scanner/zmap.h"
 
 namespace {
 
@@ -340,6 +344,236 @@ TEST(InternetFacade, HostLookupMatchesPopulation) {
     ASSERT_NE(server, nullptr);
     EXPECT_EQ(server->profile().id, host.id);
     if (++checked > 200) break;
+  }
+}
+
+// --- Lazy world: a server host is built on first contact ----------------
+
+constexpr PopulationParams kLazyParams{.dns_corpus_scale = 0.005};
+
+// The first `count` v4 hosts that answer a ZMap probe and TCP/443.
+std::vector<const HostProfile*> dual_stack_hosts(const Internet& internet,
+                                                 size_t count) {
+  std::vector<const HostProfile*> hosts;
+  for (const auto& host : internet.population().hosts()) {
+    if (hosts.size() == count) break;
+    if (host.address.is_v4() && host.quic_enabled() && !host.udp_filtered &&
+        host.respond_to_vn && host.tcp443_open)
+      hosts.push_back(&host);
+  }
+  return hosts;
+}
+
+const netsim::Endpoint kClient{netsim::IpAddress::v4(0xc0000201), 40000};
+
+TEST(LazyWorld, FreshWorldBuildsNoHosts) {
+  netsim::EventLoop loop;
+  Internet internet(kLazyParams, 18, loop);
+  EXPECT_EQ(internet.hosts_built(), 0u);
+  // Scan inputs and overlays read the snapshot; none of them builds a
+  // server.
+  internet.zmap_candidates_v4();
+  internet.ipv6_hitlist();
+  internet.list_corpus("alexa");
+  internet.apply_impairment(*netsim::find_impairment_profile("hostile"));
+  internet.apply_adversary(*find_adversary_profile("malicious"));
+  EXPECT_EQ(internet.hosts_built(), 0u);
+}
+
+TEST(LazyWorld, FirstContactBuildsExactlyThatHost) {
+  enum class Contact { kZmapProbe, kTcpConnect, kTcpPortOpen };
+  for (Contact contact :
+       {Contact::kZmapProbe, Contact::kTcpConnect, Contact::kTcpPortOpen}) {
+    SCOPED_TRACE(static_cast<int>(contact));
+    netsim::EventLoop loop;
+    Internet internet(kLazyParams, 18, loop);
+    const auto hosts = dual_stack_hosts(internet, 1);
+    ASSERT_EQ(hosts.size(), 1u);
+    const HostProfile& target = *hosts[0];
+    const netsim::Endpoint at{target.address, kQuicPort};
+    for (int round = 0; round < 2; ++round) {
+      switch (contact) {
+        case Contact::kZmapProbe: {
+          scanner::ZmapQuicScanner zmap(internet.network(), {});
+          const std::vector<netsim::IpAddress> one{target.address};
+          EXPECT_EQ(zmap.scan(one).size(), 1u);
+          break;
+        }
+        case Contact::kTcpConnect:
+          EXPECT_TRUE(internet.network().tcp_connect(kClient, at).has_value());
+          break;
+        case Contact::kTcpPortOpen:
+          EXPECT_TRUE(internet.network().tcp_port_open(at));
+          break;
+      }
+      // The second contact finds the host already built.
+      EXPECT_EQ(internet.hosts_built(), 1u);
+    }
+    ServerHost* host = internet.host_for(target.address);
+    ASSERT_NE(host, nullptr);
+    EXPECT_EQ(host->profile().id, target.id);
+    EXPECT_EQ(internet.hosts_built(), 1u);
+  }
+}
+
+TEST(LazyWorld, DudsAndUnknownAddressesBuildNothing) {
+  netsim::EventLoop loop;
+  Internet internet(kLazyParams, 18, loop);
+  std::vector<netsim::IpAddress> duds;
+  for (const auto& addr : internet.zmap_candidates_v4(2))
+    if (!internet.population().host_by_address(addr)) duds.push_back(addr);
+  ASSERT_FALSE(duds.empty());
+  duds.resize(std::min<size_t>(duds.size(), 64));
+
+  scanner::ZmapQuicScanner zmap(internet.network(), {});
+  EXPECT_TRUE(zmap.scan(duds).empty());
+  for (const auto& addr : duds) {
+    EXPECT_FALSE(internet.network().tcp_port_open({addr, kTlsPort}));
+    EXPECT_FALSE(
+        internet.network().tcp_connect(kClient, {addr, kTlsPort}).has_value());
+    EXPECT_EQ(internet.host_for(addr), nullptr);
+  }
+  EXPECT_EQ(internet.hosts_built(), 0u);
+}
+
+TEST(LazyWorld, OverlaysBeforeOrAfterFirstContactAgree) {
+  // One world applies hostile + malicious and then touches its hosts,
+  // the other touches them first: every link and every host's
+  // misbehavior plan must come out the same, which the handshakes
+  // observe outcome by outcome.
+  const auto& hostile = *netsim::find_impairment_profile("hostile");
+  const auto& malicious = *find_adversary_profile("malicious");
+  struct World {
+    netsim::EventLoop loop;
+    Internet internet{kLazyParams, 18, loop};
+  };
+  World before, after;
+  before.internet.apply_impairment(hostile);
+  before.internet.apply_adversary(malicious);
+
+  std::vector<const HostProfile*> targets;
+  for (const auto& host : before.internet.population().hosts()) {
+    if (!host.address.is_v4() || !host.quic_enabled()) continue;
+    targets.push_back(&host);
+    if (targets.size() >= 40) break;
+  }
+  for (World* world : {&before, &after})
+    for (const auto* host : targets)
+      world->internet.network().tcp_port_open({host->address, kTlsPort});
+  after.internet.apply_impairment(hostile);
+  after.internet.apply_adversary(malicious);
+  EXPECT_EQ(before.internet.hosts_built(), targets.size());
+  EXPECT_EQ(after.internet.hosts_built(), targets.size());
+
+  for (const auto* host : targets) {
+    EXPECT_EQ(before.internet.network().link(host->address),
+              after.internet.network().link(host->address));
+    EXPECT_TRUE(after.internet.network().link(host->address).impaired());
+  }
+
+  size_t protocol_errors = 0;
+  auto handshake_rows = [&](World& world) {
+    scanner::QscanOptions options;
+    options.seed = 0x1a2b;
+    scanner::QScanner qscanner(world.internet.network(), options);
+    std::vector<std::string> rows;
+    for (const auto* host : targets) {
+      auto result = qscanner.scan_one(
+          {host->address, std::nullopt, host->advertised_versions});
+      if (result.report.protocol_error != quic::ProtocolError::kNone)
+        ++protocol_errors;
+      rows.push_back(scanner::to_string(result.outcome) + "," +
+                     quic::to_string(result.report.protocol_error));
+    }
+    return rows;
+  };
+  EXPECT_EQ(handshake_rows(before), handshake_rows(after));
+  // The malicious plans fired, so the rows can tell plans apart.
+  EXPECT_GT(protocol_errors, 0u);
+}
+
+TEST(LazyWorld, BuildOrderLeavesWireBytesUnchanged) {
+  // Every datagram the fabric carries -- server connection IDs, key
+  // shares and ciphertext included -- is the same whether the hosts
+  // are built at first contact or up front in reverse order: a host's
+  // stream forks from a parent that building never advances.
+  auto wire_bytes = [](bool prebuild_reversed) {
+    netsim::EventLoop loop;
+    Internet internet(kLazyParams, 18, loop);
+    internet.apply_adversary(*find_adversary_profile("sloppy"));
+    std::vector<const HostProfile*> targets;
+    for (const auto& host : internet.population().hosts()) {
+      if (!host.address.is_v4() || !host.quic_enabled()) continue;
+      targets.push_back(&host);
+      if (targets.size() >= 24) break;
+    }
+    if (prebuild_reversed)
+      for (auto it = targets.rbegin(); it != targets.rend(); ++it)
+        internet.host_for((*it)->address);
+    std::vector<uint8_t> bytes;
+    internet.network().set_tap([&](const netsim::Endpoint&,
+                                   const netsim::Endpoint&,
+                                   std::span<const uint8_t> payload) {
+      bytes.insert(bytes.end(), payload.begin(), payload.end());
+    });
+    scanner::QScanner qscanner(internet.network(), {});
+    for (const auto* host : targets)
+      qscanner.scan_one(
+          {host->address, std::nullopt, host->advertised_versions});
+    return bytes;
+  };
+  auto lazy = wire_bytes(false);
+  EXPECT_FALSE(lazy.empty());
+  EXPECT_EQ(lazy, wire_bytes(true));
+}
+
+TEST(LazyWorld, ExplicitRegistrationsLayerOnTop) {
+  // Explicit state on a population address builds the host first and
+  // then overrides it, as if every host had been built up front.
+  struct Sink : netsim::UdpService {
+    int received = 0;
+    void on_datagram(const netsim::Endpoint&, std::span<const uint8_t>,
+                     const Transmit&) override {
+      ++received;
+    }
+  };
+  netsim::EventLoop loop;
+  Internet internet(kLazyParams, 18, loop);
+  const auto targets = dual_stack_hosts(internet, 2);
+  ASSERT_EQ(targets.size(), 2u);
+
+  // A service replaces the host's UDP side and leaves its TCP side.
+  const netsim::Endpoint first{targets[0]->address, kQuicPort};
+  Sink sink;
+  internet.network().add_udp_service(first, &sink);
+  EXPECT_EQ(internet.hosts_built(), 1u);
+  internet.network().send_datagram(kClient, first, {1, 2, 3});
+  loop.run();
+  EXPECT_EQ(sink.received, 1);
+  EXPECT_TRUE(internet.network().tcp_port_open(first));
+
+  // A link replaces the overlay the host was built with.
+  internet.apply_impairment(*netsim::find_impairment_profile("hostile"));
+  const netsim::LinkProperties plain{.latency_us = 1'000};
+  internet.network().set_link(targets[1]->address, plain);
+  EXPECT_EQ(internet.hosts_built(), 2u);
+  EXPECT_TRUE(
+      internet.network().tcp_port_open({targets[1]->address, kTlsPort}));
+  EXPECT_EQ(internet.network().link(targets[1]->address), plain);
+}
+
+TEST(LazyWorld, EveryPopulationAddressNamesOneHost) {
+  // Lazy routing builds the host host_by_address names. An eager build
+  // of every host would have let a later duplicate take the address,
+  // so the two agree only because addresses are unique.
+  for (int week : {5, 18}) {
+    SCOPED_TRACE(week);
+    Population population(kLazyParams, week);
+    for (const auto& host : population.hosts()) {
+      const auto* indexed = population.host_by_address(host.address);
+      ASSERT_NE(indexed, nullptr);
+      EXPECT_EQ(indexed->id, host.id);
+    }
   }
 }
 

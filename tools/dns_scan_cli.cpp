@@ -30,12 +30,12 @@
 // (jobs-invariant; HTTPS-RR adoption, Figure 3, and the DNS-join
 // columns of Tables 1/2).
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
 
+#include "cli_number.h"
 #include "crypto/cpu.h"
 #include "engine/engine.h"
 #include "internet/internet.h"
@@ -65,13 +65,14 @@ int run(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--week" && i + 1 < argc) {
-      week = std::atoi(argv[++i]);
+      week = cli::parse_number<int>("--week", argv[++i], cli::kMinWeek,
+                                    cli::kMaxWeek);
     } else if (arg == "--list" && i + 1 < argc) {
       list = argv[++i];
     } else if (arg == "--https-only") {
       https_only = true;
     } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
+      jobs = cli::parse_number<int>("--jobs", argv[++i], 0, cli::kMaxJobs);
     } else if (arg == "--schedule" && i + 1 < argc) {
       try {
         schedule = engine::parse_schedule(argv[++i]);
@@ -87,9 +88,11 @@ int run(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--chunk-size" && i + 1 < argc) {
-      chunk_size = std::strtoull(argv[++i], nullptr, 0);
+      chunk_size = cli::parse_number<size_t>("--chunk-size", argv[++i], 0,
+                                             SIZE_MAX);
     } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 0);
+      seed = cli::parse_number("--seed", argv[++i], 0, UINT64_MAX,
+                               /*allow_hex=*/true);
     } else if (arg == "--qlog" && i + 1 < argc) {
       qlog_dir = argv[++i];
     } else if (arg == "--metrics" && i + 1 < argc) {
@@ -101,7 +104,8 @@ int run(int argc, char** argv) {
     } else if (arg == "--adversary" && i + 1 < argc) {
       adversary = argv[++i];
     } else if (arg == "--retries" && i + 1 < argc) {
-      retries = std::atoi(argv[++i]);
+      retries =
+          cli::parse_number<int>("--retries", argv[++i], 0, cli::kMaxRetries);
     } else if (arg == "--report" && i + 1 < argc) {
       report_dir = argv[++i];
     } else {
@@ -131,14 +135,6 @@ int run(int argc, char** argv) {
       std::fprintf(stderr, " %.*s", static_cast<int>(known.size()),
                    known.data());
     std::fprintf(stderr, ")\n");
-    return 2;
-  }
-  if (retries < 0) {
-    std::fprintf(stderr, "--retries must be >= 0\n");
-    return 2;
-  }
-  if (jobs < 0) {
-    std::fprintf(stderr, "--jobs must be >= 0 (0 = auto-detect)\n");
     return 2;
   }
   if (jobs == 0) {

@@ -46,13 +46,13 @@
 // produces byte-identical output, so only wall-clock changes (see
 // DESIGN.md "Crypto backends").
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
 
+#include "cli_number.h"
 #include "crypto/cpu.h"
 #include "engine/engine.h"
 #include "internet/internet.h"
@@ -84,12 +84,13 @@ scanner::QscanOptions scan_options(const engine::ShardEnv& env,
   options.retry.max_attempts = 1 + retries;
   options.breaker.enabled = breaker;
   if (breaker) {
-    // Attribute each target to its AS via the shard's own internet
-    // snapshot; unknown addresses land in AS 0.
-    internet::Internet* internet = env.internet;
-    options.asn_of = [internet](const netsim::IpAddress& addr) {
-      const auto* host = internet->host_for(addr);
-      return host ? host->profile().asn : 0u;
+    // Attribute each target to its AS via the shared population
+    // snapshot (no server host is built for it); unknown addresses
+    // land in AS 0.
+    const auto* population = &env.internet->population();
+    options.asn_of = [population](const netsim::IpAddress& addr) {
+      const auto* host = population->host_by_address(addr);
+      return host ? host->asn : 0u;
     };
   }
   return options;
@@ -134,7 +135,8 @@ int run(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--week" && i + 1 < argc) {
-      week = std::atoi(argv[++i]);
+      week = cli::parse_number<int>("--week", argv[++i], cli::kMinWeek,
+                                    cli::kMaxWeek);
     } else if (arg == "--all") {
       scan_all = true;
     } else if (arg == "--no-http") {
@@ -142,7 +144,7 @@ int run(int argc, char** argv) {
     } else if (arg == "--targets" && i + 1 < argc) {
       targets_file = argv[++i];
     } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
+      jobs = cli::parse_number<int>("--jobs", argv[++i], 0, cli::kMaxJobs);
     } else if (arg == "--schedule" && i + 1 < argc) {
       try {
         schedule = engine::parse_schedule(argv[++i]);
@@ -158,9 +160,11 @@ int run(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--chunk-size" && i + 1 < argc) {
-      chunk_size = std::strtoull(argv[++i], nullptr, 0);
+      chunk_size = cli::parse_number<size_t>("--chunk-size", argv[++i], 0,
+                                             SIZE_MAX);
     } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 0);
+      seed = cli::parse_number("--seed", argv[++i], 0, UINT64_MAX,
+                               /*allow_hex=*/true);
     } else if (arg == "--qlog" && i + 1 < argc) {
       qlog_dir = argv[++i];
     } else if (arg == "--metrics" && i + 1 < argc) {
@@ -172,7 +176,8 @@ int run(int argc, char** argv) {
     } else if (arg == "--adversary" && i + 1 < argc) {
       adversary = argv[++i];
     } else if (arg == "--retries" && i + 1 < argc) {
-      retries = std::atoi(argv[++i]);
+      retries =
+          cli::parse_number<int>("--retries", argv[++i], 0, cli::kMaxRetries);
     } else if (arg == "--breaker") {
       breaker = true;
     } else if (arg == "--report" && i + 1 < argc) {
@@ -196,15 +201,7 @@ int run(int argc, char** argv) {
     report_unknown_adversary("--adversary", adversary);
     return 2;
   }
-  if (retries < 0) {
-    std::fprintf(stderr, "--retries must be >= 0\n");
-    return 2;
-  }
   if (!scan_all && targets_file.empty()) scan_all = true;
-  if (jobs < 0) {
-    std::fprintf(stderr, "--jobs must be >= 0 (0 = auto-detect)\n");
-    return 2;
-  }
   if (jobs == 0) {
     // hardware_concurrency() may report 0 on exotic platforms; fall
     // back to the serial path rather than refusing to run.
