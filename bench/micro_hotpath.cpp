@@ -179,9 +179,9 @@ CampaignResult run_campaign(const std::vector<scanner::QscanTarget>& targets) {
   engine::CampaignOptions options;
   options.jobs = 1;
   options.seed = kSeed;
-  // Pin the static schedule: this bench measures the PR-2 serial
-  // single-world hot path, and its baseline numbers predate chunking.
-  options.schedule = engine::Schedule::kStatic;
+  // Pin one chunk: this bench measures the serial single-world hot
+  // path, and its baseline numbers predate chunking.
+  options.chunk_size = targets.size();
   options.week = kWeek;
   options.population = kPopulation;
   engine::Campaign campaign(options);

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -26,64 +27,16 @@ uint64_t elapsed_us(SchedClock::time_point from, SchedClock::time_point to) {
 
 }  // namespace
 
-Schedule parse_schedule(const std::string& name) {
-  if (name == "static") return Schedule::kStatic;
-  if (name == "dynamic") return Schedule::kDynamic;
-  throw std::invalid_argument("unknown schedule '" + name +
-                              "' (expected static or dynamic)");
-}
-
-const char* schedule_name(Schedule schedule) {
-  return schedule == Schedule::kStatic ? "static" : "dynamic";
-}
-
-uint64_t shard_seed(uint64_t campaign_seed, uint32_t shard_index) {
-  if (shard_index == 0) return campaign_seed;
-  // splitmix64 keyed by (seed, index): one advance mixes the index in,
-  // a second decorrelates adjacent indices. The golden-ratio constant
-  // matches the scanners' own per-attempt seed derivation.
-  uint64_t state =
-      campaign_seed ^ (0x9e3779b97f4a7c15ull * (shard_index + 1));
-  crypto::splitmix64(state);
-  return crypto::splitmix64(state);
-}
-
 uint64_t chunk_seed(uint64_t campaign_seed, size_t chunk_index) {
   if (chunk_index == 0) return campaign_seed;
-  // Same construction as shard_seed with a different mixing constant,
-  // so static shard streams and dynamic chunk streams never collide
-  // for the same index. Depends on (seed, chunk_index) only; jobs must
-  // never enter this derivation (steal-schedule invariance).
+  // splitmix64 keyed by (seed, index): one advance mixes the index in,
+  // a second decorrelates adjacent indices. Depends on
+  // (seed, chunk_index) only; jobs must never enter this derivation
+  // (steal-schedule invariance).
   uint64_t state = campaign_seed ^ (0xbf58476d1ce4e5b9ull *
                                     (static_cast<uint64_t>(chunk_index) + 1));
   crypto::splitmix64(state);
   return crypto::splitmix64(state);
-}
-
-std::vector<ShardRange> shard_ranges(size_t n, int jobs) {
-  size_t k = jobs < 1 ? 1 : static_cast<size_t>(jobs);
-  std::vector<ShardRange> ranges;
-  ranges.reserve(k);
-  size_t base = n / k;
-  size_t extra = n % k;
-  size_t begin = 0;
-  for (size_t s = 0; s < k; ++s) {
-    size_t size = base + (s < extra ? 1 : 0);
-    ranges.push_back({begin, begin + size});
-    begin += size;
-  }
-  return ranges;
-}
-
-int shard_of(size_t index, size_t n, int jobs) {
-  size_t k = jobs < 1 ? 1 : static_cast<size_t>(jobs);
-  size_t base = n / k;
-  size_t extra = n % k;
-  // The first `extra` shards hold base+1 targets each.
-  size_t fat = extra * (base + 1);
-  if (index < fat) return static_cast<int>(index / (base + 1));
-  if (base == 0) return static_cast<int>(k) - 1;  // index >= n guard
-  return static_cast<int>(extra + (index - fat) / base);
 }
 
 std::vector<ShardRange> chunk_ranges(size_t n, size_t chunk_size) {
@@ -109,12 +62,6 @@ size_t default_chunk_size(size_t n, int jobs) {
 }
 
 Campaign::Campaign(CampaignOptions options) : options_(std::move(options)) {
-  if (!options_.schedule) {
-    // The CI sweep knob: QREPRO_SCHEDULE flips the default for callers
-    // that left the schedule unset; an invalid name fails loudly.
-    const char* env = std::getenv("QREPRO_SCHEDULE");
-    options_.schedule = env ? parse_schedule(env) : Schedule::kDynamic;
-  }
   if (options_.jobs < 1)
     throw std::invalid_argument("Campaign: jobs must be >= 1");
   if (!options_.impairment.empty() &&
@@ -122,8 +69,8 @@ Campaign::Campaign(CampaignOptions options) : options_(std::move(options)) {
     throw std::invalid_argument("Campaign: unknown impairment profile '" +
                                 options_.impairment + "'");
   if (options_.adversary.empty()) {
-    // Same CI-sweep contract as QREPRO_SCHEDULE: the env knob fills in
-    // an unset option; an explicit setting always wins.
+    // The CI sweep knob: QREPRO_ADVERSARY fills in an unset option; an
+    // explicit setting always wins.
     const char* env = std::getenv("QREPRO_ADVERSARY");
     if (env) options_.adversary = env;
   }
@@ -140,29 +87,24 @@ size_t Campaign::resolved_chunk_size(size_t target_count) const {
 }
 
 size_t Campaign::slot_count(size_t target_count) const {
-  if (*options_.schedule == Schedule::kStatic)
-    return static_cast<size_t>(options_.jobs);
   return chunk_ranges(target_count, resolved_chunk_size(target_count)).size();
 }
 
-void Campaign::run_slice(int slice, const ShardBody& body) {
-  // The whole slice world is constructed here, in the exact order the
+void Campaign::run_chunk(int chunk, const ShardBody& body) {
+  // The whole chunk world is constructed here, in the exact order the
   // serial CLIs construct theirs: loop, internet, metrics attachment,
   // trace directory. That ordering is part of the determinism
   // contract -- it fixes the virtual-time position of every event a
   // body emits. Only the immutable snapshot (population + zones) is
-  // shared; everything mutable is private to this slice.
+  // shared; everything mutable is private to this chunk.
   ShardEnv env;
-  env.shard_index = slice;
-  env.jobs = static_cast<int>(ranges_.size());
-  env.seed = *options_.schedule == Schedule::kDynamic
-                 ? chunk_seed(options_.seed, static_cast<size_t>(slice))
-                 : shard_seed(options_.seed, static_cast<uint32_t>(slice));
-  env.range = ranges_[static_cast<size_t>(slice)];
+  env.shard_index = chunk;
+  env.seed = chunk_seed(options_.seed, static_cast<size_t>(chunk));
+  env.range = ranges_[static_cast<size_t>(chunk)];
 
   netsim::EventLoop loop;
   internet::Internet internet(snapshot_, loop);
-  auto& metrics = *shard_metrics_[static_cast<size_t>(slice)];
+  auto& metrics = *shard_metrics_[static_cast<size_t>(chunk)];
   loop.set_metrics(&metrics);
   internet.network().set_metrics(&metrics);
   if (!options_.impairment.empty()) {
@@ -176,7 +118,7 @@ void Campaign::run_slice(int slice, const ShardBody& body) {
   }
   if (!options_.adversary.empty()) {
     // Endpoint misbehavior layers on after the fabric: plans key on
-    // (population seed, host address) only, so every slice derives the
+    // (population seed, host address) only, so every chunk derives the
     // identical overlay. Serial baselines in the differential tests
     // must apply at this same position.
     internet.apply_adversary(
@@ -188,10 +130,7 @@ void Campaign::run_slice(int slice, const ShardBody& body) {
     std::string dir = options_.qlog_dir;
     if (ranges_.size() > 1) {
       char suffix[16];
-      if (*options_.schedule == Schedule::kDynamic)
-        std::snprintf(suffix, sizeof suffix, "/chunk%04d", slice);
-      else
-        std::snprintf(suffix, sizeof suffix, "/shard%02d", slice);
+      std::snprintf(suffix, sizeof suffix, "/chunk%04d", chunk);
       dir += suffix;
     }
     qlog.emplace(dir);
@@ -205,12 +144,29 @@ void Campaign::run_slice(int slice, const ShardBody& body) {
   body(env);
 }
 
-void Campaign::run_workers(int workers, const ShardBody& body,
-                           std::vector<std::exception_ptr>& errors) {
-  const size_t slices = ranges_.size();
+void Campaign::run(size_t target_count, const ShardBody& body) {
+  if (ran_) throw std::logic_error("Campaign::run called twice");
+  ran_ = true;
+  ranges_ = chunk_ranges(target_count, resolved_chunk_size(target_count));
+  shard_metrics_.clear();
+  for (size_t c = 0; c < ranges_.size(); ++c)
+    shard_metrics_.push_back(std::make_unique<telemetry::MetricsRegistry>());
+  // The immutable world half (population + DNS zones) is identical for
+  // every chunk; build it once and share it read-only.
+  snapshot_ = options_.snapshot
+                  ? options_.snapshot
+                  : std::make_shared<const internet::Snapshot>(
+                        options_.population, options_.week);
+
+  // chunk_ranges never returns an empty list, so workers >= 1.
+  const size_t chunks = ranges_.size();
+  const int workers = static_cast<int>(
+      std::min(static_cast<size_t>(options_.jobs), chunks));
+  sched_.reset(workers);
+  std::vector<std::exception_ptr> errors(chunks);
   std::atomic<size_t> cursor{0};
 
-  // One worker's pull loop. Slice output is deterministic regardless of
+  // One worker's pull loop. Chunk output is deterministic regardless of
   // which worker runs it (private world, index-keyed seed); the cursor
   // only decides the wall-clock interleaving, which is exactly what the
   // scheduler telemetry records.
@@ -218,14 +174,14 @@ void Campaign::run_workers(int workers, const ShardBody& body,
     auto& sample = sched_.worker(worker);
     while (true) {
       auto t0 = SchedClock::now();
-      size_t slice = cursor.fetch_add(1, std::memory_order_relaxed);
+      size_t chunk = cursor.fetch_add(1, std::memory_order_relaxed);
       auto t1 = SchedClock::now();
       sample.steal_wait_us += elapsed_us(t0, t1);
-      if (slice >= slices) break;
+      if (chunk >= chunks) break;
       try {
-        run_slice(static_cast<int>(slice), body);
+        run_chunk(static_cast<int>(chunk), body);
       } catch (...) {
-        errors[slice] = std::current_exception();
+        errors[chunk] = std::current_exception();
       }
       auto t2 = SchedClock::now();
       uint64_t busy = elapsed_us(t1, t2);
@@ -237,83 +193,23 @@ void Campaign::run_workers(int workers, const ShardBody& body,
 
   if (workers == 1) {
     // Inline on the calling thread: the serial path, exactly -- the
-    // cursor degenerates to iterating slices in index order.
+    // cursor degenerates to iterating chunks in index order.
     pull_loop(0);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w)
-    pool.emplace_back([&pull_loop, w] { pull_loop(w); });
-  for (auto& thread : pool) thread.join();
-}
-
-void Campaign::run(size_t target_count, const ShardBody& body) {
-  if (ran_) throw std::logic_error("Campaign::run called twice");
-  ran_ = true;
-  ranges_ = *options_.schedule == Schedule::kDynamic
-                ? chunk_ranges(target_count, resolved_chunk_size(target_count))
-                : shard_ranges(target_count, options_.jobs);
-  shard_metrics_.clear();
-  for (size_t s = 0; s < ranges_.size(); ++s)
-    shard_metrics_.push_back(std::make_unique<telemetry::MetricsRegistry>());
-  // The immutable world half (population + DNS zones) is identical for
-  // every slice; build it once and share it read-only.
-  snapshot_ = options_.snapshot
-                  ? options_.snapshot
-                  : std::make_shared<const internet::Snapshot>(
-                        options_.population, options_.week);
-
-  std::vector<std::exception_ptr> errors(ranges_.size());
-  if (*options_.schedule == Schedule::kDynamic) {
-    int workers = static_cast<int>(
-        std::min<size_t>(static_cast<size_t>(options_.jobs), ranges_.size()));
-    sched_.reset(workers < 1 ? 1 : workers);
-    run_workers(workers < 1 ? 1 : workers, body, errors);
   } else {
-    // Static: shard s pinned to worker s. Recorded through the same
-    // scheduler stats so static-vs-dynamic straggler ratios compare
-    // like for like.
-    sched_.reset(options_.jobs);
-    if (options_.jobs == 1) {
-      auto t0 = SchedClock::now();
-      try {
-        run_slice(0, body);
-      } catch (...) {
-        errors[0] = std::current_exception();
-      }
-      uint64_t busy = elapsed_us(t0, SchedClock::now());
-      sched_.worker(0).busy_us += busy;
-      sched_.worker(0).chunks_run += 1;
-      sched_.observe_chunk(0, busy);
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<size_t>(options_.jobs));
-      for (int s = 0; s < options_.jobs; ++s) {
-        pool.emplace_back([this, s, &body, &errors] {
-          auto t0 = SchedClock::now();
-          try {
-            run_slice(s, body);
-          } catch (...) {
-            errors[static_cast<size_t>(s)] = std::current_exception();
-          }
-          uint64_t busy = elapsed_us(t0, SchedClock::now());
-          sched_.worker(s).busy_us += busy;
-          sched_.worker(s).chunks_run += 1;
-          sched_.observe_chunk(s, busy);
-        });
-      }
-      for (auto& thread : pool) thread.join();
-    }
+    std::vector<std::thread> pool;
+    pool.reserve(static_cast<size_t>(workers));
+    for (int w = 0; w < workers; ++w)
+      pool.emplace_back([&pull_loop, w] { pull_loop(w); });
+    for (auto& thread : pool) thread.join();
   }
   for (auto& error : errors)
     if (error) std::rethrow_exception(error);
 
-  // Fold in slice index order (any order gives the same registry; a
+  // Fold in chunk index order (any order gives the same registry; a
   // fixed order keeps the implementation trivially deterministic).
-  for (const auto& slice : shard_metrics_) merged_.merge_from(*slice);
+  for (const auto& chunk : shard_metrics_) merged_.merge_from(*chunk);
   sched_.write_to(sched_registry_);
-  // Which AEAD kernel the slice worlds resolved (cpu.h enum value).
+  // Which AEAD kernel the chunk worlds resolved (cpu.h enum value).
   // Quarantined here with the other host-dependent facts: the merged
   // deterministic registry must stay byte-identical across backends,
   // and a backend name in it would break exactly the invariance the

@@ -50,7 +50,7 @@ struct AdversaryProfile {
 /// Derives per-host AdversaryPlans from a profile and a campaign seed.
 /// Stateless: plan_for is a pure function of (profile, seed, address),
 /// which is exactly what keeps campaign output byte-identical across
-/// --jobs and schedules (DESIGN.md "Adversarial endpoints").
+/// --jobs and chunk partitions (DESIGN.md "Adversarial endpoints").
 class AdversaryModel {
  public:
   AdversaryModel(const AdversaryProfile& profile, uint64_t seed);

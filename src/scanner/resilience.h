@@ -4,7 +4,7 @@
 // starts shedding probes. Shared by QScanner/ZMap/DNS/TCP-TLS so every
 // pipeline survives the fault fabric's impairment profiles the same
 // way. All randomness is keyed on (policy seed, target, attempt) --
-// never the shard seed -- so retry schedules are identical at any
+// never the chunk seed -- so retry schedules are identical at any
 // --jobs K.
 #pragma once
 

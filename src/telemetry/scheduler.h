@@ -5,7 +5,7 @@
 // chunk bodies (busy) and how long it spent acquiring chunk indices
 // (steal wait), plus a chunk-duration histogram and the campaign-level
 // straggler ratio (max/mean worker busy time; 1.0 means perfectly
-// balanced, the static scheduler's ratio grows with workload skew).
+// balanced, and one chunk per worker lets it grow with workload skew).
 //
 // Everything here is WALL-clock, i.e. genuinely non-deterministic: it
 // varies run to run with machine load and steal interleaving. It is

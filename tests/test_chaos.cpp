@@ -78,9 +78,8 @@ std::vector<scanner::QscanTarget> make_targets(size_t count) {
 
 /// A deliberately skewed list: the first quarter are real scans, the
 /// tail advertises only a GREASE version so compatible() skips it for
-/// free. Under the static schedule worker 0 inherits nearly all of the
-/// real work -- the straggler scenario the dynamic scheduler exists to
-/// erase.
+/// free. With one chunk per worker, one worker inherits nearly all of
+/// the real work -- the straggler scenario small chunks exist to erase.
 std::vector<scanner::QscanTarget> make_skewed_targets(size_t count) {
   auto targets = make_targets(count);
   for (size_t i = count / 4; i < count; ++i)
@@ -90,14 +89,11 @@ std::vector<scanner::QscanTarget> make_skewed_targets(size_t count) {
 
 ChaosRun run_campaign(const std::vector<scanner::QscanTarget>& targets,
                       const std::string& profile, int retries, bool breaker,
-                      int jobs,
-                      engine::Schedule schedule = engine::Schedule::kDynamic,
-                      size_t chunk_size = 0,
+                      int jobs, size_t chunk_size = 0,
                       const std::string& adversary = "") {
   engine::CampaignOptions options;
   options.jobs = jobs;
   options.seed = kSeed;
-  options.schedule = schedule;
   options.chunk_size = chunk_size;
   options.week = kWeek;
   options.population = kPopulation;
@@ -189,8 +185,7 @@ TEST(Chaos, MaliciousAdversarySoakClassifiesEveryAttempt) {
   constexpr size_t kChunk = 97;
   auto targets = make_targets(10'000);
   auto run = run_campaign(targets, "hostile", /*retries=*/1,
-                          /*breaker=*/false, /*jobs=*/4,
-                          engine::Schedule::kDynamic, kChunk,
+                          /*breaker=*/false, /*jobs=*/4, kChunk,
                           /*adversary=*/"malicious");
   EXPECT_GT(run.scanned, 0u);
   EXPECT_EQ(run.classified_total(), run.scanned);
@@ -207,8 +202,7 @@ TEST(Chaos, MaliciousAdversarySoakClassifiesEveryAttempt) {
   // list must not move a single row between classes.
   for (int jobs : {1, 8}) {
     auto other = run_campaign(targets, "hostile", /*retries=*/1,
-                              /*breaker=*/false, jobs,
-                              engine::Schedule::kDynamic, kChunk,
+                              /*breaker=*/false, jobs, kChunk,
                               /*adversary=*/"malicious");
     EXPECT_EQ(other.outcomes, run.outcomes) << "jobs=" << jobs;
     EXPECT_EQ(other.attempts, run.attempts) << "jobs=" << jobs;
@@ -276,27 +270,27 @@ TEST(Chaos, HostileOutcomeMixInvariantAcrossJobs) {
   EXPECT_EQ(serial.outcomes, sharded.outcomes);
 }
 
-// The dynamic-scheduler soak (this PR's acceptance scenario): 10k
-// hostile targets whose real work is concentrated in the first quarter
-// of the list. Static sharding hands nearly all of it to worker 0;
-// dynamic chunks off the shared cursor spread it across the pool. The
-// contract is threefold: every attempt still lands in a classified
-// outcome, the busy-time straggler ratio (max/mean across workers,
-// core-count robust) drops strictly below the static run's, and the
-// outcome mix at a fixed chunk size is invariant across --jobs.
+// The chunk-scheduler soak: 10k hostile targets whose real work is
+// concentrated in the first quarter of the list. One chunk per worker
+// (chunk_size = n / 4 on 4 workers) hands nearly all of it to one
+// worker; small chunks off the shared cursor spread it across the
+// pool. The contract is threefold: every attempt still lands in a
+// classified outcome, the busy-time straggler ratio (max/mean across
+// workers, core-count robust) drops strictly below the
+// one-chunk-per-worker run's, and the outcome mix at a fixed chunk
+// size is invariant across --jobs.
 TEST(Chaos, DynamicSoakErasesStragglersAndStaysJobsInvariant) {
   constexpr size_t kChunk = 97;  // fixed, so the chunk worlds line up
   auto targets = make_skewed_targets(10'000);
 
   auto fixed = run_campaign(targets, "hostile", /*retries=*/1,
                             /*breaker=*/false, /*jobs=*/4,
-                            engine::Schedule::kStatic);
+                            targets.size() / 4);
   auto stolen = run_campaign(targets, "hostile", /*retries=*/1,
-                             /*breaker=*/false, /*jobs=*/4,
-                             engine::Schedule::kDynamic, kChunk);
+                             /*breaker=*/false, /*jobs=*/4, kChunk);
 
-  // Both schedules classify every attempted target; the skipped GREASE
-  // tail never reaches the wire.
+  // Both partitions classify every attempted target; the skipped
+  // GREASE tail never reaches the wire.
   EXPECT_EQ(fixed.classified_total(), fixed.scanned);
   EXPECT_EQ(stolen.classified_total(), stolen.scanned);
   // (A handful of the real quarter is natively incompatible too, so
@@ -305,14 +299,15 @@ TEST(Chaos, DynamicSoakErasesStragglersAndStaysJobsInvariant) {
   EXPECT_LE(fixed.scanned, targets.size() / 4);
   EXPECT_EQ(stolen.scanned, fixed.scanned);
 
-  // Same merged outcome mix: the schedule moves work between workers,
+  // Same merged outcome mix: the partition moves work between workers,
   // never between outcome classes.
   EXPECT_EQ(stolen.outcomes, fixed.outcomes);
   EXPECT_EQ(stolen.attempts, fixed.attempts);
   EXPECT_EQ(stolen.retries, fixed.retries);
 
-  // Stealing erases the straggler. Static pins the whole heavy quarter
-  // on one worker (ratio ~ jobs); dynamic must land strictly below it.
+  // Stealing erases the straggler. One chunk per worker pins the whole
+  // heavy quarter on one worker (ratio ~ jobs); small chunks must land
+  // strictly below it.
   EXPECT_GT(fixed.straggler, 1.5);
   EXPECT_LT(stolen.straggler, fixed.straggler);
 
@@ -321,8 +316,7 @@ TEST(Chaos, DynamicSoakErasesStragglersAndStaysJobsInvariant) {
   // mix cannot move with the worker count.
   for (int jobs : {1, 2, 8}) {
     auto other = run_campaign(targets, "hostile", /*retries=*/1,
-                              /*breaker=*/false, jobs,
-                              engine::Schedule::kDynamic, kChunk);
+                              /*breaker=*/false, jobs, kChunk);
     EXPECT_EQ(other.outcomes, stolen.outcomes) << "jobs=" << jobs;
     EXPECT_EQ(other.scanned, stolen.scanned) << "jobs=" << jobs;
     EXPECT_EQ(other.attempts, stolen.attempts) << "jobs=" << jobs;

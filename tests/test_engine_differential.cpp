@@ -1,22 +1,16 @@
-// Differential tests for the sharded campaign engine: parallel must
-// equal serial, byte for byte. Contracts from DESIGN.md ("Sharded
-// campaign engine" / "Dynamic chunk scheduler"):
+// Differential tests for the campaign engine: parallel must equal
+// serial, byte for byte. Contracts from DESIGN.md ("Campaign engine"):
 //
-//   1. A --jobs 1 campaign is byte-identical to the pre-engine serial
+//   1. A one-chunk campaign is byte-identical to the pre-engine serial
 //      code path (hand-rolled here: EventLoop + Internet + registry +
-//      QlogDir built directly, no engine involved).
-//   2. The merged rows and merged metrics JSON are identical for every
-//      shard count K -- the output is a pure function of (seed, K) and
-//      in fact does not depend on K at all.
-//   3. Shard i of a K-way campaign is byte-identical (qlog traces and
-//      per-shard metrics) to a serial run over that shard's target
-//      slice with shard_seed(seed, i).
-//   4. The dynamic scheduler changes nothing: merged rows, metrics,
-//      report.json and qlog trees under --schedule dynamic are
-//      byte-identical to the static/serial output for every jobs
-//      count, chunk size and impairment profile -- the steal schedule
-//      cannot leak into any output byte.
-//   5. A chunk world builds its server hosts on first contact, and the
+//      QlogDir built directly, no engine involved), at any --jobs.
+//   2. The merged rows, merged metrics JSON and report.json are
+//      identical for every jobs count, chunk size and impairment
+//      profile -- the steal schedule cannot leak into any output byte.
+//   3. Chunk i is byte-identical (qlog traces and per-chunk metrics)
+//      to a serial run over that chunk's target slice with
+//      chunk_seed(seed, i).
+//   4. A chunk world builds its server hosts on first contact, and the
 //      order in which they are built cannot leak into any output byte.
 #include <gtest/gtest.h>
 
@@ -101,26 +95,21 @@ std::string registry_json(const telemetry::MetricsRegistry& registry) {
   return out.str();
 }
 
-// The production shard body from qscanner_cli --targets --report, in
-// miniature. `impairment` and `retries` mirror the CLI's
-// --impair/--retries flags; `schedule`/`chunk_size` mirror
-// --schedule/--chunk-size (static by default: the legacy tests in this
-// file pin the PR-2 scheduler, the Dynamic* tests below sweep both).
-// `prebuild_reversed` makes each body build its slice's server hosts in
+// The production chunk body from qscanner_cli --targets --report, in
+// miniature. `impairment`, `retries` and `chunk_size` mirror the CLI's
+// --impair/--retries/--chunk-size flags (0 is the auto size).
+// `prebuild_reversed` makes each body build its chunk's server hosts in
 // reverse target order before scanning.
 CampaignRun run_campaign(const std::vector<scanner::QscanTarget>& targets,
                          int jobs, uint64_t seed,
                          const std::string& qlog_dir = "",
                          const std::string& impairment = "",
-                         int retries = 0,
-                         engine::Schedule schedule = engine::Schedule::kStatic,
-                         size_t chunk_size = 0,
+                         int retries = 0, size_t chunk_size = 0,
                          const std::string& adversary = "",
                          bool prebuild_reversed = false) {
   engine::CampaignOptions options;
   options.jobs = jobs;
   options.seed = seed;
-  options.schedule = schedule;
   options.chunk_size = chunk_size;
   options.week = kWeek;
   options.population = kPopulation;
@@ -172,7 +161,7 @@ CampaignRun run_campaign(const std::vector<scanner::QscanTarget>& targets,
 
 // The pre-engine serial path, reconstructed with no engine code at
 // all: this is exactly what the CLIs did before the campaign runner
-// existed, and what a --jobs 1 campaign must reproduce byte for byte.
+// existed, and what a one-chunk campaign must reproduce byte for byte.
 CampaignRun run_serial_baseline(
     const std::vector<scanner::QscanTarget>& targets, uint64_t seed,
     const std::string& qlog_dir = "", const std::string& impairment = "",
@@ -182,7 +171,7 @@ CampaignRun run_serial_baseline(
   telemetry::MetricsRegistry metrics;
   loop.set_metrics(&metrics);
   net.network().set_metrics(&metrics);
-  // Same position run_shard applies it: after the metrics hookup, before
+  // Same position run_chunk applies it: after the metrics hookup, before
   // any scanner traffic, so the fabric's counters land in the registry.
   if (!impairment.empty())
     net.apply_impairment(*netsim::find_impairment_profile(impairment));
@@ -241,15 +230,16 @@ TEST(EngineDifferential, Jobs1MatchesPreEngineSerialPathByteForByte) {
 
   auto engine_dir = fresh_dir("engine_jobs1_qlog");
   auto serial_dir = fresh_dir("engine_serial_qlog");
-  auto engine_run = run_campaign(targets, 1, kSeed, engine_dir.string());
+  auto engine_run = run_campaign(targets, 1, kSeed, engine_dir.string(), "",
+                                 0, targets.size());
   auto serial_run = run_serial_baseline(targets, kSeed, serial_dir.string());
 
   EXPECT_FALSE(engine_run.rows.empty());
   EXPECT_EQ(engine_run.rows, serial_run.rows);
   EXPECT_EQ(engine_run.metrics_json, serial_run.metrics_json);
 
-  // A single-shard campaign writes its traces directly into the qlog
-  // root (no shard00/ subdirectory) so files land exactly where the
+  // A single-chunk campaign writes its traces directly into the qlog
+  // root (no chunk0000/ subdirectory) so files land exactly where the
   // serial CLIs put them.
   auto engine_traces = dir_snapshot(engine_dir);
   auto serial_traces = dir_snapshot(serial_dir);
@@ -257,9 +247,29 @@ TEST(EngineDifferential, Jobs1MatchesPreEngineSerialPathByteForByte) {
   EXPECT_EQ(engine_traces, serial_traces);
 }
 
+TEST(EngineDifferential, SingleChunkDynamicMatchesSerialPathByteForByte) {
+  // chunk_seed(seed, 0) == seed and a single-chunk campaign writes
+  // qlog into the root directory, so chunk_size >= n on several workers
+  // is byte-identical to the hand-rolled pre-engine serial path --
+  // including the trace tree, which has no chunk subdirectories.
+  auto targets = campaign_targets(24);
+  auto dynamic_dir = fresh_dir("engine_dynamic_single_qlog");
+  auto serial_dir = fresh_dir("engine_dynamic_serial_qlog");
+  auto dynamic_run = run_campaign(targets, 4, kSeed, dynamic_dir.string(), "",
+                                  0, targets.size());
+  auto serial_run = run_serial_baseline(targets, kSeed, serial_dir.string());
+
+  EXPECT_FALSE(dynamic_run.rows.empty());
+  EXPECT_EQ(dynamic_run.rows, serial_run.rows);
+  EXPECT_EQ(dynamic_run.metrics_json, serial_run.metrics_json);
+  auto dynamic_traces = dir_snapshot(dynamic_dir);
+  EXPECT_FALSE(dynamic_traces.empty());
+  EXPECT_EQ(dynamic_traces, dir_snapshot(serial_dir));
+}
+
 TEST(EngineDifferential, MergedOutputIdenticalAcrossShardCounts) {
   auto targets = campaign_targets();
-  auto serial = run_campaign(targets, 1, kSeed);
+  auto serial = run_campaign(targets, 1, kSeed, "", "", 0, targets.size());
   ASSERT_FALSE(serial.rows.empty());
 
   for (int jobs : {2, 4, 8}) {
@@ -270,48 +280,16 @@ TEST(EngineDifferential, MergedOutputIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(EngineDifferential, PerShardOutputMatchesSerialRunOfShardSeed) {
-  auto targets = campaign_targets();
-  constexpr int kJobs = 4;
-
-  auto campaign_dir = fresh_dir("engine_jobs4_qlog");
-  auto sharded = run_campaign(targets, kJobs, kSeed, campaign_dir.string());
-
-  auto ranges = engine::shard_ranges(targets.size(), kJobs);
-  for (int s = 0; s < kJobs; ++s) {
-    SCOPED_TRACE("shard=" + std::to_string(s));
-    std::vector<scanner::QscanTarget> slice(
-        targets.begin() + static_cast<ptrdiff_t>(ranges[s].begin),
-        targets.begin() + static_cast<ptrdiff_t>(ranges[s].end));
-    auto slice_dir = fresh_dir("engine_shard_serial_qlog");
-    auto serial = run_serial_baseline(
-        slice, engine::shard_seed(kSeed, static_cast<uint32_t>(s)),
-        slice_dir.string());
-
-    // Per-shard metrics equal a serial run of the slice...
-    EXPECT_EQ(sharded.shard_metrics_json[static_cast<size_t>(s)],
-              serial.metrics_json);
-
-    // ...and the shard's qlog subtree is byte-identical to the serial
-    // run's trace directory.
-    char shard_name[16];
-    std::snprintf(shard_name, sizeof shard_name, "shard%02d", s);
-    auto shard_traces = dir_snapshot(campaign_dir / shard_name);
-    auto serial_traces = dir_snapshot(slice_dir);
-    EXPECT_FALSE(shard_traces.empty());
-    EXPECT_EQ(shard_traces, serial_traces);
-  }
-}
-
 TEST(EngineDifferential, ImpairedJobs1MatchesSerialBaselineByteForByte) {
-  // The fault fabric under the engine: a --jobs 1 campaign with
-  // --impair/--retries must still be byte-identical to the hand-rolled
-  // serial path with the same profile applied at the same point.
+  // The fault fabric under the engine: a one-chunk --jobs 1 campaign
+  // with --impair/--retries must still be byte-identical to the
+  // hand-rolled serial path with the same profile applied at the same
+  // point.
   auto targets = campaign_targets();
   auto engine_dir = fresh_dir("engine_impaired_jobs1_qlog");
   auto serial_dir = fresh_dir("engine_impaired_serial_qlog");
-  auto engine_run =
-      run_campaign(targets, 1, kSeed, engine_dir.string(), "hostile", 2);
+  auto engine_run = run_campaign(targets, 1, kSeed, engine_dir.string(),
+                                 "hostile", 2, targets.size());
   auto serial_run =
       run_serial_baseline(targets, kSeed, serial_dir.string(), "hostile", 2);
 
@@ -325,14 +303,15 @@ TEST(EngineDifferential, ImpairedJobs1MatchesSerialBaselineByteForByte) {
 }
 
 TEST(EngineDifferential, ImpairedMergedOutputIdenticalAcrossShardCounts) {
-  // K-invariance under impairment (acceptance criterion): the fabric's
-  // counter-based RNG and the per-target retry jitter give the same
-  // drops/corruption/backoffs no matter how targets are sharded, so the
-  // merged rows and metrics cannot depend on --jobs.
+  // Jobs-invariance under impairment (acceptance criterion): the
+  // fabric's counter-based RNG and the per-target retry jitter give the
+  // same drops/corruption/backoffs no matter how targets are chunked,
+  // so the merged rows and metrics cannot depend on --jobs.
   auto targets = campaign_targets();
   for (const std::string profile : {"bursty", "hostile", "throttled"}) {
     SCOPED_TRACE("profile=" + profile);
-    auto serial = run_campaign(targets, 1, kSeed, "", profile, 2);
+    auto serial =
+        run_campaign(targets, 1, kSeed, "", profile, 2, targets.size());
     ASSERT_FALSE(serial.rows.empty());
     for (int jobs : {2, 4, 8}) {
       SCOPED_TRACE("jobs=" + std::to_string(jobs));
@@ -344,12 +323,12 @@ TEST(EngineDifferential, ImpairedMergedOutputIdenticalAcrossShardCounts) {
 }
 
 TEST(EngineDifferential, DynamicMatchesStaticAcrossJobsChunkSizesProfiles) {
-  // The tentpole contract: under --schedule dynamic the merged CSV
-  // rows, merged metrics JSON and report.json are byte-identical to
-  // the static serial baseline for every jobs count x chunk size x
-  // impairment profile. Chunk size changes the partition and the
-  // per-chunk seeds, yet per-target output is invariant to its world,
-  // so even the chunk size must not show up in merged output.
+  // The engine's contract: the merged CSV rows, merged metrics JSON and
+  // report.json are byte-identical to the one-chunk serial baseline for
+  // every jobs count x chunk size x impairment profile. Chunk size
+  // changes the partition and the per-chunk seeds, yet per-target
+  // output is invariant to its world, so even the chunk size must not
+  // show up in merged output.
   auto targets = campaign_targets(24);
   const size_t n = targets.size();
   ASSERT_GE(n, 16u);
@@ -357,16 +336,14 @@ TEST(EngineDifferential, DynamicMatchesStaticAcrossJobsChunkSizesProfiles) {
   for (const std::string profile : {"", "hostile", "throttled"}) {
     SCOPED_TRACE("profile=" + (profile.empty() ? "clean" : profile));
     const int retries = profile.empty() ? 0 : 1;
-    auto baseline = run_campaign(targets, 1, kSeed, "", profile, retries,
-                                 engine::Schedule::kStatic);
+    auto baseline = run_campaign(targets, 1, kSeed, "", profile, retries, n);
     ASSERT_FALSE(baseline.rows.empty());
     for (size_t chunk : {size_t{1}, size_t{7}, size_t{64}, n}) {
       SCOPED_TRACE("chunk_size=" + std::to_string(chunk));
       for (int jobs : {1, 2, 4, 8}) {
         SCOPED_TRACE("jobs=" + std::to_string(jobs));
         auto dynamic_run =
-            run_campaign(targets, jobs, kSeed, "", profile, retries,
-                         engine::Schedule::kDynamic, chunk);
+            run_campaign(targets, jobs, kSeed, "", profile, retries, chunk);
         EXPECT_EQ(dynamic_run.rows, baseline.rows);
         EXPECT_EQ(dynamic_run.metrics_json, baseline.metrics_json);
         EXPECT_EQ(dynamic_run.report_json, baseline.report_json);
@@ -387,8 +364,7 @@ TEST(EngineDifferential, DynamicQlogTreesIdenticalAcrossJobsForFixedChunk) {
 
   auto baseline_dir = fresh_dir("engine_dynamic_qlog_j1");
   auto baseline = run_campaign(targets, 1, kSeed, baseline_dir.string(),
-                               "hostile", 1, engine::Schedule::kDynamic,
-                               kChunk);
+                               "hostile", 1, kChunk);
   auto baseline_traces = dir_snapshot(baseline_dir);
   ASSERT_FALSE(baseline_traces.empty());
   // 24 targets in chunks of 7 -> chunk0000..chunk0003 subtrees.
@@ -399,53 +375,40 @@ TEST(EngineDifferential, DynamicQlogTreesIdenticalAcrossJobsForFixedChunk) {
     SCOPED_TRACE("jobs=" + std::to_string(jobs));
     auto dir = fresh_dir("engine_dynamic_qlog_j" + std::to_string(jobs));
     auto run = run_campaign(targets, jobs, kSeed, dir.string(), "hostile", 1,
-                            engine::Schedule::kDynamic, kChunk);
+                            kChunk);
     EXPECT_EQ(run.rows, baseline.rows);
     EXPECT_EQ(dir_snapshot(dir), baseline_traces);
   }
 }
 
-TEST(EngineDifferential, SingleChunkDynamicMatchesSerialPathByteForByte) {
-  // chunk_seed(seed, 0) == seed and a single-chunk campaign writes
-  // qlog into the root directory, so dynamic with chunk_size >= n is
-  // byte-identical to the hand-rolled pre-engine serial path --
-  // including the trace tree, which has no chunk subdirectories.
-  auto targets = campaign_targets(24);
-  auto dynamic_dir = fresh_dir("engine_dynamic_single_qlog");
-  auto serial_dir = fresh_dir("engine_dynamic_serial_qlog");
-  auto dynamic_run =
-      run_campaign(targets, 4, kSeed, dynamic_dir.string(), "", 0,
-                   engine::Schedule::kDynamic, targets.size());
-  auto serial_run = run_serial_baseline(targets, kSeed, serial_dir.string());
-
-  EXPECT_FALSE(dynamic_run.rows.empty());
-  EXPECT_EQ(dynamic_run.rows, serial_run.rows);
-  EXPECT_EQ(dynamic_run.metrics_json, serial_run.metrics_json);
-  auto dynamic_traces = dir_snapshot(dynamic_dir);
-  EXPECT_FALSE(dynamic_traces.empty());
-  EXPECT_EQ(dynamic_traces, dir_snapshot(serial_dir));
-}
-
 TEST(EngineDifferential, PerChunkOutputMatchesSerialRunOfChunkSeed) {
-  // Chunk i of a dynamic campaign is byte-identical (per-chunk metrics)
-  // to a serial run over that chunk's target slice with
-  // chunk_seed(seed, i) -- the dynamic analogue of the per-shard
-  // contract above, and the property that makes chunk output
-  // independent of which worker ran it.
+  // Chunk i of a campaign is byte-identical (per-chunk metrics and its
+  // chunkNNNN/ qlog subtree) to a serial run over that chunk's target
+  // slice with chunk_seed(seed, i) -- the property that makes chunk
+  // output independent of which worker ran it.
   auto targets = campaign_targets(24);
   constexpr size_t kChunk = 7;
-  auto dynamic_run = run_campaign(targets, 4, kSeed, "", "", 0,
-                                  engine::Schedule::kDynamic, kChunk);
+  auto campaign_dir = fresh_dir("engine_chunked_qlog");
+  auto chunked =
+      run_campaign(targets, 4, kSeed, campaign_dir.string(), "", 0, kChunk);
 
   auto ranges = engine::chunk_ranges(targets.size(), kChunk);
-  ASSERT_EQ(dynamic_run.shard_metrics_json.size(), ranges.size());
+  ASSERT_EQ(chunked.shard_metrics_json.size(), ranges.size());
   for (size_t c = 0; c < ranges.size(); ++c) {
     SCOPED_TRACE("chunk=" + std::to_string(c));
     std::vector<scanner::QscanTarget> slice(
         targets.begin() + static_cast<ptrdiff_t>(ranges[c].begin),
         targets.begin() + static_cast<ptrdiff_t>(ranges[c].end));
-    auto serial = run_serial_baseline(slice, engine::chunk_seed(kSeed, c));
-    EXPECT_EQ(dynamic_run.shard_metrics_json[c], serial.metrics_json);
+    auto slice_dir = fresh_dir("engine_chunk_serial_qlog");
+    auto serial = run_serial_baseline(slice, engine::chunk_seed(kSeed, c),
+                                      slice_dir.string());
+    EXPECT_EQ(chunked.shard_metrics_json[c], serial.metrics_json);
+
+    char chunk_name[32];
+    std::snprintf(chunk_name, sizeof chunk_name, "chunk%04zu", c);
+    auto chunk_traces = dir_snapshot(campaign_dir / chunk_name);
+    EXPECT_FALSE(chunk_traces.empty());
+    EXPECT_EQ(chunk_traces, dir_snapshot(slice_dir));
   }
 }
 
@@ -467,13 +430,11 @@ TEST(EngineDifferential, HostBuildOrderLeavesOutputUnchanged) {
     const int retries = profiles.impairment[0] ? 1 : 0;
     auto plain_dir = fresh_dir("engine_lazy_plain_qlog");
     auto plain = run_campaign(targets, 2, kSeed, plain_dir.string(),
-                              profiles.impairment, retries,
-                              engine::Schedule::kDynamic, kChunk,
+                              profiles.impairment, retries, kChunk,
                               profiles.adversary);
     auto prebuilt_dir = fresh_dir("engine_lazy_prebuilt_qlog");
     auto prebuilt = run_campaign(targets, 2, kSeed, prebuilt_dir.string(),
-                                 profiles.impairment, retries,
-                                 engine::Schedule::kDynamic, kChunk,
+                                 profiles.impairment, retries, kChunk,
                                  profiles.adversary,
                                  /*prebuild_reversed=*/true);
     EXPECT_FALSE(plain.csv.empty());
@@ -553,13 +514,14 @@ TEST(EngineDifferential, UnknownAdversaryProfileRejectedUpFront) {
 }
 
 TEST(EngineDifferential, AdversaryJobs1MatchesSerialBaselineByteForByte) {
-  // The misbehaving-endpoint overlay under the engine: a --jobs 1
-  // campaign with --adversary broken must reproduce the hand-rolled
-  // serial path (apply_adversary called directly) byte for byte.
+  // The misbehaving-endpoint overlay under the engine: a one-chunk
+  // --jobs 1 campaign with --adversary broken must reproduce the
+  // hand-rolled serial path (apply_adversary called directly) byte for
+  // byte.
   auto targets = campaign_targets();
   auto serial = run_serial_baseline(targets, kSeed, "", "", 1, "broken");
-  auto engine_run = run_campaign(targets, 1, kSeed, "", "", 1,
-                                 engine::Schedule::kStatic, 0, "broken");
+  auto engine_run =
+      run_campaign(targets, 1, kSeed, "", "", 1, targets.size(), "broken");
   EXPECT_EQ(engine_run.rows, serial.rows);
   EXPECT_EQ(engine_run.metrics_json, serial.metrics_json);
 }
@@ -567,21 +529,20 @@ TEST(EngineDifferential, AdversaryJobs1MatchesSerialBaselineByteForByte) {
 TEST(EngineDifferential, AdversaryMergedOutputInvariantAcrossJobsSchedules) {
   // Per-host misbehavior plans key on (population seed, host address)
   // only, so the merged rows, metrics and report.json under any
-  // adversary profile are invariant across jobs counts and both
-  // schedules -- misclassification drift across shard partitions would
+  // adversary profile are invariant across jobs counts and chunk
+  // partitions -- misclassification drift across partitions would
   // surface here as a row diff.
   auto targets = campaign_targets();
   for (const char* profile : {"sloppy", "malicious"}) {
     SCOPED_TRACE(profile);
     auto baseline = run_campaign(targets, 1, kSeed, "", "hostile", 1,
-                                 engine::Schedule::kStatic, 0, profile);
-    for (auto schedule :
-         {engine::Schedule::kStatic, engine::Schedule::kDynamic}) {
+                                 targets.size(), profile);
+    for (size_t chunk : {size_t{7}, targets.size() / 4}) {
       for (int jobs : {2, 4, 8}) {
-        SCOPED_TRACE(std::string(engine::schedule_name(schedule)) +
+        SCOPED_TRACE("chunk_size=" + std::to_string(chunk) +
                      " jobs=" + std::to_string(jobs));
         auto run = run_campaign(targets, jobs, kSeed, "", "hostile", 1,
-                                schedule, 7, profile);
+                                chunk, profile);
         EXPECT_EQ(run.rows, baseline.rows);
         EXPECT_EQ(run.metrics_json, baseline.metrics_json);
         EXPECT_EQ(run.report_json, baseline.report_json);
@@ -591,11 +552,11 @@ TEST(EngineDifferential, AdversaryMergedOutputInvariantAcrossJobsSchedules) {
 }
 
 TEST(EngineDifferential, EmptyTailShardsLeaveOutputUnchanged) {
-  // More shards than targets: the tail shards run with empty ranges
-  // and must not disturb the merged rows or metrics.
+  // More --jobs than chunks: the pool shrinks to the chunk count, and
+  // five one-target chunks must not disturb the merged rows or metrics.
   auto targets = campaign_targets(5);
   ASSERT_EQ(targets.size(), 5u);
-  auto serial = run_campaign(targets, 1, kSeed);
+  auto serial = run_campaign(targets, 1, kSeed, "", "", 0, targets.size());
   auto oversharded = run_campaign(targets, 7, kSeed);
   EXPECT_EQ(oversharded.rows, serial.rows);
   EXPECT_EQ(oversharded.metrics_json, serial.metrics_json);
@@ -617,8 +578,8 @@ TEST(EngineDifferential, TcpTlsCampaignShardsIdentically) {
   }
   ASSERT_GE(targets.size(), 16u);
 
-  // Runs under the default (dynamic) schedule: slots are chunk-count
-  // sized via slot_count, and rows concat in chunk order.
+  // Slots are chunk-count sized via slot_count, and rows concat in
+  // chunk order.
   auto run = [&](int jobs) {
     engine::CampaignOptions options;
     options.jobs = jobs;
@@ -670,10 +631,10 @@ TEST(EngineDifferential, CampaignRunIsSingleUse) {
 TEST(EngineDifferential, CryptoBackendsProduceIdenticalCampaignOutput) {
   // The crypto backend (DESIGN.md "Crypto backends") may only change
   // wall-clock, never an output byte: merged rows, merged and
-  // per-shard metrics JSON, report.json and the qlog trees must be
+  // per-chunk metrics JSON, report.json and the qlog trees must be
   // byte-identical between the portable reference backend and the
-  // fastest backend this host offers, for every jobs x schedule
-  // combination. Portable also pins scalar SHA-256, so this pits the
+  // fastest backend this host offers, for one chunk and for many, run
+  // inline and on a pool. Portable also pins scalar SHA-256, so this pits the
   // scalar kernel against SHA-NI where the host has it. Every QUIC
   // handshake in the campaign runs AES-GCM and SHA-256, so a single
   // diverging keystream, tag or digest byte would cascade into these
@@ -685,15 +646,13 @@ TEST(EngineDifferential, CryptoBackendsProduceIdenticalCampaignOutput) {
 
   struct Config {
     int jobs;
-    engine::Schedule schedule;
+    size_t chunk_size;
   };
   for (const Config& config :
-       {Config{1, engine::Schedule::kStatic},
-        Config{1, engine::Schedule::kDynamic},
-        Config{4, engine::Schedule::kStatic},
-        Config{4, engine::Schedule::kDynamic}}) {
-    SCOPED_TRACE("jobs=" + std::to_string(config.jobs) + " schedule=" +
-                 engine::schedule_name(config.schedule));
+       {Config{1, targets.size()}, Config{1, 0}, Config{4, targets.size() / 4},
+        Config{4, 0}}) {
+    SCOPED_TRACE("jobs=" + std::to_string(config.jobs) +
+                 " chunk_size=" + std::to_string(config.chunk_size));
 
     auto portable_dir = fresh_dir("engine_backend_portable_qlog");
     CampaignRun reference;
@@ -701,7 +660,7 @@ TEST(EngineDifferential, CryptoBackendsProduceIdenticalCampaignOutput) {
       crypto::ScopedBackendOverride force(crypto::Backend::kPortable);
       reference = run_campaign(targets, config.jobs, kSeed,
                                portable_dir.string(), "", 0,
-                               config.schedule);
+                               config.chunk_size);
     }
     EXPECT_FALSE(reference.rows.empty());
 
@@ -710,7 +669,7 @@ TEST(EngineDifferential, CryptoBackendsProduceIdenticalCampaignOutput) {
     {
       crypto::ScopedBackendOverride force(contender);
       run = run_campaign(targets, config.jobs, kSeed,
-                         contender_dir.string(), "", 0, config.schedule);
+                         contender_dir.string(), "", 0, config.chunk_size);
     }
 
     EXPECT_EQ(run.rows, reference.rows);

@@ -55,6 +55,13 @@ struct ProtectCase {
   size_t payload_size;
 };
 
+// The printed value becomes the ctest name suffix. Without this,
+// GoogleTest prints the struct's raw bytes, padding included, so the
+// names could differ between two listings of the same binary.
+void PrintTo(const ProtectCase& c, std::ostream* os) {
+  *os << '{' << quic::version_name(c.version) << ", " << c.payload_size << '}';
+}
+
 class ProtectionSweep : public ::testing::TestWithParam<ProtectCase> {};
 
 TEST_P(ProtectionSweep, UnprotectInvertsProtect) {
@@ -263,117 +270,11 @@ INSTANTIATE_TEST_SUITE_P(Versions, RetrySweep,
                                            quic::kDraft32, quic::kDraft27,
                                            quic::kDraft28, quic::kDraft34));
 
-/// --- Campaign sharding: exact, stable partitions --------------------
+/// --- Chunk scheduler: partitions, seeds, steal stress ---------------
 ///
-/// The engine's determinism contract (DESIGN.md "Sharded campaign
-/// engine") rests on shard_ranges being an exact order-stable
-/// partition for *every* (n, K), so sweep the family.
-
-struct ShardCase {
-  size_t n;
-  int jobs;
-};
-
-class ShardPartitionSweep : public ::testing::TestWithParam<ShardCase> {};
-
-TEST_P(ShardPartitionSweep, EveryTargetInExactlyOneShard) {
-  auto [n, jobs] = GetParam();
-  auto ranges = engine::shard_ranges(n, jobs);
-  ASSERT_EQ(ranges.size(), static_cast<size_t>(jobs));
-
-  // Contiguous and exhaustive: concatenating the ranges in shard order
-  // enumerates 0..n-1 exactly once, in input order.
-  size_t next = 0;
-  for (const auto& range : ranges) {
-    EXPECT_EQ(range.begin, next);
-    EXPECT_LE(range.begin, range.end);
-    next = range.end;
-  }
-  EXPECT_EQ(next, n);
-
-  // Balanced: sizes differ by at most one, the first n % jobs shards
-  // take the extra target.
-  size_t base = n / static_cast<size_t>(jobs);
-  size_t extra = n % static_cast<size_t>(jobs);
-  for (size_t s = 0; s < ranges.size(); ++s)
-    EXPECT_EQ(ranges[s].size(), base + (s < extra ? 1 : 0));
-
-  // shard_of is the partition's inverse map.
-  for (size_t i = 0; i < n; ++i) {
-    int s = engine::shard_of(i, n, jobs);
-    ASSERT_GE(s, 0);
-    ASSERT_LT(s, jobs);
-    EXPECT_GE(i, ranges[static_cast<size_t>(s)].begin);
-    EXPECT_LT(i, ranges[static_cast<size_t>(s)].end);
-  }
-}
-
-TEST_P(ShardPartitionSweep, AssignmentIsStable) {
-  auto [n, jobs] = GetParam();
-  // Pure function of (n, jobs): recomputation never reshuffles targets.
-  EXPECT_EQ(engine::shard_ranges(n, jobs), engine::shard_ranges(n, jobs));
-  for (size_t i = 0; i < n; ++i)
-    EXPECT_EQ(engine::shard_of(i, n, jobs), engine::shard_of(i, n, jobs));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SizesAndShardCounts, ShardPartitionSweep,
-    ::testing::Values(ShardCase{0, 1}, ShardCase{0, 4}, ShardCase{1, 1},
-                      ShardCase{1, 8}, ShardCase{5, 7}, ShardCase{7, 3},
-                      ShardCase{16, 4}, ShardCase{97, 8}, ShardCase{100, 13},
-                      ShardCase{1000, 8}, ShardCase{2605, 16}));
-
-TEST(ShardSeedSweep, Shard0InheritsCampaignSeedOthersDiverge) {
-  for (uint64_t seed : {0ull, 1ull, 0x5ca9ull, 0x9e3779b97f4a7c15ull}) {
-    EXPECT_EQ(engine::shard_seed(seed, 0), seed);
-    // Distinct across shard indices (no shared connection entropy).
-    std::vector<uint64_t> seeds;
-    for (uint32_t s = 0; s < 32; ++s)
-      seeds.push_back(engine::shard_seed(seed, s));
-    std::sort(seeds.begin(), seeds.end());
-    EXPECT_EQ(std::adjacent_find(seeds.begin(), seeds.end()), seeds.end());
-  }
-}
-
-TEST(ShardPartitionBoundaries, ShardOfIsExactAtFatThinBoundary) {
-  // shard_of is O(1) arithmetic over the balanced partition; the
-  // delicate spots are the boundary between the first n % jobs "fat"
-  // shards (base+1 targets) and the "thin" rest, plus each range's
-  // first/last index. Sweep partitions with a nonzero remainder and
-  // pin every boundary index to the range that owns it.
-  struct Case {
-    size_t n;
-    int jobs;
-  };
-  for (auto [n, jobs] : {Case{5, 7}, Case{7, 3}, Case{97, 8}, Case{100, 13},
-                         Case{1000, 7}, Case{2605, 16}, Case{8, 8},
-                         Case{9, 8}, Case{15, 4}}) {
-    SCOPED_TRACE("n=" + std::to_string(n) + " jobs=" + std::to_string(jobs));
-    auto ranges = engine::shard_ranges(n, jobs);
-    size_t base = n / static_cast<size_t>(jobs);
-    size_t extra = n % static_cast<size_t>(jobs);
-    size_t fat_end = extra * (base + 1);  // first index owned thin-side
-    for (size_t s = 0; s < ranges.size(); ++s) {
-      if (ranges[s].size() == 0) continue;
-      EXPECT_EQ(engine::shard_of(ranges[s].begin, n, jobs),
-                static_cast<int>(s));
-      EXPECT_EQ(engine::shard_of(ranges[s].end - 1, n, jobs),
-                static_cast<int>(s));
-    }
-    if (extra > 0 && fat_end < n) {
-      // Last fat index and first thin index land on adjacent shards.
-      EXPECT_EQ(engine::shard_of(fat_end - 1, n, jobs),
-                static_cast<int>(extra) - 1);
-      EXPECT_EQ(engine::shard_of(fat_end, n, jobs), static_cast<int>(extra));
-    }
-  }
-}
-
-/// --- Dynamic chunk scheduler: partitions, seeds, steal stress -------
-///
-/// The dynamic scheduler's determinism contract (DESIGN.md "Dynamic
-/// chunk scheduler") rests on chunk_ranges being an exact order-stable
-/// partition and chunk_seed being a pure function of (seed, index).
+/// The engine's determinism contract (DESIGN.md "Campaign engine")
+/// rests on chunk_ranges being an exact order-stable partition and
+/// chunk_seed being a pure function of (seed, index).
 
 TEST(ChunkPartitionSweep, ConcatenationIsExactlyZeroToN) {
   struct Case {
@@ -456,7 +357,6 @@ TEST(DynamicSchedulerStress, StealScheduleNeverChangesMergedOutput) {
     engine::CampaignOptions options;
     options.jobs = 8;
     options.seed = 0x57ea1;
-    options.schedule = engine::Schedule::kDynamic;
     options.chunk_size = 1;  // 64 chunks
     options.snapshot = snapshot;
     engine::Campaign campaign(options);
@@ -496,7 +396,7 @@ TEST(DynamicSchedulerStress, StealScheduleNeverChangesMergedOutput) {
 /// keys every per-host plan on (population seed, host address) alone,
 /// so the merged campaign output under *every* adversary profile must
 /// be a pure function of the option set: byte-identical across
-/// --jobs 1/2/4/8 and both steal schedules.
+/// --jobs 1/2/4/8 and chunk partitions.
 
 struct AdversarySweepRun {
   std::vector<std::string> rows;
@@ -506,12 +406,11 @@ struct AdversarySweepRun {
 AdversarySweepRun run_adversary_campaign(
     const std::shared_ptr<const internet::Snapshot>& snapshot,
     const std::vector<scanner::QscanTarget>& targets,
-    const std::string& adversary, int jobs, engine::Schedule schedule) {
+    const std::string& adversary, int jobs, size_t chunk_size) {
   engine::CampaignOptions options;
   options.jobs = jobs;
   options.seed = 0x5ca9;
-  options.schedule = schedule;
-  options.chunk_size = 7;
+  options.chunk_size = chunk_size;
   options.snapshot = snapshot;
   options.adversary = adversary;
   engine::Campaign campaign(options);
@@ -564,16 +463,14 @@ TEST(AdversaryPropertySweep, MergedOutputInvariantAcrossJobsAndSchedules) {
     SCOPED_TRACE(std::string(profile));
     auto baseline = run_adversary_campaign(snapshot, targets,
                                            std::string(profile), 1,
-                                           engine::Schedule::kStatic);
+                                           targets.size());
     EXPECT_FALSE(baseline.rows.empty());
-    for (auto schedule :
-         {engine::Schedule::kStatic, engine::Schedule::kDynamic}) {
+    for (size_t chunk : {size_t{7}, targets.size() / 4}) {
       for (int jobs : {2, 4, 8}) {
-        SCOPED_TRACE(std::string(engine::schedule_name(schedule)) +
+        SCOPED_TRACE("chunk_size=" + std::to_string(chunk) +
                      " jobs=" + std::to_string(jobs));
         auto run = run_adversary_campaign(snapshot, targets,
-                                          std::string(profile), jobs,
-                                          schedule);
+                                          std::string(profile), jobs, chunk);
         EXPECT_EQ(run.rows, baseline.rows);
         EXPECT_EQ(run.metrics_json, baseline.metrics_json);
       }
@@ -583,7 +480,7 @@ TEST(AdversaryPropertySweep, MergedOutputInvariantAcrossJobsAndSchedules) {
 
 /// --- Metrics merge: associative, commutative, order-independent -----
 ///
-/// The campaign folds shard registries in shard-index order, but the
+/// The campaign folds chunk registries in chunk-index order, but the
 /// contract says the order is immaterial; hold the algebra to that.
 
 telemetry::Histogram sample_histogram(uint64_t seed, int samples) {

@@ -7,7 +7,7 @@
 //   qreport_cli [--csv FILE]... [--zmap-csv FILE]...
 //               [--dns-csv FILE]... [--dns-list NAME]
 //               [--out DIR] [--baseline OLD.json] [--diff-all]
-//               [--tail-as N]
+//               [--tail-as N]   (N in [0, 16384])
 //
 // --csv replays a qscanner CSV (the 10-column row set qscanner_cli
 // prints); --zmap-csv replays a zmap_quic_cli --csv responder list
@@ -17,20 +17,22 @@
 // --baseline renders the weekly drift between OLD.json and the report
 // just built (to stdout; --diff-all includes unchanged metrics).
 // --tail-as must match the population's tail_as_count (default 240)
-// so offline AS attribution reproduces the in-engine report exactly.
+// so offline AS attribution reproduces the in-engine report exactly;
+// the synthetic tail carves 100.64.0.0/10 into /24s, so 16384 is all
+// that block holds.
 //
-// Replay is schedule-independent: because the scan CLIs' merged CSV is
-// byte-identical across --jobs values and across --schedule
-// static/dynamic (see DESIGN.md "Dynamic chunk scheduler"), replaying
-// it here reproduces the streaming report of any of those runs.
+// Replay is partition-independent: because the scan CLIs' merged CSV
+// is byte-identical across --jobs and --chunk-size values (see
+// DESIGN.md "Campaign engine"), replaying it here reproduces the
+// streaming report of any of those runs.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "internet/population.h"
 #include "netsim/address.h"
 #include "quic/version.h"
@@ -38,14 +40,6 @@
 #include "report/report.h"
 
 namespace {
-
-void usage() {
-  std::fprintf(stderr,
-               "usage: qreport_cli [--csv FILE]... [--zmap-csv FILE]...\n"
-               "                   [--dns-csv FILE]... [--dns-list NAME]\n"
-               "                   [--out DIR] [--baseline OLD.json]\n"
-               "                   [--diff-all] [--tail-as N]\n");
-}
 
 bool read_file(const std::string& path, std::string& out) {
   std::ifstream in(path, std::ios::binary);
@@ -102,47 +96,35 @@ std::vector<std::string> split_space(const std::string& text) {
   return out;
 }
 
-}  // namespace
+// All of 100.64.0.0/10 in /24s: the most tail ASes the synthetic
+// population can carve (see internet::AsRegistry::standard).
+constexpr uint64_t kMaxTailAs = 16384;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::vector<std::string> qscan_files, zmap_files, dns_files;
   std::string dns_list = "dns";
   std::string out_dir;
   std::string baseline_file;
   bool diff_all = false;
   int tail_as = 240;
-
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--csv" && i + 1 < argc) {
-      qscan_files.push_back(argv[++i]);
-    } else if (arg == "--zmap-csv" && i + 1 < argc) {
-      zmap_files.push_back(argv[++i]);
-    } else if (arg == "--dns-csv" && i + 1 < argc) {
-      dns_files.push_back(argv[++i]);
-    } else if (arg == "--dns-list" && i + 1 < argc) {
-      dns_list = argv[++i];
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_dir = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baseline_file = argv[++i];
-    } else if (arg == "--diff-all") {
-      diff_all = true;
-    } else if (arg == "--tail-as" && i + 1 < argc) {
-      tail_as = std::atoi(argv[++i]);
-    } else {
-      usage();
-      return 2;
-    }
-  }
-  if (qscan_files.empty() && zmap_files.empty() && dns_files.empty()) {
-    usage();
-    return 2;
-  }
-  if (tail_as < 0) {
-    std::fprintf(stderr, "--tail-as must be >= 0\n");
-    return 2;
-  }
+  cli::FlagTable flags("qreport_cli");
+  auto add_file = [&](const char* name, std::vector<std::string>& files) {
+    flags.add(name, "FILE",
+              [&files](const std::string& path) { files.push_back(path); });
+  };
+  add_file("--csv", qscan_files);
+  add_file("--zmap-csv", zmap_files);
+  add_file("--dns-csv", dns_files);
+  flags.add("--dns-list", "NAME", dns_list);
+  flags.add("--out", "DIR", out_dir);
+  flags.add("--baseline", "OLD.json", baseline_file);
+  flags.add_switch("--diff-all", [&] { diff_all = true; });
+  flags.add_number("--tail-as", tail_as, 0, kMaxTailAs);
+  flags.parse(argc, argv);
+  if (qscan_files.empty() && zmap_files.empty() && dns_files.empty())
+    throw cli::UsageError(
+        "nothing to replay: give --csv, --zmap-csv or --dns-csv",
+        flags.usage());
 
   // The same attribution the campaign population carries: both paths
   // classify addresses through campaign_as_registry, which is what
@@ -233,14 +215,7 @@ int main(int argc, char** argv) {
   report::RenderOptions render;
   render.as_registry = &registry;
 
-  if (!out_dir.empty()) {
-    try {
-      report::write_report_dir(out_dir, merged, render);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "cannot write report: %s\n", e.what());
-      return 2;
-    }
-  }
+  if (!out_dir.empty()) report::write_report_dir(out_dir, merged, render);
 
   if (!baseline_file.empty()) {
     std::string baseline;
@@ -269,4 +244,10 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(merged.rows()),
                merged.distinct_addresses());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cli::run_main("qreport_cli", [&] { return run(argc, argv); });
 }

@@ -14,9 +14,9 @@
 # jobs-1-vs-4 outcome drift or unclassified attempt). All artifacts land in the repository
 # root as BENCH_<name>.json so diffs of a perf PR show the numbers
 # moving. BENCH_engine.json carries both the clean scaling sweep and
-# the hostile static-vs-dynamic scheduler section (throughput plus
-# busy-time straggler ratios; micro_engine itself enforces the
-# dynamic >= 1.2x static gate on multi-core hosts).
+# the hostile load-balance section at --jobs = cores (throughput plus
+# the busy-time straggler ratio; micro_engine itself enforces the
+# straggler <= 1.20 gate on multi-core hosts).
 # BENCH_hotpath.json additionally carries the per-crypto-backend
 # aead_seal_cached sweep ("backends": portable / portable_batched /
 # aesni); micro_hotpath enforces three crypto gates before it rewrites

@@ -13,13 +13,6 @@
 # here -- they have their own entry points (ctest -L soak,
 # tools/run_benches.sh).
 #
-# On the TSan tree the fast lane runs twice, once per campaign
-# schedule: QREPRO_SCHEDULE=static/dynamic flips the default for every
-# test that leaves CampaignOptions.schedule unset, so the race
-# detector sweeps both the static worker-per-shard path and the
-# dynamic steal loop (tests that pin a schedule explicitly are
-# unaffected by the knob).
-#
 # On the plain tree the fast lane also runs a second pass with
 # QREPRO_CRYPTO_BACKEND=portable, forcing every AEAD context and every
 # SHA-256 object onto the reference scalar kernels: the default pass
@@ -45,23 +38,18 @@ RUN_CHAOS=1
 
 verify_tree() {
   local dir="$1"; shift
-  local schedules=(default)
-  [[ "$dir" == build-tsan ]] && schedules=(static dynamic)
   local backends=(default)
   [[ "$dir" == build ]] && backends=(default portable)
   echo "=== $dir: configure + build"
   cmake -S "$ROOT" -B "$ROOT/$dir" "$@" >/dev/null
   cmake --build "$ROOT/$dir" -j"$JOBS"
-  for schedule in "${schedules[@]}"; do
-    for backend in "${backends[@]}"; do
-      echo "=== $dir: fast lane (ctest -LE 'soak|bench|chaos'," \
-           "schedule $schedule, crypto backend $backend)"
-      local env_prefix=(env)
-      [[ "$schedule" != default ]] && env_prefix+=("QREPRO_SCHEDULE=$schedule")
-      [[ "$backend" != default ]] && env_prefix+=("QREPRO_CRYPTO_BACKEND=$backend")
-      (cd "$ROOT/$dir" && "${env_prefix[@]}" ctest --output-on-failure \
-          -j"$JOBS" -LE 'soak|bench|chaos')
-    done
+  for backend in "${backends[@]}"; do
+    echo "=== $dir: fast lane (ctest -LE 'soak|bench|chaos'," \
+         "crypto backend $backend)"
+    local env_prefix=(env)
+    [[ "$backend" != default ]] && env_prefix+=("QREPRO_CRYPTO_BACKEND=$backend")
+    (cd "$ROOT/$dir" && "${env_prefix[@]}" ctest --output-on-failure \
+        -j"$JOBS" -LE 'soak|bench|chaos')
   done
   if [[ "$dir" == build-asan || "$dir" == build-tsan ]]; then
     echo "=== $dir: fast lane (ctest -LE 'soak|bench|chaos'," \
