@@ -1,8 +1,10 @@
-// google-benchmark end-to-end throughput: ZMap probe construction, full
-// QUIC handshakes and TLS-over-TCP handshakes against a live simulated
-// deployment -- the per-target costs that bound real scan rates.
+// google-benchmark end-to-end throughput: ZMap probe construction, bulk
+// DNS resolution, full QUIC handshakes and TLS-over-TCP handshakes
+// against a live simulated deployment -- the per-target costs that
+// bound real scan rates.
 #include <benchmark/benchmark.h>
 
+#include "dns/resolver.h"
 #include "internet/internet.h"
 #include "scanner/qscanner.h"
 #include "scanner/tcp_tls.h"
@@ -21,6 +23,8 @@ struct Fixture {
   scanner::QScanner qscanner{net.network(), {}};
   netsim::IpAddress cloudflare_addr;
   std::string cloudflare_domain;
+  /// A domain with A, AAAA and HTTPS records in this week's zones.
+  std::string full_domain;
 
   Fixture() {
     const auto& pop = net.population();
@@ -30,6 +34,14 @@ struct Fixture {
       if (host.group == "cloudflare" && host.tls_max_version == 0x0304) {
         cloudflare_addr = host.address;
         cloudflare_domain = domain.name;
+        break;
+      }
+    }
+    for (const auto& domain : pop.domains()) {
+      if (!domain.v4_hosts.empty() && !domain.v6_hosts.empty() &&
+          domain.https_rr_since_week > 0 &&
+          domain.https_rr_since_week <= pop.week()) {
+        full_domain = domain.name;
         break;
       }
     }
@@ -48,6 +60,33 @@ void BM_ZmapProbeBuild(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(zmap.build_probe(rng));
 }
 BENCHMARK(BM_ZmapProbeBuild);
+
+/// Three wire round trips (A, AAAA, HTTPS) on one reused resolver, as
+/// DnsScanner::scan_list issues them per input domain.
+void BM_DnsResolveOne(benchmark::State& state) {
+  auto& f = fixture();
+  if (f.full_domain.empty()) {
+    state.SkipWithError("no such domain");
+    return;
+  }
+  dns::BulkResolver resolver(f.net.zones());
+  for (auto _ : state) {
+    auto record = resolver.resolve_one(f.full_domain);
+    if (record.a.empty() || record.aaaa.empty() || !record.has_https_rr())
+      state.SkipWithError("incomplete answer");
+    benchmark::DoNotOptimize(record);
+  }
+}
+BENCHMARK(BM_DnsResolveOne);
+
+/// The bulk of every input list: a name the zones do not hold.
+void BM_DnsResolveOneNxdomain(benchmark::State& state) {
+  auto& f = fixture();
+  dns::BulkResolver resolver(f.net.zones());
+  const std::string missing = "nx-" + f.cloudflare_domain;
+  for (auto _ : state) benchmark::DoNotOptimize(resolver.resolve_one(missing));
+}
+BENCHMARK(BM_DnsResolveOneNxdomain);
 
 void BM_ZmapSweepPerTarget(benchmark::State& state) {
   auto& f = fixture();

@@ -51,13 +51,17 @@ double Rng::uniform() {
 
 std::vector<uint8_t> Rng::bytes(size_t n) {
   std::vector<uint8_t> out(n);
+  fill(out);
+  return out;
+}
+
+void Rng::fill(std::span<uint8_t> out) {
   size_t i = 0;
-  while (i < n) {
+  while (i < out.size()) {
     uint64_t r = next();
-    for (int b = 0; b < 8 && i < n; ++b, ++i)
+    for (int b = 0; b < 8 && i < out.size(); ++b, ++i)
       out[i] = static_cast<uint8_t>(r >> (8 * b));
   }
-  return out;
 }
 
 Rng Rng::fork(std::string_view label) {

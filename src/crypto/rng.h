@@ -34,6 +34,9 @@ class Rng {
   bool chance(double p) { return uniform() < p; }
 
   std::vector<uint8_t> bytes(size_t n);
+  /// Fills `out` with exactly the bytes bytes(out.size()) would return,
+  /// drawing the same words from the stream.
+  void fill(std::span<uint8_t> out);
 
   /// Derives an independent child stream (for per-subsystem determinism
   /// that does not depend on call ordering elsewhere).

@@ -1,52 +1,77 @@
 #include "dns/resolver.h"
 
+#include <algorithm>
+
 namespace dns {
+
+namespace {
+
+/// The run of `type` records among one name's type-grouped records.
+std::span<const ResourceRecord> run_of(const std::vector<ResourceRecord>& slots,
+                                       RRType type) {
+  auto first = std::find_if(slots.begin(), slots.end(),
+                            [&](const auto& rr) { return rr.type == type; });
+  auto last = std::find_if(first, slots.end(),
+                           [&](const auto& rr) { return rr.type != type; });
+  return {first, last};
+}
+
+}  // namespace
 
 void ZoneStore::add(ResourceRecord rr) {
   rr.name = normalize_name(rr.name);
-  auto key = std::make_pair(rr.name, rr.type);
-  names_[rr.name] = true;
-  rrs_[key].push_back(std::move(rr));
+  Slots& slots = index_[rr.name];
+  auto after_type = std::find_if(
+      slots.begin(), slots.end(),
+      [&](const ResourceRecord& held) { return held.type > rr.type; });
+  slots.insert(after_type, std::move(rr));
   ++total_records_;
 }
 
-std::vector<ResourceRecord> ZoneStore::lookup(const std::string& name,
-                                              RRType type) const {
-  auto it = rrs_.find({normalize_name(name), type});
-  if (it == rrs_.end()) return {};
-  return it->second;
+const ZoneStore::Slots* ZoneStore::find(std::string_view normalized) const {
+  auto it = index_.find(normalized);
+  return it == index_.end() ? nullptr : &it->second;
 }
 
-bool ZoneStore::name_exists(const std::string& name) const {
-  return names_.contains(normalize_name(name));
+std::span<const ResourceRecord> ZoneStore::lookup(std::string_view name,
+                                                  RRType type) const {
+  const Slots* slots = is_normalized(name) ? find(name)
+                                           : find(normalize_name(name));
+  return slots ? run_of(*slots, type) : std::span<const ResourceRecord>();
+}
+
+void ZoneStore::serve(std::span<const uint8_t> query, Message& scratch,
+                      wire::Writer& out) const {
+  // The decoded request becomes the response in place: same id and
+  // question section, every other header field and section reset.
+  Message& response = scratch;
+  decode_message(query, response);
+  response.is_response = true;
+  response.recursion_desired = true;
+  response.recursion_available = true;
+  response.rcode = RCode::kNoError;
+  response.authority.clear();
+  response.additional.clear();
+  std::span<const ResourceRecord> answers;
+  if (response.questions.size() != 1) {
+    response.rcode = RCode::kFormErr;
+  } else if (const Slots* slots = find(response.questions[0].name)) {
+    // Decoded names are already normalized: one probe per query.
+    answers = run_of(*slots, response.questions[0].type);
+    // CNAME at the name redirects any type; else NODATA.
+    if (answers.empty()) answers = run_of(*slots, RRType::kCname);
+  } else {
+    response.rcode = RCode::kNxDomain;
+  }
+  response.answers.assign(answers.begin(), answers.end());
+  encode_message(response, out);
 }
 
 std::vector<uint8_t> ZoneStore::serve(std::span<const uint8_t> query) const {
-  Message request = decode_message(query);
-  Message response;
-  response.id = request.id;
-  response.is_response = true;
-  response.recursion_available = true;
-  response.questions = request.questions;
-  if (request.questions.size() != 1) {
-    response.rcode = RCode::kFormErr;
-    return encode_message(response);
-  }
-  const auto& q = request.questions[0];
-  auto records = lookup(q.name, q.type);
-  if (records.empty()) {
-    // CNAME at the name redirects any type.
-    auto cnames = lookup(q.name, RRType::kCname);
-    if (!cnames.empty()) {
-      response.answers = cnames;
-    } else {
-      response.rcode = name_exists(q.name) ? RCode::kNoError  // NODATA
-                                           : RCode::kNxDomain;
-    }
-  } else {
-    response.answers = std::move(records);
-  }
-  return encode_message(response);
+  Message scratch;
+  wire::Writer out;
+  serve(query, scratch, out);
+  return out.take();
 }
 
 std::vector<netsim::IpAddress> ResolveResult::addresses() const {
@@ -67,30 +92,39 @@ std::vector<SvcbData> ResolveResult::svcb() const {
   return out;
 }
 
-ResolveResult Resolver::resolve(const std::string& name, RRType type) {
+ResolveResult Resolver::resolve(std::string_view name, RRType type) {
   ResolveResult result;
-  std::string current = normalize_name(name);
+  query_.questions.resize(1);
+  Question& question = query_.questions[0];
+  question.type = type;
+  std::string& current = question.name;
+  if (is_normalized(name))
+    current.assign(name);
+  else
+    current = normalize_name(name);
   // Unbound-style CNAME chasing -- plus SVCB/HTTPS AliasMode chasing
   // (draft-ietf-dnsop-svcb-https section 2.4.2: priority 0 redirects
   // the whole lookup to the alias target). Both are depth-bounded.
   for (int depth = 0; depth < 8; ++depth) {
-    Message query;
-    query.id = next_id_++;
-    query.questions.push_back({current, type});
+    query_.id = next_id_++;
     ++queries_sent_;
-    auto response_bytes = zones_.serve(encode_message(query));
-    Message response = decode_message(response_bytes);
-    result.rcode = response.rcode;
-    if (response.rcode != RCode::kNoError) return result;
+    query_wire_.clear();
+    encode_message(query_, query_wire_);
+    response_wire_.clear();
+    zones_.serve(query_wire_.span(), server_scratch_, response_wire_);
+    decode_message(response_wire_.span(), response_);
+    result.rcode = response_.rcode;
+    if (response_.rcode != RCode::kNoError) return result;
     bool followed = false;
-    for (auto& rr : response.answers) {
+    // Targets come off the wire already normalized.
+    for (auto& rr : response_.answers) {
       if (rr.type == RRType::kCname && type != RRType::kCname) {
         current = std::get<CnameRecord>(rr.data).target;
         followed = true;
       } else if ((rr.type == RRType::kSvcb || rr.type == RRType::kHttps)) {
         const auto& svcb = std::get<SvcbData>(rr.data);
         if (svcb.alias_mode() && svcb.target != ".") {
-          current = normalize_name(svcb.target);
+          current = svcb.target;
           followed = true;
           // The AliasMode record itself is not a usable endpoint; keep
           // it out of the answer set the caller consumes.
@@ -105,18 +139,20 @@ ResolveResult Resolver::resolve(const std::string& name, RRType type) {
   return result;
 }
 
+BulkRecord BulkResolver::resolve_one(std::string_view domain) {
+  BulkRecord record;
+  record.domain = normalize_name(domain);
+  record.a = resolver_.resolve(record.domain, RRType::kA).addresses();
+  record.aaaa = resolver_.resolve(record.domain, RRType::kAaaa).addresses();
+  record.https = resolver_.resolve(record.domain, RRType::kHttps).svcb();
+  return record;
+}
+
 std::vector<BulkRecord> BulkResolver::resolve_all(
     const std::vector<std::string>& domains) {
   std::vector<BulkRecord> out;
   out.reserve(domains.size());
-  for (const auto& domain : domains) {
-    BulkRecord record;
-    record.domain = normalize_name(domain);
-    record.a = resolver_.resolve(domain, RRType::kA).addresses();
-    record.aaaa = resolver_.resolve(domain, RRType::kAaaa).addresses();
-    record.https = resolver_.resolve(domain, RRType::kHttps).svcb();
-    out.push_back(std::move(record));
-  }
+  for (const auto& domain : domains) out.push_back(resolve_one(domain));
   return out;
 }
 

@@ -6,35 +6,55 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
+#include <functional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "dns/wire.h"
 
 namespace dns {
 
-/// Flat authoritative store for every zone in the simulation.
+/// Flat authoritative store for every zone in the simulation. It is
+/// immutable once built: one Snapshot shares it across every worker
+/// thread, so serving keeps all scratch state with the caller.
 class ZoneStore {
  public:
   void add(ResourceRecord rr);
 
   /// Exact-match lookup (no wildcard support; the simulation enumerates
-  /// names explicitly).
-  std::vector<ResourceRecord> lookup(const std::string& name,
-                                     RRType type) const;
+  /// names explicitly). The span is valid until the next add().
+  std::span<const ResourceRecord> lookup(std::string_view name,
+                                         RRType type) const;
 
-  bool name_exists(const std::string& name) const;
   size_t record_count() const { return total_records_; }
 
   /// Serves one wire-format query (the simulated authoritative server).
   std::vector<uint8_t> serve(std::span<const uint8_t> query) const;
+  /// As above, decoding into `scratch` and appending the response to
+  /// `out`, both owned by the caller and reused across queries.
+  void serve(std::span<const uint8_t> query, Message& scratch,
+             wire::Writer& out) const;
 
  private:
-  // (name, type) -> records; name -> existence for NXDOMAIN vs NODATA.
-  std::map<std::pair<std::string, RRType>, std::vector<ResourceRecord>> rrs_;
-  std::map<std::string, bool> names_;
+  /// Every record of one owner name, grouped by type (insertion order
+  /// within a type), so each type's records form one contiguous run.
+  using Slots = std::vector<ResourceRecord>;
+  /// Not noexcept on purpose: libstdc++ then caches each node's hash,
+  /// so a miss compares stored hashes instead of rehashing the chain.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  const Slots* find(std::string_view normalized) const;
+
+  /// Keyed by normalized name; a name is present exactly when it has a
+  /// record. Nothing iterates it, so hash order never reaches an output.
+  std::unordered_map<std::string, Slots, NameHash, std::equal_to<>> index_;
   size_t total_records_ = 0;
 };
 
@@ -54,7 +74,7 @@ class Resolver {
  public:
   explicit Resolver(const ZoneStore& zones) : zones_(zones) {}
 
-  ResolveResult resolve(const std::string& name, RRType type);
+  ResolveResult resolve(std::string_view name, RRType type);
 
   uint64_t queries_sent() const { return queries_sent_; }
 
@@ -62,6 +82,14 @@ class Resolver {
   const ZoneStore& zones_;
   uint64_t queries_sent_ = 0;
   uint16_t next_id_ = 1;
+  // Wire scratch for both ends of every query, cleared rather than
+  // freed between queries: the query and response messages, their
+  // encodings, and the server's decode of the query.
+  Message query_;
+  Message response_;
+  Message server_scratch_;
+  wire::Writer query_wire_;
+  wire::Writer response_wire_;
 };
 
 /// Bulk resolution result for one input domain.
@@ -78,6 +106,8 @@ class BulkResolver {
  public:
   explicit BulkResolver(const ZoneStore& zones) : resolver_(zones) {}
 
+  /// Resolves A, AAAA and HTTPS for one domain.
+  BulkRecord resolve_one(std::string_view domain);
   std::vector<BulkRecord> resolve_all(const std::vector<std::string>& domains);
 
   uint64_t queries_sent() const { return resolver_.queries_sent(); }

@@ -1,7 +1,5 @@
 #include "dns/types.h"
 
-#include <cctype>
-
 namespace dns {
 
 std::string rrtype_name(RRType type) {
@@ -17,12 +15,17 @@ std::string rrtype_name(RRType type) {
 }
 
 std::string normalize_name(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) out.push_back(static_cast<char>(
-      std::tolower(static_cast<unsigned char>(c))));
-  if (!out.empty() && out.back() == '.') out.pop_back();
+  if (!name.empty() && name.back() == '.') name.remove_suffix(1);
+  std::string out(name);
+  for (char& c : out) c = fold_case(c);
   return out;
+}
+
+bool is_normalized(std::string_view name) {
+  if (!name.empty() && name.back() == '.') return false;
+  for (char c : name)
+    if (fold_case(c) != c) return false;
+  return true;
 }
 
 }  // namespace dns

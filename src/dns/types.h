@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -87,8 +88,18 @@ struct ResourceRecord {
   bool operator==(const ResourceRecord&) const = default;
 };
 
+/// The DNS case fold (RFC 4343 section 3): ASCII letters only, whatever
+/// the C locale says. Every name comparison in this module goes through
+/// it, so a name normalized here and one decoded off the wire agree.
+constexpr char fold_case(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 /// Lowercases and strips a trailing dot: DNS names compare
 /// case-insensitively.
 std::string normalize_name(std::string_view name);
+
+/// True when normalize_name(name) == name, so callers can skip the copy.
+bool is_normalized(std::string_view name);
 
 }  // namespace dns

@@ -2,50 +2,66 @@
 
 namespace dns {
 
-void encode_name(wire::Writer& w, const std::string& name) {
-  std::string normalized = normalize_name(name);
+void encode_name(wire::Writer& w, std::string_view name) {
+  std::string normalized;
+  if (!is_normalized(name)) {
+    normalized = normalize_name(name);
+    name = normalized;
+  }
   size_t pos = 0;
-  while (pos < normalized.size()) {
-    size_t dot = normalized.find('.', pos);
-    size_t end = dot == std::string::npos ? normalized.size() : dot;
+  while (pos < name.size()) {
+    size_t dot = name.find('.', pos);
+    size_t end = dot == std::string_view::npos ? name.size() : dot;
     size_t len = end - pos;
     if (len == 0 || len > 63)
       throw std::invalid_argument("bad DNS label length");
     w.u8(static_cast<uint8_t>(len));
-    w.str(std::string_view(normalized).substr(pos, len));
+    w.str(name.substr(pos, len));
     pos = end + 1;
-    if (dot == std::string::npos) break;
+    if (dot == std::string_view::npos) break;
   }
   w.u8(0);
 }
 
-std::string decode_name(wire::Reader& r, std::span<const uint8_t> whole) {
-  std::string out;
+namespace {
+
+/// Reads a name into `out` (cleared first), case-folding as it goes, so
+/// the result is normalized without a second pass or a second string.
+void decode_name_into(wire::Reader& r, std::span<const uint8_t> whole,
+                      std::string& out) {
+  out.clear();
+  // After the first compression pointer `r` is already past the name;
+  // further labels are read from `whole` at the pointed offset.
+  std::optional<wire::Reader> jumped;
+  wire::Reader* in = &r;
   int jumps = 0;
-  // After the first compression pointer the reader is already past the
-  // name; further labels are read from `whole` at the pointed offset.
-  std::optional<size_t> cursor;
-  auto next_u8 = [&]() -> uint8_t {
-    if (!cursor) return r.u8();
-    if (*cursor >= whole.size()) throw wire::DecodeError("name out of range");
-    return whole[(*cursor)++];
-  };
   for (;;) {
-    uint8_t len = next_u8();
+    uint8_t len = in->u8();
     if (len == 0) break;
     if ((len & 0xc0) == 0xc0) {
       if (++jumps > 16) throw wire::DecodeError("compression loop");
-      uint8_t lo = next_u8();
-      size_t target = static_cast<size_t>(len & 0x3f) << 8 | lo;
-      cursor = target;
+      size_t target = static_cast<size_t>(len & 0x3f) << 8 | in->u8();
+      if (target >= whole.size()) throw wire::DecodeError("name out of range");
+      in = &jumped.emplace(whole.subspan(target));
       continue;
     }
     if (len > 63) throw wire::DecodeError("bad label length");
     if (!out.empty()) out.push_back('.');
-    for (int i = 0; i < len; ++i)
-      out.push_back(static_cast<char>(next_u8()));
+    for (uint8_t c : in->bytes(len)) {
+      // Legal octet on the wire, but the dotted text form would read it
+      // back as a label boundary (and re-encoding could then fail).
+      if (c == '.') throw wire::DecodeError("'.' inside a label");
+      out.push_back(fold_case(static_cast<char>(c)));
+    }
   }
-  return normalize_name(out);
+}
+
+}  // namespace
+
+std::string decode_name(wire::Reader& r, std::span<const uint8_t> whole) {
+  std::string out;
+  decode_name_into(r, whole, out);
+  return out;
 }
 
 namespace {
@@ -72,7 +88,8 @@ void encode_rdata(wire::Writer& w, const ResourceRecord& rr) {
           }
         } else if constexpr (std::is_same_v<T, SvcbData>) {
           w.u16(data.priority);
-          encode_name(w, data.target == "." ? "" : data.target);
+          encode_name(w, data.target == "." ? std::string_view()
+                                            : std::string_view(data.target));
           // SvcParams in strictly increasing key order.
           if (!data.alpn.empty()) {
             w.u16(static_cast<uint16_t>(SvcParamKey::kAlpn));
@@ -103,32 +120,57 @@ void encode_rdata(wire::Writer& w, const ResourceRecord& rr) {
       rr.data);
 }
 
-RData decode_rdata(RRType type, wire::Reader& r, size_t rdlength,
-                   std::span<const uint8_t> whole) {
-  size_t end = r.position() + rdlength;
+/// The alternative `T` of `data`, keeping its buffers when `data`
+/// already holds one.
+template <typename T>
+T& reuse(RData& data) {
+  if (auto* held = std::get_if<T>(&data)) return *held;
+  return data.emplace<T>();
+}
+
+netsim::IpAddress read_v6(wire::Reader& r) {
+  auto bytes = r.bytes(16);
+  std::array<uint8_t, 16> arr;
+  std::copy(bytes.begin(), bytes.end(), arr.begin());
+  return netsim::IpAddress::v6(arr);
+}
+
+/// `r` is bounded to RDLENGTH (RFC 1035 section 3.2.1) and must be
+/// consumed exactly, so A and AAAA need RDLENGTH 4 and 16 and no field
+/// is read from outside its record. Names inside RDATA may still point
+/// anywhere in `whole`.
+void decode_rdata(RRType type, wire::Reader& r, std::span<const uint8_t> whole,
+                  RData& data) {
   switch (type) {
     case RRType::kA:
-      return ARecord{netsim::IpAddress::v4(r.u32())};
-    case RRType::kAaaa: {
-      auto bytes = r.bytes(16);
-      std::array<uint8_t, 16> arr;
-      std::copy(bytes.begin(), bytes.end(), arr.begin());
-      return AaaaRecord{netsim::IpAddress::v6(arr)};
-    }
+      reuse<ARecord>(data).address = netsim::IpAddress::v4(r.u32());
+      break;
+    case RRType::kAaaa:
+      reuse<AaaaRecord>(data).address = read_v6(r);
+      break;
     case RRType::kCname:
-      return CnameRecord{decode_name(r, whole)};
+      decode_name_into(r, whole, reuse<CnameRecord>(data).target);
+      break;
     case RRType::kTxt: {
-      std::string text;
-      while (r.position() < end) text += r.str(r.u8());
-      return TxtRecord{text};
+      auto& text = reuse<TxtRecord>(data).text;
+      text.clear();
+      while (!r.done()) {
+        auto chunk = r.bytes(r.u8());
+        text.append(chunk.begin(), chunk.end());
+      }
+      break;
     }
     case RRType::kSvcb:
     case RRType::kHttps: {
-      SvcbData svcb;
+      auto& svcb = reuse<SvcbData>(data);
       svcb.priority = r.u16();
-      svcb.target = decode_name(r, whole);
+      decode_name_into(r, whole, svcb.target);
       if (svcb.target.empty()) svcb.target = ".";
-      while (r.position() < end) {
+      svcb.alpn.clear();
+      svcb.port.reset();
+      svcb.ipv4_hints.clear();
+      svcb.ipv6_hints.clear();
+      while (!r.done()) {
         uint16_t key = r.u16();
         size_t len = r.u16();
         wire::Reader value(r.bytes(len));
@@ -144,21 +186,18 @@ RData decode_rdata(RRType type, wire::Reader& r, size_t rdlength,
               svcb.ipv4_hints.push_back(netsim::IpAddress::v4(value.u32()));
             break;
           case SvcParamKey::kIpv6Hint:
-            while (!value.done()) {
-              auto bytes = value.bytes(16);
-              std::array<uint8_t, 16> arr;
-              std::copy(bytes.begin(), bytes.end(), arr.begin());
-              svcb.ipv6_hints.push_back(netsim::IpAddress::v6(arr));
-            }
+            while (!value.done()) svcb.ipv6_hints.push_back(read_v6(value));
             break;
           default:
             break;  // unknown SvcParam: ignore, per the draft
         }
       }
-      return svcb;
+      break;
     }
+    default:
+      throw wire::DecodeError("unsupported RR type");
   }
-  throw wire::DecodeError("unsupported RR type");
+  if (!r.done()) throw wire::DecodeError("RDATA not consumed exactly");
 }
 
 void encode_rr(wire::Writer& w, const ResourceRecord& rr) {
@@ -171,21 +210,34 @@ void encode_rr(wire::Writer& w, const ResourceRecord& rr) {
   w.fill_length(at, 2);
 }
 
-ResourceRecord decode_rr(wire::Reader& r, std::span<const uint8_t> whole) {
-  ResourceRecord rr;
-  rr.name = decode_name(r, whole);
+void decode_rr(wire::Reader& r, std::span<const uint8_t> whole,
+               ResourceRecord& rr) {
+  decode_name_into(r, whole, rr.name);
   rr.type = static_cast<RRType>(r.u16());
   r.u16();  // class
   rr.ttl = r.u32();
-  size_t rdlength = r.u16();
-  rr.data = decode_rdata(rr.type, r, rdlength, whole);
-  return rr;
+  wire::Reader rdata(r.bytes(r.u16()));
+  decode_rdata(rr.type, rdata, whole, rr.data);
+}
+
+/// Decodes `count` entries into `section`, overwriting the ones it
+/// already holds before appending, then drops any left over. Growing one
+/// entry at a time keeps a bogus count from allocating ahead of the
+/// bytes that would back it.
+template <typename T, typename DecodeOne>
+void decode_section(std::vector<T>& section, size_t count,
+                    DecodeOne decode_one) {
+  for (size_t i = 0; i < count; ++i) {
+    if (i == section.size()) section.emplace_back();
+    decode_one(section[i]);
+  }
+  section.erase(section.begin() + static_cast<std::ptrdiff_t>(count),
+                section.end());
 }
 
 }  // namespace
 
-std::vector<uint8_t> encode_message(const Message& msg) {
-  wire::Writer w;
+void encode_message(const Message& msg, wire::Writer& w) {
   w.u16(msg.id);
   uint16_t flags = 0;
   if (msg.is_response) flags |= 0x8000;
@@ -205,12 +257,16 @@ std::vector<uint8_t> encode_message(const Message& msg) {
   for (const auto& rr : msg.answers) encode_rr(w, rr);
   for (const auto& rr : msg.authority) encode_rr(w, rr);
   for (const auto& rr : msg.additional) encode_rr(w, rr);
+}
+
+std::vector<uint8_t> encode_message(const Message& msg) {
+  wire::Writer w;
+  encode_message(msg, w);
   return w.take();
 }
 
-Message decode_message(std::span<const uint8_t> data) {
+void decode_message(std::span<const uint8_t> data, Message& msg) {
   wire::Reader r(data);
-  Message msg;
   msg.id = r.u16();
   uint16_t flags = r.u16();
   msg.is_response = flags & 0x8000;
@@ -218,16 +274,20 @@ Message decode_message(std::span<const uint8_t> data) {
   msg.recursion_available = flags & 0x0080;
   msg.rcode = static_cast<RCode>(flags & 0x000f);
   uint16_t qd = r.u16(), an = r.u16(), ns = r.u16(), ar = r.u16();
-  for (int i = 0; i < qd; ++i) {
-    Question q;
-    q.name = decode_name(r, data);
+  decode_section(msg.questions, qd, [&](Question& q) {
+    decode_name_into(r, data, q.name);
     q.type = static_cast<RRType>(r.u16());
     r.u16();  // class
-    msg.questions.push_back(std::move(q));
-  }
-  for (int i = 0; i < an; ++i) msg.answers.push_back(decode_rr(r, data));
-  for (int i = 0; i < ns; ++i) msg.authority.push_back(decode_rr(r, data));
-  for (int i = 0; i < ar; ++i) msg.additional.push_back(decode_rr(r, data));
+  });
+  auto decode_one = [&](ResourceRecord& rr) { decode_rr(r, data, rr); };
+  decode_section(msg.answers, an, decode_one);
+  decode_section(msg.authority, ns, decode_one);
+  decode_section(msg.additional, ar, decode_one);
+}
+
+Message decode_message(std::span<const uint8_t> data) {
+  Message msg;
+  decode_message(data, msg);
   return msg;
 }
 

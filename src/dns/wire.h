@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dns/types.h"
@@ -33,12 +34,19 @@ struct Message {
 };
 
 std::vector<uint8_t> encode_message(const Message& msg);
+/// Appends the encoding of `msg` to `w`; a caller that clears and reuses
+/// one Writer per message allocates nothing once it has grown.
+void encode_message(const Message& msg, wire::Writer& w);
 
 /// Throws wire::DecodeError on malformed input.
 Message decode_message(std::span<const uint8_t> data);
+/// Decodes into `msg`, overwriting every field and reusing the capacity
+/// of its sections and strings. On a throw `msg` holds unspecified
+/// partial content; the next decode into it still equals a fresh one.
+void decode_message(std::span<const uint8_t> data, Message& msg);
 
 // Exposed for tests.
-void encode_name(wire::Writer& w, const std::string& name);
+void encode_name(wire::Writer& w, std::string_view name);
 std::string decode_name(wire::Reader& r, std::span<const uint8_t> whole);
 
 }  // namespace dns

@@ -25,7 +25,7 @@ DnsListScan DnsScanner::scan_list(const std::string& list_name,
                    {{"packet_type", "dns_query"},
                     {"domain", domain},
                     {"qtypes", "A AAAA HTTPS"}});
-    auto record = std::move(resolver.resolve_all({domain})[0]);
+    auto record = resolver.resolve_one(domain);
     ++scan.domains_resolved;
     telemetry::add(metric_domains_);
     // Empty answers are re-queued under the retry budget, like MassDNS
@@ -39,7 +39,7 @@ DnsListScan DnsScanner::scan_list(const std::string& list_name,
          ++attempt) {
       ++requeries_;
       telemetry::add(metric_requeries_);
-      record = std::move(resolver.resolve_all({domain})[0]);
+      record = resolver.resolve_one(domain);
     }
     if (!record.a.empty()) {
       ++scan.with_a;

@@ -7,8 +7,33 @@
 
 namespace scanner {
 
+namespace {
+
+// Byte offsets of the two 8-byte connection IDs in the probe: after the
+// header byte, the 4-byte version and each CID's length byte.
+constexpr size_t kCidLength = 8;
+constexpr size_t kDcidOffset = 1 + 4 + 1;
+constexpr size_t kScidOffset = kDcidOffset + kCidLength + 1;
+
+}  // namespace
+
 ZmapQuicScanner::ZmapQuicScanner(netsim::Network& network, ZmapOptions options)
     : network_(network), options_(std::move(options)) {
+  // Initial-shaped long header with the forcing version. Contents after
+  // the connection IDs are unencrypted junk: the server must inspect
+  // the version first and answer VN without trying to decrypt.
+  wire::Writer w;
+  w.u8(0xc0 | 0x00);  // long header, fixed bit, type Initial
+  w.u32(options_.probe_version);
+  w.u8(kCidLength);
+  w.zeros(kCidLength);  // DCID, drawn per probe
+  w.u8(kCidLength);
+  w.zeros(kCidLength);  // SCID, drawn per probe
+  w.u8(0);              // token length
+  size_t target = options_.pad_to_1200 ? 1200 : 64;
+  w.varint(target - w.size() - 2);  // length field (approximate framing)
+  w.zeros(target - w.size());
+  probe_template_ = w.take();
   auto* metrics = options_.metrics;
   metric_probes_ = telemetry::maybe_counter(metrics, "zmap.probes_sent");
   metric_bytes_ = telemetry::maybe_counter(metrics, "zmap.bytes_sent");
@@ -20,23 +45,11 @@ ZmapQuicScanner::ZmapQuicScanner(netsim::Network& network, ZmapOptions options)
 }
 
 std::vector<uint8_t> ZmapQuicScanner::build_probe(crypto::Rng& rng) const {
-  // Initial-shaped long header with the forcing version. Contents after
-  // the connection IDs are unencrypted junk: the server must inspect
-  // the version first and answer VN without trying to decrypt.
-  wire::Writer w;
-  w.u8(0xc0 | 0x00);  // long header, fixed bit, type Initial
-  w.u32(options_.probe_version);
-  auto dcid = rng.bytes(8);
-  w.u8(8);
-  w.bytes(dcid);
-  auto scid = rng.bytes(8);
-  w.u8(8);
-  w.bytes(scid);
-  w.u8(0);           // token length
-  size_t target = options_.pad_to_1200 ? 1200 : 64;
-  w.varint(target - w.size() - 2);  // length field (approximate framing)
-  while (w.size() < target) w.u8(0);
-  return w.take();
+  std::vector<uint8_t> probe = probe_template_;
+  std::span<uint8_t> bytes(probe);
+  rng.fill(bytes.subspan(kDcidOffset, kCidLength));
+  rng.fill(bytes.subspan(kScidOffset, kCidLength));
+  return probe;
 }
 
 std::vector<ZmapHit> ZmapQuicScanner::scan(

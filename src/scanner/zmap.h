@@ -63,12 +63,16 @@ class ZmapQuicScanner {
 
   const ZmapStats& stats() const { return stats_; }
 
-  /// The raw probe datagram (exposed for tests: wire-format checks).
+  /// The raw probe datagram (exposed for tests: wire-format checks):
+  /// the prebuilt template with fresh DCID and SCID drawn from `rng`.
   std::vector<uint8_t> build_probe(crypto::Rng& rng) const;
 
  private:
   netsim::Network& network_;
   ZmapOptions options_;
+  /// The padded probe with zeroed connection IDs, built once from
+  /// options_ (ZMap's probe modules fill a packet template the same way).
+  std::vector<uint8_t> probe_template_;
   ZmapStats stats_;
   telemetry::Counter* metric_probes_ = nullptr;
   telemetry::Counter* metric_bytes_ = nullptr;

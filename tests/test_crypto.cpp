@@ -340,6 +340,16 @@ TEST(Rng, Deterministic) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
 }
 
+TEST(Rng, FillDrawsExactlyLikeBytes) {
+  for (size_t n = 0; n <= 40; ++n) {
+    crypto::Rng filled_rng(n + 11), bytes_rng(n + 11);
+    std::vector<uint8_t> filled(n, 0xa5);
+    filled_rng.fill(filled);
+    EXPECT_EQ(filled, bytes_rng.bytes(n)) << "n=" << n;
+    EXPECT_EQ(filled_rng.next(), bytes_rng.next()) << "n=" << n;
+  }
+}
+
 TEST(Rng, ForkIndependentOfDrawOrder) {
   crypto::Rng a(7);
   auto child1 = a.fork("alpha");

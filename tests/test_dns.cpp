@@ -56,6 +56,14 @@ TEST(Name, RejectsPointerLoop) {
   EXPECT_THROW(decode_name(r, w.span()), wire::DecodeError);
 }
 
+TEST(Name, RejectsDotInsideLabel) {
+  // One label "a.b": legal octets on the wire, but the dotted text form
+  // would read it back as two labels.
+  const std::vector<uint8_t> wire_name{3, 'a', '.', 'b', 0};
+  wire::Reader r(wire_name);
+  EXPECT_THROW(decode_name(r, wire_name), wire::DecodeError);
+}
+
 TEST(Wire, QueryMessageRoundTrip) {
   Message msg;
   msg.id = 0x1234;
@@ -119,6 +127,148 @@ TEST(Wire, AliasModeSvcb) {
   EXPECT_EQ(d.target, "pool.svc.example");
 }
 
+/// A response carrying `rr` as its only answer, with RDLENGTH rewritten
+/// to `rdlength` and `extra` zero bytes appended after the RDATA.
+std::vector<uint8_t> with_rdlength(const ResourceRecord& rr, size_t rdlength,
+                                   size_t extra = 0) {
+  Message msg;
+  msg.is_response = true;
+  msg.answers.push_back(rr);
+  auto bytes = encode_message(msg);
+  wire::Writer name;
+  encode_name(name, rr.name);
+  size_t at = 12 + name.size() + 2 + 2 + 4;  // header, NAME, TYPE, CLASS, TTL
+  bytes[at] = static_cast<uint8_t>(rdlength >> 8);
+  bytes[at + 1] = static_cast<uint8_t>(rdlength);
+  bytes.insert(bytes.end(), extra, 0);
+  return bytes;
+}
+
+TEST(Wire, ARecordWithShortRdlengthRejected) {
+  // RDLENGTH 2 while four address bytes follow: the last two belong to
+  // no record, so the answer must not decode as 1.2.3.4.
+  ResourceRecord rr{"example.com", RRType::kA, 300,
+                    ARecord{IpAddress::v4(0x01020304)}};
+  EXPECT_THROW(decode_message(with_rdlength(rr, 2)), wire::DecodeError);
+}
+
+TEST(Wire, ARecordWithLongRdlengthRejected) {
+  ResourceRecord rr{"example.com", RRType::kA, 300,
+                    ARecord{IpAddress::v4(0x01020304)}};
+  EXPECT_NO_THROW(decode_message(with_rdlength(rr, 4, 5)));
+  EXPECT_THROW(decode_message(with_rdlength(rr, 9, 5)), wire::DecodeError);
+}
+
+TEST(Wire, SvcParamOutsideRdataRejected) {
+  SvcbData svcb;
+  svcb.target = ".";
+  svcb.alpn = {"h3"};
+  svcb.port = 8443;  // last SvcParam: 6 bytes at the end of the RDATA
+  ResourceRecord rr{"example.com", RRType::kHttps, 300, svcb};
+  Message msg;
+  msg.is_response = true;
+  msg.answers.push_back(rr);
+  auto bytes = encode_message(msg);
+  // priority 2 + root target 1 + alpn 2+2+3 + port 2+2+2.
+  EXPECT_EQ(with_rdlength(rr, 16), bytes);
+  EXPECT_EQ(std::get<SvcbData>(decode_message(bytes).answers[0].data), svcb);
+  EXPECT_THROW(decode_message(with_rdlength(rr, 12)), wire::DecodeError);
+}
+
+/// Field-by-field equality; Message itself has no operator==.
+void expect_same(const Message& got, const Message& want) {
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.is_response, want.is_response);
+  EXPECT_EQ(got.recursion_desired, want.recursion_desired);
+  EXPECT_EQ(got.recursion_available, want.recursion_available);
+  EXPECT_EQ(got.rcode, want.rcode);
+  EXPECT_EQ(got.questions, want.questions);
+  EXPECT_EQ(got.answers, want.answers);
+  EXPECT_EQ(got.authority, want.authority);
+  EXPECT_EQ(got.additional, want.additional);
+}
+
+Message rich_response() {
+  SvcbData https;
+  https.alpn = {"h3", "h3-29"};
+  https.port = 443;
+  https.ipv4_hints = {IpAddress::v4(0x01010101)};
+  https.ipv6_hints = {*IpAddress::parse("2001:db8::1")};
+  Message msg;
+  msg.id = 0x4242;
+  msg.is_response = true;
+  msg.recursion_available = true;
+  msg.questions.push_back({"example.com", RRType::kHttps});
+  msg.answers.push_back({"example.com", RRType::kHttps, 300, https});
+  msg.answers.push_back(
+      {"example.com", RRType::kA, 300, ARecord{IpAddress::v4(0x01020304)}});
+  msg.answers.push_back({"example.com", RRType::kTxt, 60, TxtRecord{"v=1"}});
+  msg.authority.push_back(
+      {"example.com", RRType::kCname, 60, CnameRecord{"ns.example.com"}});
+  msg.additional.push_back({"ns.example.com", RRType::kAaaa, 60,
+                            AaaaRecord{*IpAddress::parse("2001:db8::53")}});
+  return msg;
+}
+
+TEST(Wire, DecodeIntoReusedMessageLeavesNoStaleRecords) {
+  Message msg;
+  decode_message(encode_message(rich_response()), msg);
+  ASSERT_EQ(msg.answers.size(), 3u);
+
+  Message nxdomain;
+  nxdomain.id = 7;
+  nxdomain.is_response = true;
+  nxdomain.rcode = RCode::kNxDomain;
+  nxdomain.questions.push_back({"missing.example", RRType::kA});
+  auto bytes = encode_message(nxdomain);
+  decode_message(bytes, msg);
+  EXPECT_TRUE(msg.answers.empty());
+  EXPECT_TRUE(msg.authority.empty());
+  EXPECT_TRUE(msg.additional.empty());
+  expect_same(msg, decode_message(bytes));
+}
+
+TEST(Wire, DecodeAfterThrowEqualsFreshDecode) {
+  Message msg;
+  auto rich = encode_message(rich_response());
+  decode_message(rich, msg);
+  // Cut inside the second answer: the first is overwritten, then the
+  // decode throws with the old second and third answers still held.
+  Message head = rich_response();
+  head.answers.resize(1);
+  head.authority.clear();
+  head.additional.clear();
+  auto cut = rich;
+  cut.resize(encode_message(head).size() + 5);
+  EXPECT_THROW(decode_message(cut, msg), wire::DecodeError);
+
+  // A leaner HTTPS answer in the slot that held the rich one: every
+  // SvcParam of the old record must be gone.
+  SvcbData lean;
+  lean.priority = 2;
+  lean.target = "svc.example.com";
+  Message next;
+  next.id = 9;
+  next.is_response = true;
+  next.answers.push_back({"example.com", RRType::kHttps, 30, lean});
+  next.answers.push_back(
+      {"example.com", RRType::kAaaa, 30, AaaaRecord{*IpAddress::parse("::1")}});
+  auto bytes = encode_message(next);
+  decode_message(bytes, msg);
+  expect_same(msg, decode_message(bytes));
+  EXPECT_EQ(std::get<SvcbData>(msg.answers[0].data), lean);
+}
+
+TEST(Wire, EncodeIntoWriterAppendsTheSameBytes) {
+  auto msg = rich_response();
+  wire::Writer w;
+  w.u8(0xee);
+  encode_message(msg, w);
+  auto whole = encode_message(msg);
+  ASSERT_EQ(w.size(), whole.size() + 1);
+  EXPECT_TRUE(std::equal(whole.begin(), whole.end(), w.data().begin() + 1));
+}
+
 ZoneStore make_store() {
   ZoneStore store;
   store.add({"example.com", RRType::kA, 300, ARecord{IpAddress::v4(0x01010101)}});
@@ -148,6 +298,17 @@ TEST(ZoneStore, ServeAnswersAndNxdomain) {
   auto nodata = resolver.resolve("nodata.example.com", RRType::kA);
   EXPECT_EQ(nodata.rcode, RCode::kNoError);
   EXPECT_TRUE(nodata.addresses().empty());
+}
+
+TEST(ZoneStore, LookupIsCaseInsensitiveAndGroupedByType) {
+  auto store = make_store();
+  EXPECT_EQ(store.record_count(), 5u);
+  auto a = store.lookup("EXAMPLE.com.", RRType::kA);
+  ASSERT_EQ(a.size(), 1u);
+  EXPECT_EQ(a[0].name, "example.com");
+  EXPECT_EQ(store.lookup("example.com", RRType::kHttps).size(), 1u);
+  EXPECT_TRUE(store.lookup("example.com", RRType::kCname).empty());
+  EXPECT_TRUE(store.lookup("nosuch.example.com", RRType::kA).empty());
 }
 
 TEST(Resolver, FollowsCname) {

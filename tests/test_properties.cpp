@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <vector>
 
 #include "crypto/aes.h"
 #include "crypto/rng.h"
+#include "dns/resolver.h"
 #include "dns/wire.h"
 #include "engine/engine.h"
 #include "http/alt_svc.h"
@@ -149,6 +153,150 @@ TEST_P(DnsNameSweep, RoundTripRandomisedNames) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DnsNameSweep, ::testing::Range(0, 25));
+
+/// --- DNS zone index against a reference model ----------------------
+
+class ZoneIndexSweep : public ::testing::TestWithParam<int> {};
+
+/// `name` with random letters upper-cased and, half the time, a
+/// trailing dot: the spellings a zone file or a client may use.
+std::string respell(crypto::Rng& rng, const std::string& name) {
+  std::string out = name;
+  for (char& c : out)
+    if (c >= 'a' && c <= 'z' && rng.chance(0.4)) c = static_cast<char>(c - 32);
+  if (rng.chance(0.5)) out.push_back('.');
+  return out;
+}
+
+dns::ResourceRecord random_record(crypto::Rng& rng, const std::string& owner,
+                                  const std::vector<std::string>& pool) {
+  dns::ResourceRecord rr;
+  rr.name = owner;
+  rr.ttl = static_cast<uint32_t>(rng.range(1, 86400));
+  switch (rng.below(5)) {
+    case 0:
+      rr.type = dns::RRType::kA;
+      rr.data = dns::ARecord{
+          netsim::IpAddress::v4(static_cast<uint32_t>(rng.next()))};
+      break;
+    case 1: {
+      rr.type = dns::RRType::kAaaa;
+      std::array<uint8_t, 16> v6{};
+      rng.fill(v6);
+      rr.data = dns::AaaaRecord{netsim::IpAddress::v6(v6)};
+      break;
+    }
+    case 2:
+      rr.type = dns::RRType::kCname;
+      rr.data = dns::CnameRecord{respell(rng, pool[rng.below(pool.size())])};
+      break;
+    case 3:
+      rr.type = dns::RRType::kTxt;
+      rr.data = dns::TxtRecord{"v=" + std::to_string(rng.below(1000))};
+      break;
+    default: {
+      rr.type = rng.chance(0.5) ? dns::RRType::kHttps : dns::RRType::kSvcb;
+      dns::SvcbData svcb;
+      svcb.priority = static_cast<uint16_t>(rng.below(3));
+      svcb.target = rng.chance(0.5) ? "." : pool[rng.below(pool.size())];
+      static const char* kAlpn[] = {"h3", "h3-29", "h3-Q050", "h2"};
+      for (const char* id : kAlpn)
+        if (rng.chance(0.5)) svcb.alpn.push_back(id);
+      if (rng.chance(0.3)) svcb.port = static_cast<uint16_t>(rng.below(65536));
+      for (uint64_t i = rng.below(3); i > 0; --i)
+        svcb.ipv4_hints.push_back(
+            netsim::IpAddress::v4(static_cast<uint32_t>(rng.next())));
+      rr.data = std::move(svcb);
+      break;
+    }
+  }
+  return rr;
+}
+
+TEST_P(ZoneIndexSweep, ServeMatchesReferenceModel) {
+  crypto::Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 3);
+  // Owners come from the first 20 names; the last 4 and `unknown` are
+  // never added (NXDOMAIN). A type an owner lacks is NODATA unless the
+  // owner has a CNAME.
+  std::vector<std::string> pool;
+  for (int i = 0; i < 24; ++i)
+    pool.push_back("n" + std::to_string(i) + (i % 3 ? ".example.com" : ".org"));
+  const std::vector<std::string> unknown{"absent.example.com", "n1.example",
+                                         "example.com"};
+
+  // Reference: (normalized name, type) -> records in insertion order,
+  // plus the set of names that exist.
+  std::map<std::pair<std::string, dns::RRType>,
+           std::vector<dns::ResourceRecord>> reference;
+  std::set<std::string> names;
+  dns::ZoneStore store;
+  for (int i = 0; i < 60; ++i) {
+    const std::string& owner = pool[rng.below(pool.size() - 4)];
+    auto rr = random_record(rng, respell(rng, owner), pool);
+    store.add(rr);
+    rr.name = dns::normalize_name(rr.name);
+    names.insert(rr.name);
+    reference[{rr.name, rr.type}].push_back(rr);
+  }
+
+  auto expected_response = [&](const dns::Message& query) {
+    dns::Message response;
+    response.id = query.id;
+    response.is_response = true;
+    response.recursion_available = true;
+    response.questions = query.questions;
+    for (auto& q : response.questions) q.name = dns::normalize_name(q.name);
+    if (query.questions.size() != 1) {
+      response.rcode = dns::RCode::kFormErr;
+      return dns::encode_message(response);
+    }
+    const auto& q = response.questions[0];
+    auto it = reference.find({q.name, q.type});
+    if (it == reference.end())
+      it = reference.find({q.name, dns::RRType::kCname});
+    if (it != reference.end())
+      response.answers = it->second;
+    else if (!names.contains(q.name))
+      response.rcode = dns::RCode::kNxDomain;
+    return dns::encode_message(response);
+  };
+
+  const dns::RRType types[] = {dns::RRType::kA,    dns::RRType::kCname,
+                               dns::RRType::kTxt,  dns::RRType::kAaaa,
+                               dns::RRType::kSvcb, dns::RRType::kHttps};
+  std::vector<std::string> queried = pool;
+  queried.insert(queried.end(), unknown.begin(), unknown.end());
+  // One scratch pair for every query, as a Resolver keeps it.
+  dns::Message scratch;
+  wire::Writer out;
+  auto check = [&](const dns::Message& query) {
+    auto bytes = dns::encode_message(query);
+    auto want = expected_response(query);
+    EXPECT_EQ(store.serve(bytes), want);
+    out.clear();
+    store.serve(bytes, scratch, out);
+    EXPECT_EQ(out.data(), want);
+  };
+  uint16_t id = 1;
+  for (const auto& name : queried) {
+    for (dns::RRType type : types) {
+      dns::Message query;
+      query.id = id++;
+      query.questions.push_back({respell(rng, name), type});
+      check(query);
+    }
+  }
+  dns::Message none;  // 0 questions
+  none.id = id++;
+  check(none);
+  dns::Message two;  // 2 questions
+  two.id = id++;
+  two.questions.push_back({pool[0], dns::RRType::kA});
+  two.questions.push_back({respell(rng, pool[1]), dns::RRType::kHttps});
+  check(two);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ZoneIndexSweep, ::testing::Range(0, 20));
 
 /// --- Alt-Svc: format-parse identity over generated entry lists ------
 

@@ -71,6 +71,38 @@ TEST(Zmap, ProbeIsPaddedAndUsesForcingVersion) {
   EXPECT_TRUE(quic::is_force_negotiation(info->version));
 }
 
+TEST(Zmap, ProbeTemplateGoldenLayout) {
+  struct Case {
+    bool pad;
+    quic::Version version;
+  };
+  for (Case c : {Case{true, quic::kForceNegotiation},
+                 Case{false, quic::kForceNegotiation},
+                 Case{true, 0x1a2a3a4a}}) {
+    ZmapOptions options;
+    options.pad_to_1200 = c.pad;
+    options.probe_version = c.version;
+    ZmapQuicScanner zmap(world().net.network(), options);
+    const size_t size = c.pad ? 1200 : 64;
+    crypto::Rng rng(1), expected(1);
+    for (int i = 0; i < 5; ++i) {
+      auto probe = zmap.build_probe(rng);
+      wire::Writer w;
+      w.u8(0xc0);  // long header, Initial
+      w.u32(c.version);
+      w.u8(8);
+      w.bytes(expected.bytes(8));  // DCID
+      w.u8(8);
+      w.bytes(expected.bytes(8));  // SCID
+      w.u8(0);                     // token length
+      w.varint(c.pad ? 1174 : 38);
+      w.zeros(size - w.size());
+      EXPECT_EQ(probe, w.data()) << "pad=" << c.pad << " probe " << i;
+    }
+    EXPECT_EQ(rng.next(), expected.next());
+  }
+}
+
 TEST(Zmap, SweepFindsQuicHostsAndOnlyThem) {
   auto& w = world();
   auto candidates = w.net.zmap_candidates_v4();

@@ -6,12 +6,19 @@
 #   build-asan/   -DSANITIZE=address,undefined
 #   build-tsan/   -DSANITIZE=thread
 #
+# then the digest lane: the campaign benchmark's self-tests and one
+# short run of every workload on seed 9001, whose outputs must match the
+# stored digests in campaign_bench/references byte for byte. That makes
+# the determinism contract (CSV, report, merged metrics) part of the
+# gate instead of a by-hand check; the lane only invokes the benchmark
+# and builds it into .bench_build as its README describes.
+#
 #   tools/verify_all.sh [--fast]
 #
 # --fast skips the chaos lane (impaired 10k-target soaks) and runs only
-# the fast lane in each tree. The soak and bench labels are never run
-# here -- they have their own entry points (ctest -L soak,
-# tools/run_benches.sh).
+# the fast lane in each tree; the digest lane runs either way. The soak
+# and bench labels are never run here -- they have their own entry
+# points (ctest -L soak, tools/run_benches.sh).
 #
 # On the plain tree the fast lane also runs a second pass with
 # QREPRO_CRYPTO_BACKEND=portable, forcing every AEAD context and every
@@ -67,4 +74,8 @@ verify_tree build
 verify_tree build-asan -DSANITIZE=address,undefined
 verify_tree build-tsan -DSANITIZE=thread
 
-echo "verify_all: all trees green"
+echo "=== campaign_bench: digest lane (selftest, --all --seed 9001)"
+(cd "$ROOT" && python3 campaign_bench/run.py --selftest)
+(cd "$ROOT" && python3 campaign_bench/run.py --all --seed 9001 --seconds 1)
+
+echo "verify_all: all trees and the digest lane green"
