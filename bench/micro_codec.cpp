@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks for the wire/crypto hot paths the
 // scanners execute millions of times: varints, transport parameters,
 // frames, Initial packet protection and the crypto substrate. SHA-256
-// and the Initial key derivation built on it run once per SHA-256
-// kernel the host offers (BM_Sha256/scalar/..., BM_Sha256/sha_ni/...).
+// and the key derivations built on it run once per SHA-256 kernel the
+// host offers (BM_Sha256/scalar/..., BM_Sha256/sha_ni/...).
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -16,6 +16,7 @@
 #include "quic/frame.h"
 #include "quic/packet.h"
 #include "quic/transport_params.h"
+#include "tls/key_schedule.h"
 
 namespace {
 
@@ -126,6 +127,44 @@ void BM_InitialKeyDerivation(benchmark::State& state,
         quic::derive_initial_secrets(quic::kVersion1, dcid));
 }
 
+// One client plus one server QUIC key schedule per iteration, hashing
+// only (no AEAD context is built): the Initial secrets and keys of both
+// directions, a fixed ~1 KB transcript, the handshake and application
+// secrets and keys, and both Finished values.
+void BM_KeySchedule(benchmark::State& state, crypto::Backend backend) {
+  crypto::ScopedBackendOverride force(backend);
+  crypto::Rng rng(7);
+  auto dcid = rng.bytes(8);
+  auto shared = rng.bytes(32);
+  auto hello = rng.bytes(400);         // ClientHello + ServerHello
+  auto server_flight = rng.bytes(600);  // EE + Certificate + CV
+  auto server_finished = rng.bytes(36);
+  auto quic_keys = [](std::span<const uint8_t> secret) {
+    return tls::derive_traffic_keys(secret, tls::KeyUsage::kQuic);
+  };
+  for (auto _ : state) {
+    for (int side = 0; side < 2; ++side) {
+      auto initial = quic::derive_initial_secrets(quic::kVersion1, dcid);
+      benchmark::DoNotOptimize(quic_keys(initial.client));
+      benchmark::DoNotOptimize(quic_keys(initial.server));
+      tls::KeySchedule ks;
+      ks.add_message(hello);
+      ks.derive_handshake_secrets(shared);
+      benchmark::DoNotOptimize(quic_keys(ks.client_handshake_secret()));
+      benchmark::DoNotOptimize(quic_keys(ks.server_handshake_secret()));
+      ks.add_message(server_flight);
+      benchmark::DoNotOptimize(
+          ks.finished_verify_data(ks.server_handshake_secret()));
+      ks.add_message(server_finished);
+      ks.derive_application_secrets();
+      benchmark::DoNotOptimize(quic_keys(ks.client_application_secret()));
+      benchmark::DoNotOptimize(quic_keys(ks.server_application_secret()));
+      benchmark::DoNotOptimize(
+          ks.finished_verify_data(ks.client_handshake_secret()));
+    }
+  }
+}
+
 void BM_FrameDecode(benchmark::State& state) {
   crypto::Rng rng(6);
   auto payload = quic::encode_frames(
@@ -157,6 +196,9 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark(
         (std::string("BM_InitialKeyDerivation/") + kernel.name).c_str(),
         BM_InitialKeyDerivation, kernel.backend);
+    benchmark::RegisterBenchmark(
+        (std::string("BM_KeySchedule/") + kernel.name).c_str(),
+        BM_KeySchedule, kernel.backend);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

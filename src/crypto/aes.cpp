@@ -239,10 +239,12 @@ Aes128Gcm::Aes128Gcm(std::span<const uint8_t> key) : aes_(key) {
   Block zero{};
   aes_.encrypt_block(zero.data(), h_.data());
 #ifdef QREPRO_HAVE_AESNI
-  // The PCLMUL backend multiplies by H directly; skip the 4 KiB table
-  // build, which dominated portable context construction.
+  // The PCLMUL backend multiplies by H directly: no 4 KiB table to
+  // allocate or build (the build dominated portable context
+  // construction).
   if (aes_.backend() == Backend::kAesni) return;
 #endif
+  htable8_.resize(256);
   // Single-bit entries first: bit 7 of the index byte is x^0, so
   // htable8_[0x80] = H, and each lower bit is one multiply-by-x (shift
   // right one bit, folding 0xe1 when the x^127 coefficient drops out).

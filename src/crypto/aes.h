@@ -62,10 +62,11 @@ class Aes128 {
 /// AES-128-GCM authenticated encryption. 12-byte nonce, 16-byte tag.
 ///
 /// Construction resolves the kernel backend, expands the AES key
-/// schedule and precomputes the backend's GHASH material (the 256-entry
-/// Shoup table on the portable backends, just H on the PCLMUL one), so
-/// contexts are meant to be long-lived: build one per traffic secret
-/// and reuse it for every packet (see quic::PacketProtector). The
+/// schedule and precomputes the backend's GHASH material (a 4 KiB
+/// heap-allocated Shoup table on the portable backends; just H on the
+/// PCLMUL one, whose contexts are a few hundred bytes and allocate
+/// nothing), so contexts are meant to be long-lived: build one per
+/// traffic secret and reuse it for every packet (see quic::PacketProtector). The
 /// append-style seal/open entry points write into a caller-owned buffer
 /// and run CTR four counter blocks per pass (round-interleaved scalar
 /// on kPortableBatched, pipelined AESENC on kAesni), so the
@@ -129,9 +130,9 @@ class Aes128Gcm {
   // Shoup 8-bit table: htable8_[b] = (b as an 8-bit poly, bit 7 = x^0)
   // * H. Built from 8 shifts plus xors (GF multiplication is linear),
   // so key setup is far cheaper than the bit-by-bit schoolbook build
-  // and each GHASH block costs 16 lookups instead of 32. Left unbuilt
-  // under Backend::kAesni, where GHASH never reads it.
-  std::array<Gf128, 256> htable8_{};
+  // and each GHASH block costs 16 lookups instead of 32. Empty under
+  // Backend::kAesni, where GHASH never reads it.
+  std::vector<Gf128> htable8_;
 };
 
 }  // namespace crypto

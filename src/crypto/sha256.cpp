@@ -67,6 +67,16 @@ decltype(&compress_scalar) select_kernel() {
 
 Sha256::Sha256() : kernel_(select_kernel()) { reset(); }
 
+Sha256::Sha256(const Midstate& midstate) : kernel_(select_kernel()) {
+  resume(midstate);
+}
+
+void Sha256::resume(const Midstate& midstate) {
+  state_ = midstate;
+  total_len_ = 64;
+  block_len_ = 0;
+}
+
 bool Sha256::hardware_kernel() const { return kernel_ != compress_scalar; }
 
 void Sha256::reset() {
@@ -128,8 +138,7 @@ Sha256Digest Sha256::hash(std::span<const uint8_t> data) {
   return h.final();
 }
 
-Sha256Digest hmac_sha256(std::span<const uint8_t> key,
-                         std::span<const uint8_t> data) {
+HmacKey::HmacKey(std::span<const uint8_t> key) {
   std::array<uint8_t, 64> k{};
   if (key.size() > 64) {
     auto d = Sha256::hash(key);
@@ -137,61 +146,104 @@ Sha256Digest hmac_sha256(std::span<const uint8_t> key,
   } else if (!key.empty()) {  // empty span has a null data() (UB in memcpy)
     std::memcpy(k.data(), key.data(), key.size());
   }
-  std::array<uint8_t, 64> ipad, opad;
-  for (int i = 0; i < 64; ++i) {
-    ipad[i] = k[i] ^ 0x36;
-    opad[i] = k[i] ^ 0x5c;
-  }
-  Sha256 inner;
-  inner.update(ipad);
-  inner.update(data);
-  auto inner_digest = inner.final();
-  Sha256 outer;
-  outer.update(opad);
-  outer.update(inner_digest);
-  return outer.final();
+  std::array<uint8_t, 64> pad{};
+  Sha256 h;
+  for (int i = 0; i < 64; ++i) pad[i] = k[i] ^ 0x36;
+  h.update(pad);
+  inner_ = h.state_;
+  h.reset();
+  for (int i = 0; i < 64; ++i) pad[i] = k[i] ^ 0x5c;
+  h.update(pad);
+  outer_ = h.state_;
+}
+
+Sha256Digest HmacKey::mac(std::span<const uint8_t> data) const {
+  return mac({data});
+}
+
+Sha256Digest HmacKey::mac(
+    std::initializer_list<std::span<const uint8_t>> parts) const {
+  Sha256 h = begin();
+  for (auto part : parts) h.update(part);
+  const Sha256Digest inner_digest = h.final();
+  h.resume(outer_);
+  h.update(inner_digest);
+  return h.final();
+}
+
+Sha256Digest hmac_sha256(std::span<const uint8_t> key,
+                         std::span<const uint8_t> data) {
+  return HmacKey(key).mac(data);
 }
 
 Sha256Digest hkdf_extract(std::span<const uint8_t> salt,
                           std::span<const uint8_t> ikm) {
-  return hmac_sha256(salt, ikm);
+  return HmacKey(salt).mac(ikm);
 }
+
+namespace {
+
+void check_expand_length(size_t length) {
+  if (length > 255 * kSha256DigestSize)
+    throw std::invalid_argument("hkdf_expand: length too large");
+}
+
+// HKDF-Expand (RFC 5869 section 2.3) into `out`: T(i) = HMAC(prk,
+// T(i-1) || info || i), streamed into the hash without a copy.
+void expand(const HmacKey& prk, std::span<const uint8_t> info,
+            std::span<uint8_t> out) {
+  check_expand_length(out.size());
+  Sha256Digest t{};
+  std::span<const uint8_t> previous;  // T(0) is empty
+  uint8_t counter = 1;
+  for (size_t off = 0; off < out.size(); off += t.size(), ++counter) {
+    t = prk.mac({previous, info, {&counter, 1}});
+    previous = t;
+    std::memcpy(out.data() + off, t.data(),
+                std::min(t.size(), out.size() - off));
+  }
+}
+
+}  // namespace
 
 std::vector<uint8_t> hkdf_expand(std::span<const uint8_t> prk,
                                  std::span<const uint8_t> info, size_t length) {
-  if (length > 255 * kSha256DigestSize)
-    throw std::invalid_argument("hkdf_expand: length too large");
-  std::vector<uint8_t> out;
-  out.reserve(length);
-  std::vector<uint8_t> t;
-  uint8_t counter = 1;
-  while (out.size() < length) {
-    std::vector<uint8_t> block(t);
-    block.insert(block.end(), info.begin(), info.end());
-    block.push_back(counter++);
-    auto d = hmac_sha256(prk, block);
-    t.assign(d.begin(), d.end());
-    size_t take = std::min(t.size(), length - out.size());
-    out.insert(out.end(), t.begin(), t.begin() + static_cast<long>(take));
-  }
+  check_expand_length(length);
+  std::vector<uint8_t> out(length);
+  expand(HmacKey(prk), info, out);
   return out;
+}
+
+void hkdf_expand_label(const HmacKey& secret, std::string_view label,
+                       std::span<const uint8_t> context,
+                       std::span<uint8_t> out) {
+  // struct HkdfLabel { uint16 length; opaque label<7..255>;
+  //                    opaque context<0..255>; }, label = "tls13 " || label
+  constexpr std::string_view kPrefix = "tls13 ";
+  if (label.size() > 255 - kPrefix.size())
+    throw std::invalid_argument("hkdf_expand_label: label too long");
+  if (context.size() > 255)
+    throw std::invalid_argument("hkdf_expand_label: context too long");
+  std::array<uint8_t, 2 + 1 + 255 + 1 + 255> info{};
+  uint8_t* p = info.data();
+  *p++ = static_cast<uint8_t>(out.size() >> 8);  // expand() bounds it
+  *p++ = static_cast<uint8_t>(out.size());
+  *p++ = static_cast<uint8_t>(kPrefix.size() + label.size());
+  p = std::copy(kPrefix.begin(), kPrefix.end(), p);
+  p = std::copy(label.begin(), label.end(), p);
+  *p++ = static_cast<uint8_t>(context.size());
+  p = std::copy(context.begin(), context.end(), p);
+  expand(secret, {info.data(), p}, out);
 }
 
 std::vector<uint8_t> hkdf_expand_label(std::span<const uint8_t> secret,
                                        std::string_view label,
                                        std::span<const uint8_t> context,
                                        size_t length) {
-  // struct HkdfLabel { uint16 length; opaque label<7..255>; opaque context<0..255>; }
-  std::vector<uint8_t> info;
-  info.push_back(static_cast<uint8_t>(length >> 8));
-  info.push_back(static_cast<uint8_t>(length));
-  std::string full = "tls13 ";
-  full += label;
-  info.push_back(static_cast<uint8_t>(full.size()));
-  info.insert(info.end(), full.begin(), full.end());
-  info.push_back(static_cast<uint8_t>(context.size()));
-  info.insert(info.end(), context.begin(), context.end());
-  return hkdf_expand(secret, info, length);
+  check_expand_length(length);
+  std::vector<uint8_t> out(length);
+  hkdf_expand_label(HmacKey(secret), label, context, out);
+  return out;
 }
 
 }  // namespace crypto

@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -36,14 +37,51 @@ class Sha256 {
   static Sha256Digest hash(std::span<const uint8_t> data);
 
  private:
+  friend class HmacKey;
+  using Midstate = std::array<uint32_t, 8>;
   using BlockKernel = void (*)(uint32_t state[8], const uint8_t* blocks,
                                size_t count);
 
+  // Continues a hash whose first 64-byte block is already compressed
+  // into `midstate`: the kernel is picked now, and the length counts
+  // that block, so padding matches an uninterrupted hash.
+  explicit Sha256(const Midstate& midstate);
+  void resume(const Midstate& midstate);
+
   BlockKernel kernel_;
-  std::array<uint32_t, 8> state_{};
+  Midstate state_{};
   std::array<uint8_t, 64> block_{};
   uint64_t total_len_ = 0;
   size_t block_len_ = 0;
+};
+
+/// One HMAC-SHA256 key (RFC 2104) with its ipad and opad blocks
+/// already compressed (RFC 2104 section 4): each MAC then costs the
+/// compressions of its data plus one for the outer hash, not two more
+/// for the pads. Holds only the two midstates; every MAC resumes a
+/// fresh Sha256, which picks its kernel at that call, so a key built
+/// once and shared across threads still runs the kernel the current
+/// backend selection names.
+class HmacKey {
+ public:
+  explicit HmacKey(std::span<const uint8_t> key);
+
+  /// HMAC of `data`.
+  Sha256Digest mac(std::span<const uint8_t> data) const;
+
+  /// HMAC of the concatenation of `parts`, without copying them.
+  Sha256Digest mac(
+      std::initializer_list<std::span<const uint8_t>> parts) const;
+
+ private:
+  friend struct HmacKeyTestPeer;  // tests check the kernel begin() picks
+
+  // The inner hash resumed after the ipad block, on the kernel the
+  // backend selection names right now.
+  Sha256 begin() const { return Sha256(inner_); }
+
+  Sha256::Midstate inner_;
+  Sha256::Midstate outer_;
 };
 
 /// HMAC-SHA256 (RFC 2104).
@@ -58,9 +96,18 @@ Sha256Digest hkdf_extract(std::span<const uint8_t> salt,
 std::vector<uint8_t> hkdf_expand(std::span<const uint8_t> prk,
                                  std::span<const uint8_t> info, size_t length);
 
-/// HKDF-Expand-Label from TLS 1.3 (RFC 8446 section 7.1): label is
-/// prefixed with "tls13 " on the wire. QUIC reuses this for its packet
-/// protection labels ("quic key", "quic iv", "quic hp", ...).
+/// HKDF-Expand-Label from TLS 1.3 (RFC 8446 section 7.1) into `out`,
+/// keyed by a cached secret; allocates nothing. The label is prefixed
+/// with "tls13 " on the wire. QUIC reuses this for its packet
+/// protection labels ("quic key", "quic iv", "quic hp", ...). Throws
+/// std::invalid_argument when the label exceeds 249 bytes, the context
+/// 255 bytes or `out` 255 * 32 bytes, which the HkdfLabel cannot
+/// encode.
+void hkdf_expand_label(const HmacKey& secret, std::string_view label,
+                       std::span<const uint8_t> context,
+                       std::span<uint8_t> out);
+
+/// HKDF-Expand-Label with a one-off key, returning `length` bytes.
 std::vector<uint8_t> hkdf_expand_label(std::span<const uint8_t> secret,
                                        std::string_view label,
                                        std::span<const uint8_t> context,

@@ -637,7 +637,8 @@ bool ClientConnection::process_handshake(const Packet& packet) {
     } else if (std::holds_alternative<tls::Finished>(m)) {
       auto expected = key_schedule_.finished_verify_data(
           key_schedule_.server_handshake_secret());
-      if (std::get<tls::Finished>(m).verify_data != expected) {
+      if (!std::ranges::equal(std::get<tls::Finished>(m).verify_data,
+                              expected)) {
         finish(ConnectResult::kInternalError);
         return false;
       }
@@ -679,8 +680,9 @@ bool ClientConnection::process_handshake(const Packet& packet) {
     size_t initial_size = datagram.size();
 
     tls::Finished fin;
-    fin.verify_data = key_schedule_.finished_verify_data(
+    auto verify_data = key_schedule_.finished_verify_data(
         key_schedule_.client_handshake_secret());
+    fin.verify_data.assign(verify_data.begin(), verify_data.end());
     Packet hs_packet;
     hs_packet.type = PacketType::kHandshake;
     hs_packet.version = config_.version;
@@ -1146,7 +1148,8 @@ void ServerConnection::process_client_initial(const Packet& packet) {
   key_schedule_.add_message(cv_bytes);
 
   tls::Finished fin;
-  fin.verify_data = key_schedule_.finished_verify_data(server_hs_secret_);
+  auto verify_data = key_schedule_.finished_verify_data(server_hs_secret_);
+  fin.verify_data.assign(verify_data.begin(), verify_data.end());
   auto fin_bytes = tls::encode_handshake(fin);
   key_schedule_.add_message(fin_bytes);
 
@@ -1342,7 +1345,7 @@ void ServerConnection::process_client_handshake(const Packet& packet) {
   const auto* fin = std::get_if<tls::Finished>(&msg);
   if (!fin) return;
   auto expected = key_schedule_.finished_verify_data(client_hs_secret_);
-  if (fin->verify_data != expected) {
+  if (!std::ranges::equal(fin->verify_data, expected)) {
     send_close(crypto_error(static_cast<uint8_t>(
                    tls::AlertDescription::kHandshakeFailure)),
                "finished verification failed");

@@ -96,40 +96,55 @@ std::optional<VersionNegotiationPacket> decode_version_negotiation(
   }
 }
 
-std::span<const uint8_t> initial_salt(Version version) {
-  // RFC 9001 section 5.2 (v1 / draft-33+).
-  static const uint8_t kSaltV1[] = {0x38, 0x76, 0x2c, 0xf7, 0xf5, 0x59, 0x34,
-                                    0xb3, 0x4d, 0x17, 0x9a, 0xe6, 0xa4, 0xc8,
-                                    0x0c, 0xad, 0xcc, 0xbb, 0x7f, 0x0a};
-  // draft-ietf-quic-tls-29..32.
-  static const uint8_t kSaltDraft29[] = {0xaf, 0xbf, 0xec, 0x28, 0x99, 0x93,
-                                         0xd2, 0x4c, 0x9e, 0x97, 0x86, 0xf1,
-                                         0x9c, 0x61, 0x11, 0xe0, 0x43, 0x90,
-                                         0xa8, 0x99};
-  // draft-ietf-quic-tls-23..28.
-  static const uint8_t kSaltDraft23[] = {0xc3, 0xee, 0xf7, 0x12, 0xc7, 0x2e,
-                                         0xbb, 0x5a, 0x11, 0xa7, 0xd2, 0x43,
-                                         0x2b, 0xb4, 0x63, 0x65, 0xbe, 0xf9,
-                                         0xf5, 0x02};
+namespace {
+
+// RFC 9001 section 5.2 (v1 / draft-33+), draft-ietf-quic-tls-29..32 and
+// draft-ietf-quic-tls-23..28, in that order.
+constexpr uint8_t kInitialSalts[3][20] = {
+    {0x38, 0x76, 0x2c, 0xf7, 0xf5, 0x59, 0x34, 0xb3, 0x4d, 0x17,
+     0x9a, 0xe6, 0xa4, 0xc8, 0x0c, 0xad, 0xcc, 0xbb, 0x7f, 0x0a},
+    {0xaf, 0xbf, 0xec, 0x28, 0x99, 0x93, 0xd2, 0x4c, 0x9e, 0x97,
+     0x86, 0xf1, 0x9c, 0x61, 0x11, 0xe0, 0x43, 0x90, 0xa8, 0x99},
+    {0xc3, 0xee, 0xf7, 0x12, 0xc7, 0x2e, 0xbb, 0x5a, 0x11, 0xa7,
+     0xd2, 0x43, 0x2b, 0xb4, 0x63, 0x65, 0xbe, 0xf9, 0xf5, 0x02},
+};
+
+size_t salt_index(Version version) {
   if (is_ietf_draft(version)) {
     int n = static_cast<int>(version & 0xff);
-    if (n >= 33) return {kSaltV1, sizeof kSaltV1};
-    if (n >= 29) return {kSaltDraft29, sizeof kSaltDraft29};
-    return {kSaltDraft23, sizeof kSaltDraft23};
+    if (n >= 33) return 0;
+    if (n >= 29) return 1;
+    return 2;
   }
   // v1 and any non-draft version in the simulation use the RFC salt.
-  return {kSaltV1, sizeof kSaltV1};
+  return 0;
+}
+
+// initial_secret = HKDF-Extract(salt, client_dcid), as a key for the
+// "client in" / "server in" expansions. The salts are constants, so
+// their HMAC keys are built once per process.
+crypto::HmacKey initial_secret_key(Version version,
+                                   std::span<const uint8_t> client_dcid) {
+  static const crypto::HmacKey kSaltKeys[3] = {
+      crypto::HmacKey(kInitialSalts[0]), crypto::HmacKey(kInitialSalts[1]),
+      crypto::HmacKey(kInitialSalts[2])};
+  return crypto::HmacKey(kSaltKeys[salt_index(version)].mac(client_dcid));
+}
+
+}  // namespace
+
+std::span<const uint8_t> initial_salt(Version version) {
+  return kInitialSalts[salt_index(version)];
 }
 
 InitialSecrets derive_initial_secrets(Version version,
                                       std::span<const uint8_t> client_dcid) {
-  auto salt = initial_salt(version);
-  auto initial = crypto::hkdf_extract(salt, client_dcid);
+  const auto initial = initial_secret_key(version, client_dcid);
   InitialSecrets secrets;
-  secrets.client = crypto::hkdf_expand_label(initial, "client in", {},
-                                             crypto::kSha256DigestSize);
-  secrets.server = crypto::hkdf_expand_label(initial, "server in", {},
-                                             crypto::kSha256DigestSize);
+  secrets.client.resize(crypto::kSha256DigestSize);
+  crypto::hkdf_expand_label(initial, "client in", {}, secrets.client);
+  secrets.server.resize(crypto::kSha256DigestSize);
+  crypto::hkdf_expand_label(initial, "server in", {}, secrets.server);
   return secrets;
 }
 
@@ -142,8 +157,9 @@ PacketProtector::PacketProtector(const tls::TrafficKeys& keys)
 
 PacketProtector PacketProtector::for_initial(
     Version version, std::span<const uint8_t> client_dcid, bool is_server) {
-  auto secrets = derive_initial_secrets(version, client_dcid);
-  const auto& secret = is_server ? secrets.server : secrets.client;
+  crypto::Sha256Digest secret{};  // this direction's only
+  crypto::hkdf_expand_label(initial_secret_key(version, client_dcid),
+                            is_server ? "server in" : "client in", {}, secret);
   return PacketProtector(tls::derive_traffic_keys(secret,
                                                   tls::KeyUsage::kQuic));
 }

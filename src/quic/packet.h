@@ -103,7 +103,7 @@ struct HotpathStats {
 
 /// Seals/opens packets for one direction of one encryption level.
 ///
-/// Construction derives the AES key schedules and the GHASH table once;
+/// Construction derives the AES key schedules and the GHASH material once;
 /// the protector is then reused for every packet of its level, which is
 /// the AEAD-context-lifetime half of the hot-path contract (the other
 /// half is the append-into-caller-buffer API below).

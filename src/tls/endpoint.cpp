@@ -190,8 +190,9 @@ std::vector<uint8_t> TlsServerSession::handle_client_hello(
   key_schedule_.add_message(cv_bytes);
 
   Finished fin;
-  fin.verify_data = key_schedule_.finished_verify_data(
+  auto verify_data = key_schedule_.finished_verify_data(
       key_schedule_.server_handshake_secret());
+  fin.verify_data.assign(verify_data.begin(), verify_data.end());
   auto fin_bytes = encode_handshake(fin);
   key_schedule_.add_message(fin_bytes);
 
@@ -338,7 +339,7 @@ TlsClientResult TlsClient::run(
     } else if (auto* fin = std::get_if<Finished>(&msg)) {
       auto expected = key_schedule.finished_verify_data(
           key_schedule.server_handshake_secret());
-      if (fin->verify_data != expected) return result;
+      if (!std::ranges::equal(fin->verify_data, expected)) return result;
       finished_ok = true;
     }
     key_schedule.add_message(opened->payload);
@@ -355,8 +356,9 @@ TlsClientResult TlsClient::run(
 
   // Client Finished.
   Finished fin;
-  fin.verify_data = key_schedule.finished_verify_data(
+  auto verify_data = key_schedule.finished_verify_data(
       key_schedule.client_handshake_secret());
+  fin.verify_data.assign(verify_data.begin(), verify_data.end());
   auto fin_flight = tx.seal(ContentType::kHandshake, encode_handshake(fin));
   exchange(fin_flight);
   result.handshake_ok = true;

@@ -1,19 +1,58 @@
 #include "tls/key_schedule.h"
 
 #include <stdexcept>
+#include <string_view>
 
 namespace tls {
 
+namespace {
+
+const crypto::Sha256Digest& empty_hash() {
+  static const crypto::Sha256Digest kEmptyHash = crypto::Sha256::hash({});
+  return kEmptyHash;
+}
+
+// Keyed by Derive-Secret(early_secret, "derived", ""), where
+// early_secret = HKDF-Extract(0, 0^32): without a PSK both are the same
+// in every handshake (RFC 8448 section 3), so they are derived once.
+const crypto::HmacKey& derived_early_key() {
+  static const crypto::HmacKey kKey = [] {
+    const crypto::Sha256Digest zeros{};
+    const crypto::HmacKey early(crypto::hkdf_extract({}, zeros));
+    crypto::Sha256Digest derived{};
+    crypto::hkdf_expand_label(early, "derived", empty_hash(), derived);
+    return crypto::HmacKey(derived);
+  }();
+  return kKey;
+}
+
+// Derive-Secret(secret, label, transcript hash) into `out`, reusing
+// its capacity.
+void derive_secret(const crypto::HmacKey& secret, std::string_view label,
+                   const crypto::Sha256Digest& transcript_hash,
+                   std::vector<uint8_t>& out) {
+  out.resize(crypto::kSha256DigestSize);
+  crypto::hkdf_expand_label(secret, label, transcript_hash, out);
+}
+
+}  // namespace
+
 TrafficKeys derive_traffic_keys(std::span<const uint8_t> secret,
                                 KeyUsage usage) {
+  const crypto::HmacKey key(secret);
+  auto expand = [&](std::string_view label, size_t length) {
+    std::vector<uint8_t> out(length);
+    crypto::hkdf_expand_label(key, label, {}, out);
+    return out;
+  };
   TrafficKeys keys;
   if (usage == KeyUsage::kQuic) {
-    keys.key = crypto::hkdf_expand_label(secret, "quic key", {}, 16);
-    keys.iv = crypto::hkdf_expand_label(secret, "quic iv", {}, 12);
-    keys.hp = crypto::hkdf_expand_label(secret, "quic hp", {}, 16);
+    keys.key = expand("quic key", 16);
+    keys.iv = expand("quic iv", 12);
+    keys.hp = expand("quic hp", 16);
   } else {
-    keys.key = crypto::hkdf_expand_label(secret, "key", {}, 16);
-    keys.iv = crypto::hkdf_expand_label(secret, "iv", {}, 12);
+    keys.key = expand("key", 16);
+    keys.iv = expand("iv", 12);
   }
   return keys;
 }
@@ -34,47 +73,33 @@ crypto::Sha256Digest KeySchedule::transcript_hash() const { return snapshot(); }
 
 void KeySchedule::derive_handshake_secrets(
     std::span<const uint8_t> shared_secret) {
-  // early_secret = Extract(salt=0, ikm=0^32)
-  std::vector<uint8_t> zeros(crypto::kSha256DigestSize, 0);
-  auto early = crypto::hkdf_extract({}, zeros);
-  auto empty_hash = crypto::Sha256::hash({});
-  auto derived = crypto::hkdf_expand_label(early, "derived", empty_hash,
-                                           crypto::kSha256DigestSize);
-  auto hs = crypto::hkdf_extract(derived, shared_secret);
-  handshake_secret_.assign(hs.begin(), hs.end());
-
+  handshake_secret_.emplace(derived_early_key().mac(shared_secret));
   auto th = snapshot();
-  client_hs_ = crypto::hkdf_expand_label(handshake_secret_, "c hs traffic", th,
-                                         crypto::kSha256DigestSize);
-  server_hs_ = crypto::hkdf_expand_label(handshake_secret_, "s hs traffic", th,
-                                         crypto::kSha256DigestSize);
+  derive_secret(*handshake_secret_, "c hs traffic", th, client_hs_);
+  derive_secret(*handshake_secret_, "s hs traffic", th, server_hs_);
 }
 
 void KeySchedule::derive_application_secrets() {
-  if (handshake_secret_.empty())
+  if (!handshake_secret_)
     throw std::logic_error(
         "derive_application_secrets before derive_handshake_secrets");
-  auto empty_hash = crypto::Sha256::hash({});
-  auto derived = crypto::hkdf_expand_label(handshake_secret_, "derived",
-                                           empty_hash,
-                                           crypto::kSha256DigestSize);
-  std::vector<uint8_t> zeros(crypto::kSha256DigestSize, 0);
-  auto master = crypto::hkdf_extract(derived, zeros);
+  crypto::Sha256Digest derived{};
+  crypto::hkdf_expand_label(*handshake_secret_, "derived", empty_hash(),
+                            derived);
+  const crypto::Sha256Digest zeros{};
+  const crypto::HmacKey master(crypto::hkdf_extract(derived, zeros));
 
   auto th = snapshot();
-  client_app_ = crypto::hkdf_expand_label(master, "c ap traffic", th,
-                                          crypto::kSha256DigestSize);
-  server_app_ = crypto::hkdf_expand_label(master, "s ap traffic", th,
-                                          crypto::kSha256DigestSize);
+  derive_secret(master, "c ap traffic", th, client_app_);
+  derive_secret(master, "s ap traffic", th, server_app_);
 }
 
-std::vector<uint8_t> KeySchedule::finished_verify_data(
+crypto::Sha256Digest KeySchedule::finished_verify_data(
     std::span<const uint8_t> traffic_secret) const {
-  auto finished_key = crypto::hkdf_expand_label(traffic_secret, "finished", {},
-                                                crypto::kSha256DigestSize);
-  auto th = snapshot();
-  auto mac = crypto::hmac_sha256(finished_key, th);
-  return {mac.begin(), mac.end()};
+  crypto::Sha256Digest finished_key{};
+  crypto::hkdf_expand_label(crypto::HmacKey(traffic_secret), "finished", {},
+                            finished_key);
+  return crypto::HmacKey(finished_key).mac(snapshot());
 }
 
 }  // namespace tls

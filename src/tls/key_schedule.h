@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -59,14 +60,16 @@ class KeySchedule {
 
   /// Finished verify_data for the given traffic secret over the current
   /// transcript (RFC 8446 section 4.4.4).
-  std::vector<uint8_t> finished_verify_data(
+  crypto::Sha256Digest finished_verify_data(
       std::span<const uint8_t> traffic_secret) const;
 
  private:
   crypto::Sha256 transcript_;
   crypto::Sha256Digest snapshot() const;
 
-  std::vector<uint8_t> handshake_secret_;
+  // Keyed by the handshake secret; derive_application_secrets() expands
+  // its "derived" label.
+  std::optional<crypto::HmacKey> handshake_secret_;
   std::vector<uint8_t> client_hs_, server_hs_;
   std::vector<uint8_t> client_app_, server_app_;
 };

@@ -40,7 +40,7 @@ std::vector<Record> decode_records(std::span<const uint8_t> stream);
 /// Seals/opens TLS 1.3 records for one direction. Sequence numbers are
 /// managed internally (RFC 8446 section 5.3: nonce = iv XOR seq). Like
 /// quic::PacketProtector, the AEAD context lives as long as the
-/// crypter: one key schedule + GHASH table per traffic secret.
+/// crypter: one key schedule + GHASH material per traffic secret.
 class RecordCrypter {
  public:
   explicit RecordCrypter(const TrafficKeys& keys);

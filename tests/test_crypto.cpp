@@ -2,6 +2,8 @@
 // RFC 4231 (HMAC), RFC 5869 (HKDF), FIPS 197 (AES), NIST GCM vectors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "crypto/aes.h"
 #include "crypto/dh.h"
 #include "crypto/rng.h"
@@ -10,6 +12,17 @@
 
 using wire::from_hex;
 using wire::to_hex;
+
+namespace crypto {
+
+// Reaches HmacKey::begin(), the resumed inner hash every MAC runs on.
+struct HmacKeyTestPeer {
+  static bool runs_hardware_kernel(const HmacKey& key) {
+    return key.begin().hardware_kernel();
+  }
+};
+
+}  // namespace crypto
 
 namespace {
 
@@ -643,6 +656,219 @@ TEST(CryptoCpu, ParseBackendNamesAndOverride) {
     EXPECT_EQ(crypto::resolve_backend(), backend);
   }
   EXPECT_FALSE(crypto::backend_override().has_value());
+}
+
+// --- HmacKey: cached ipad/opad midstates ---------------------------------
+
+// RFC 2104 written out over crypto::Sha256, with fresh pads on every
+// call: the model HmacKey and its wrappers are held to.
+crypto::Sha256Digest reference_hmac(std::span<const uint8_t> key,
+                                    std::span<const uint8_t> data) {
+  std::array<uint8_t, 64> k{};
+  if (key.size() > 64) {
+    auto d = crypto::Sha256::hash(key);
+    std::copy(d.begin(), d.end(), k.begin());
+  } else {
+    std::copy(key.begin(), key.end(), k.begin());
+  }
+  std::array<uint8_t, 64> ipad, opad;
+  for (size_t i = 0; i < 64; ++i) {
+    ipad[i] = k[i] ^ 0x36;
+    opad[i] = k[i] ^ 0x5c;
+  }
+  crypto::Sha256 inner;
+  inner.update(ipad);
+  inner.update(data);
+  auto inner_digest = inner.final();
+  crypto::Sha256 outer;
+  outer.update(opad);
+  outer.update(inner_digest);
+  return outer.final();
+}
+
+TEST(HmacKey, MatchesReferenceAcrossKeyAndDataLengths) {
+  // Key lengths 0-200 cross the 64-byte block (longer keys are hashed
+  // first); data lengths 0-200 cross the 55/56/64 padding edges of the
+  // resumed inner hash. Each sweeps against a spread of the other.
+  crypto::Rng rng(0x2104);
+  const auto bytes = rng.bytes(200);
+  auto prefix = [&](size_t n) { return std::span(bytes).first(n); };
+  for (const auto& kernel : sha256_kernels()) {
+    crypto::ScopedBackendOverride force(kernel.backend);
+    SCOPED_TRACE(kernel.name);
+    for (size_t key_len = 0; key_len <= 200; ++key_len) {
+      crypto::HmacKey key(prefix(key_len));
+      for (size_t data_len : {size_t{0}, size_t{1}, size_t{55}, size_t{56},
+                              size_t{64}, size_t{119}, key_len}) {
+        auto data = std::span(bytes).last(data_len);
+        ASSERT_EQ(to_hex(key.mac(data)),
+                  to_hex(reference_hmac(prefix(key_len), data)))
+            << "key_len=" << key_len << " data_len=" << data_len;
+      }
+    }
+    for (size_t data_len = 0; data_len <= 200; ++data_len) {
+      auto data = prefix(data_len);
+      for (size_t key_len : {size_t{0}, size_t{20}, size_t{32}, size_t{63},
+                             size_t{64}, size_t{65}, size_t{131}}) {
+        auto key = std::span(bytes).last(key_len);
+        auto expected = to_hex(reference_hmac(key, data));
+        ASSERT_EQ(to_hex(crypto::HmacKey(key).mac(data)), expected)
+            << "key_len=" << key_len << " data_len=" << data_len;
+        ASSERT_EQ(to_hex(crypto::hmac_sha256(key, data)), expected);
+        // The multi-part form streams the same bytes.
+        const size_t split = data_len / 3;
+        ASSERT_EQ(to_hex(crypto::HmacKey(key).mac(
+                      {data.first(split), data.subspan(split, split),
+                       data.subspan(2 * split)})),
+                  expected)
+            << "key_len=" << key_len << " data_len=" << data_len;
+      }
+    }
+  }
+}
+
+TEST(HmacKey, ReusedKeyMatchesFreshKeys) {
+  // mac() is const: one key MACs many messages exactly as a fresh key
+  // per message would, in any order.
+  crypto::Rng rng(0x5eed);
+  for (const auto& kernel : sha256_kernels()) {
+    crypto::ScopedBackendOverride force(kernel.backend);
+    SCOPED_TRACE(kernel.name);
+    auto secret = rng.bytes(32);
+    const crypto::HmacKey key(secret);
+    std::vector<std::vector<uint8_t>> messages;
+    for (int i = 0; i < 40; ++i) messages.push_back(rng.bytes(rng.below(150)));
+    std::vector<std::string> first_pass;
+    for (const auto& m : messages) {
+      first_pass.push_back(to_hex(key.mac(m)));
+      EXPECT_EQ(first_pass.back(), to_hex(crypto::HmacKey(secret).mac(m)));
+      EXPECT_EQ(first_pass.back(), to_hex(reference_hmac(secret, m)));
+    }
+    for (size_t i = messages.size(); i-- > 0;)
+      EXPECT_EQ(to_hex(key.mac(messages[i])), first_pass[i]) << "message " << i;
+  }
+}
+
+TEST(HmacKey, KeyBuiltUnderOneKernelRunsTheForcedOne) {
+  if (!crypto::sha256_hardware_available())
+    GTEST_SKIP() << "no SHA-NI on this CPU (or not compiled in): one "
+                    "kernel only";
+  const auto secret = from_hex("0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b");
+  const auto data = str_bytes("Hi There");
+  const std::string rfc4231_case1 =
+      "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7";
+  auto build = [&](crypto::Backend backend) {
+    crypto::ScopedBackendOverride force(backend);
+    return crypto::HmacKey(secret);
+  };
+  const crypto::HmacKey built_hw = build(crypto::Backend::kPortableBatched);
+  const crypto::HmacKey built_scalar = build(crypto::Backend::kPortable);
+  for (const crypto::HmacKey* key : {&built_hw, &built_scalar}) {
+    {
+      crypto::ScopedBackendOverride force(crypto::Backend::kPortable);
+      EXPECT_FALSE(crypto::HmacKeyTestPeer::runs_hardware_kernel(*key));
+      EXPECT_EQ(to_hex(key->mac(data)), rfc4231_case1);
+    }
+    crypto::ScopedBackendOverride force(crypto::Backend::kPortableBatched);
+    EXPECT_TRUE(crypto::HmacKeyTestPeer::runs_hardware_kernel(*key));
+    EXPECT_EQ(to_hex(key->mac(data)), rfc4231_case1);
+  }
+}
+
+TEST(Hkdf, ExpandMatchesReferenceLoopAcrossBlocks) {
+  // RFC 5869 section 2.3: T(i) = HMAC(PRK, T(i-1) || info || i).
+  crypto::Rng rng(0x5869);
+  const auto prk = rng.bytes(32);
+  const auto info = rng.bytes(23);
+  for (const auto& kernel : sha256_kernels()) {
+    crypto::ScopedBackendOverride force(kernel.backend);
+    SCOPED_TRACE(kernel.name);
+    for (size_t length : {size_t{1}, size_t{32}, size_t{33}, size_t{64},
+                          size_t{255 * 32}}) {
+      std::vector<uint8_t> expected;
+      std::vector<uint8_t> t;
+      for (uint8_t i = 1; expected.size() < length; ++i) {
+        std::vector<uint8_t> block = t;
+        block.insert(block.end(), info.begin(), info.end());
+        block.push_back(i);
+        auto d = reference_hmac(prk, block);
+        t.assign(d.begin(), d.end());
+        expected.insert(expected.end(), t.begin(), t.end());
+      }
+      expected.resize(length);
+      EXPECT_EQ(crypto::hkdf_expand(prk, info, length), expected)
+          << "length=" << length;
+    }
+  }
+}
+
+TEST(HkdfExpandLabel, RejectsLabelAndContextLengthsItCannotEncode) {
+  // RFC 8446 section 7.1: opaque label<7..255> holds "tls13 " plus the
+  // label, so 249 bytes is the longest label; context<0..255>.
+  const std::vector<uint8_t> secret(32, 0x42);
+  const crypto::HmacKey key(secret);
+  const std::vector<uint8_t> context_255(255, 0x01);
+  const std::vector<uint8_t> context_256(256, 0x01);
+  std::array<uint8_t, 32> out;
+  EXPECT_NO_THROW(
+      crypto::hkdf_expand_label(secret, std::string(249, 'x'), {}, 32));
+  EXPECT_THROW(crypto::hkdf_expand_label(secret, std::string(250, 'x'), {}, 32),
+               std::invalid_argument);
+  EXPECT_NO_THROW(crypto::hkdf_expand_label(secret, "l", context_255, 32));
+  EXPECT_THROW(crypto::hkdf_expand_label(secret, "l", context_256, 32),
+               std::invalid_argument);
+  EXPECT_NO_THROW(
+      crypto::hkdf_expand_label(key, std::string(249, 'x'), {}, out));
+  EXPECT_THROW(crypto::hkdf_expand_label(key, std::string(250, 'x'), {}, out),
+               std::invalid_argument);
+  EXPECT_NO_THROW(crypto::hkdf_expand_label(key, "l", context_255, out));
+  EXPECT_THROW(crypto::hkdf_expand_label(key, "l", context_256, out),
+               std::invalid_argument);
+  // The longest label still encodes its length byte: 6 + 249 = 0xff.
+  std::vector<uint8_t> info = {0x00, 0x20, 0xff};
+  const std::string tls13_label = "tls13 " + std::string(249, 'x');
+  info.insert(info.end(), tls13_label.begin(), tls13_label.end());
+  info.push_back(0x00);
+  EXPECT_EQ(crypto::hkdf_expand_label(secret, std::string(249, 'x'), {}, 32),
+            crypto::hkdf_expand(secret, info, 32));
+}
+
+// --- AEAD contexts: copies, moves and size ---------------------------------
+
+TEST(Aes128GcmContexts, CopiesAndMovesSealLikeAFreshContext) {
+  crypto::Rng rng(0x6c3);
+  const auto key = rng.bytes(16);
+  const auto nonce = rng.bytes(12);
+  const auto aad = rng.bytes(20);
+  const auto pt = rng.bytes(300);
+  for (crypto::Backend backend : available_backends()) {
+    crypto::ScopedBackendOverride force(backend);
+    SCOPED_TRACE(crypto::backend_name(backend));
+    const crypto::Aes128Gcm fresh(key);
+    const auto sealed = fresh.seal(nonce, aad, pt);
+
+    crypto::Aes128Gcm source(key);
+    crypto::Aes128Gcm copied(source);
+    crypto::Aes128Gcm copy_assigned(rng.bytes(16));
+    copy_assigned = source;
+    crypto::Aes128Gcm moved(std::move(source));
+    crypto::Aes128Gcm move_assigned(rng.bytes(16));
+    move_assigned = crypto::Aes128Gcm(key);
+    for (const crypto::Aes128Gcm* gcm :
+         {&copied, &copy_assigned, &moved, &move_assigned}) {
+      EXPECT_EQ(gcm->backend(), backend);
+      EXPECT_EQ(to_hex(gcm->seal(nonce, aad, pt)), to_hex(sealed));
+      auto opened = gcm->open(nonce, aad, sealed);
+      ASSERT_TRUE(opened.has_value());
+      EXPECT_EQ(*opened, pt);
+    }
+  }
+}
+
+TEST(Aes128GcmContexts, ContextStaysSmall) {
+  // The portable backends' 4 KiB GHASH table lives on the heap; an
+  // inline table would put the context back above 4 KiB.
+  EXPECT_LE(sizeof(crypto::Aes128Gcm), 512u);
 }
 
 }  // namespace

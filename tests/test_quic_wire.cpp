@@ -2,6 +2,7 @@
 // frames, packets, version negotiation and RFC 9001 Initial protection.
 #include <gtest/gtest.h>
 
+#include "crypto/cpu.h"
 #include "crypto/rng.h"
 #include "quic/frame.h"
 #include "quic/packet.h"
@@ -254,6 +255,97 @@ TEST(InitialSecrets, MatchRfc9001AppendixA) {
             "c00cf151ca5be075ed0ebfb5c80323c42d6b7db67881289af4008f1f6c357aea");
   EXPECT_EQ(wire::to_hex(secrets.server),
             "3c199828fd139efd216c155ad844cc81fb82fa8d7446fa7d78be803acdda951b");
+}
+
+TEST(InitialSecrets, BothSidesMatchRfc9001AppendixA1OnEveryKernel) {
+  // RFC 9001 Appendix A.1: both directions' secrets and packet
+  // protection keys for DCID 8394c8f03e515708, under each SHA-256
+  // kernel (portable pins the scalar one).
+  auto dcid = wire::from_hex("8394c8f03e515708");
+  std::vector<crypto::Backend> backends = {crypto::Backend::kPortable};
+  if (crypto::sha256_hardware_available())
+    backends.push_back(crypto::Backend::kPortableBatched);
+  for (crypto::Backend backend : backends) {
+    crypto::ScopedBackendOverride force(backend);
+    SCOPED_TRACE(crypto::backend_name(backend));
+    auto secrets = derive_initial_secrets(kVersion1, dcid);
+    EXPECT_EQ(wire::to_hex(secrets.client),
+              "c00cf151ca5be075ed0ebfb5c80323c42d6b7db67881289af4008f1f6c357aea");
+    EXPECT_EQ(wire::to_hex(secrets.server),
+              "3c199828fd139efd216c155ad844cc81fb82fa8d7446fa7d78be803acdda951b");
+    auto client =
+        tls::derive_traffic_keys(secrets.client, tls::KeyUsage::kQuic);
+    EXPECT_EQ(wire::to_hex(client.key), "1f369613dd76d5467730efcbe3b1a22d");
+    EXPECT_EQ(wire::to_hex(client.iv), "fa044b2f42a3fd3b46fb255c");
+    EXPECT_EQ(wire::to_hex(client.hp), "9f50449e04a0e810283a1e9933adedd2");
+    auto server =
+        tls::derive_traffic_keys(secrets.server, tls::KeyUsage::kQuic);
+    EXPECT_EQ(wire::to_hex(server.key), "cf3a5331653c364c88f0f379b6067e37");
+    EXPECT_EQ(wire::to_hex(server.iv), "0ac1493ca1905853b0bba03e");
+    EXPECT_EQ(wire::to_hex(server.hp), "c206b8d9b9f0f37644430b490eeaa314");
+
+    // for_initial derives one direction only; each side's protector
+    // must open what the keys above seal.
+    Packet packet;
+    packet.type = PacketType::kInitial;
+    packet.version = kVersion1;
+    packet.dcid = dcid;
+    packet.scid = wire::from_hex("f067a5502a4262b5");
+    packet.packet_number = 1;
+    packet.payload = encode_frames({CryptoFrame{0, std::vector<uint8_t>(90, 7)},
+                                    PaddingFrame{1100}});
+    for (bool is_server : {false, true}) {
+      auto sealed =
+          PacketProtector(is_server ? server : client).protect(packet);
+      size_t offset = 0;
+      auto opened = PacketProtector::for_initial(kVersion1, dcid, is_server)
+                        .unprotect(sealed, offset);
+      ASSERT_TRUE(opened.has_value()) << "is_server=" << is_server;
+      EXPECT_EQ(opened->payload, packet.payload);
+    }
+  }
+}
+
+TEST(PacketProtectorContexts, CopiesAndMovesProtectLikeAFreshProtector) {
+  crypto::Rng rng(0x6c4);
+  auto dcid = rng.bytes(8);
+  auto keys = tls::derive_traffic_keys(rng.bytes(32), tls::KeyUsage::kQuic);
+  auto other = tls::derive_traffic_keys(rng.bytes(32), tls::KeyUsage::kQuic);
+  Packet packet;
+  packet.type = PacketType::kHandshake;
+  packet.version = kVersion1;
+  packet.dcid = dcid;
+  packet.scid = rng.bytes(8);
+  packet.packet_number = 5;
+  packet.payload = encode_frames({CryptoFrame{0, rng.bytes(400)}});
+  std::vector<crypto::Backend> backends = {crypto::Backend::kPortable,
+                                           crypto::Backend::kPortableBatched};
+  if (crypto::backend_available(crypto::Backend::kAesni))
+    backends.push_back(crypto::Backend::kAesni);
+  for (crypto::Backend backend : backends) {
+    crypto::ScopedBackendOverride force(backend);
+    SCOPED_TRACE(crypto::backend_name(backend));
+    const auto sealed = PacketProtector(keys).protect(packet);
+
+    PacketProtector source(keys);
+    PacketProtector copied(source);
+    PacketProtector moved(std::move(source));
+    PacketProtector move_assigned(other);
+    move_assigned = PacketProtector(keys);
+    for (const PacketProtector* p : {&copied, &moved, &move_assigned}) {
+      EXPECT_EQ(p->protect(packet), sealed);
+      size_t offset = 0;
+      auto opened = p->unprotect(sealed, offset);
+      ASSERT_TRUE(opened.has_value());
+      EXPECT_EQ(opened->payload, packet.payload);
+      EXPECT_EQ(offset, sealed.size());
+    }
+  }
+}
+
+TEST(PacketProtectorContexts, ProtectorStaysSmall) {
+  // Two AES schedules, the GHASH key and an IV: no inline 4 KiB table.
+  EXPECT_LE(sizeof(PacketProtector), 1024u);
 }
 
 class PacketProtectionTest : public ::testing::TestWithParam<Version> {};

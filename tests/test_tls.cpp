@@ -7,11 +7,22 @@
 #include "tls/handshake.h"
 #include "tls/key_schedule.h"
 #include "tls/record.h"
+#include "crypto/cpu.h"
 #include "crypto/rng.h"
+#include "wire/buffer.h"
 
 namespace {
 
 using namespace tls;
+
+// A backend that selects each SHA-256 kernel the host offers (portable
+// pins the scalar one; see crypto/cpu.h).
+std::vector<crypto::Backend> sha256_kernel_backends() {
+  std::vector<crypto::Backend> backends = {crypto::Backend::kPortable};
+  if (crypto::sha256_hardware_available())
+    backends.push_back(crypto::Backend::kPortableBatched);
+  return backends;
+}
 
 TEST(Extensions, SniRoundTrip) {
   std::vector<Extension> exts{SniExtension{"www.example.com"}};
@@ -229,6 +240,92 @@ TEST(KeySchedule, QuicAndTlsKeysDiffer) {
   EXPECT_EQ(quic_keys.iv.size(), 12u);
   EXPECT_EQ(quic_keys.hp.size(), 16u);
   EXPECT_TRUE(tls_keys.hp.empty());
+}
+
+TEST(KeySchedule, Rfc8448SimpleHandshakeSecrets) {
+  // RFC 8448 section 3 (no PSK): the early secret and its "derived"
+  // secret are constants, and the handshake secret follows from the
+  // (EC)DHE shared secret.
+  const auto shared = wire::from_hex(
+      "8bd4054fb55b9d63fdfbacf9f04b9f0d35e6d63f537563efd46272900f89492d");
+  const std::vector<uint8_t> zeros(32, 0);
+  for (crypto::Backend backend : sha256_kernel_backends()) {
+    crypto::ScopedBackendOverride force(backend);
+    SCOPED_TRACE(crypto::backend_name(backend));
+    auto early = crypto::hkdf_extract({}, zeros);
+    EXPECT_EQ(wire::to_hex(early),
+              "33ad0a1c607ec03b09e6cd9893680ce210adf300aa1f2660e1b22e10f170f92a");
+    auto derived = crypto::hkdf_expand_label(
+        early, "derived", crypto::Sha256::hash({}), 32);
+    EXPECT_EQ(wire::to_hex(derived),
+              "6f2615a108c702c5678f54fc9dbab69716c076189c48250cebeac3576c3611ba");
+    EXPECT_EQ(wire::to_hex(crypto::hkdf_extract(derived, shared)),
+              "1dc826e93606aa6fdc0aadc12f741b01046aa6b99f691ed221a9f0ca043fbeac");
+  }
+}
+
+TEST(KeySchedule, MatchesSpanWrapperReferenceOnRandomHandshakes) {
+  // KeySchedule derives from cached HMAC keys (process-wide for the
+  // early "derived" secret, per schedule for the handshake secret);
+  // the reference spells RFC 8446 section 7.1 out with one-off keys.
+  const std::vector<uint8_t> zeros(32, 0);
+  const auto empty_hash = crypto::Sha256::hash({});
+  auto label = [](std::span<const uint8_t> secret, const char* name,
+                  std::span<const uint8_t> context) {
+    return crypto::hkdf_expand_label(secret, name, context, 32);
+  };
+  auto finished = [&](std::span<const uint8_t> secret,
+                      std::span<const uint8_t> th) {
+    return crypto::hmac_sha256(label(secret, "finished", {}), th);
+  };
+  crypto::Rng rng(0x8446);
+  for (crypto::Backend backend : sha256_kernel_backends()) {
+    crypto::ScopedBackendOverride force(backend);
+    for (int round = 0; round < 16; ++round) {
+      SCOPED_TRACE(std::string(crypto::backend_name(backend)) + " round " +
+                   std::to_string(round));
+      const auto shared = rng.bytes(1 + rng.below(64));
+      const auto hello = rng.bytes(rng.below(600));
+      const auto server_flight = rng.bytes(rng.below(1500));
+      const auto server_fin = rng.bytes(36);
+
+      KeySchedule ks;
+      ks.add_message(hello);
+      ks.derive_handshake_secrets(shared);
+      ks.add_message(server_flight);
+      const auto server_finished =
+          ks.finished_verify_data(ks.server_handshake_secret());
+      ks.add_message(server_fin);
+      ks.derive_application_secrets();
+      const auto client_finished =
+          ks.finished_verify_data(ks.client_handshake_secret());
+
+      std::vector<uint8_t> transcript = hello;
+      const auto th_hello = crypto::Sha256::hash(transcript);
+      transcript.insert(transcript.end(), server_flight.begin(),
+                        server_flight.end());
+      const auto th_flight = crypto::Sha256::hash(transcript);
+      transcript.insert(transcript.end(), server_fin.begin(),
+                        server_fin.end());
+      const auto th_fin = crypto::Sha256::hash(transcript);
+
+      const auto early = crypto::hkdf_extract({}, zeros);
+      const auto hs = crypto::hkdf_extract(
+          label(early, "derived", empty_hash), shared);
+      const auto client_hs = label(hs, "c hs traffic", th_hello);
+      const auto server_hs = label(hs, "s hs traffic", th_hello);
+      const auto master = crypto::hkdf_extract(
+          label(hs, "derived", empty_hash), zeros);
+      EXPECT_EQ(ks.client_handshake_secret(), client_hs);
+      EXPECT_EQ(ks.server_handshake_secret(), server_hs);
+      EXPECT_EQ(ks.client_application_secret(),
+                label(master, "c ap traffic", th_fin));
+      EXPECT_EQ(ks.server_application_secret(),
+                label(master, "s ap traffic", th_fin));
+      EXPECT_EQ(server_finished, finished(server_hs, th_flight));
+      EXPECT_EQ(client_finished, finished(client_hs, th_fin));
+    }
+  }
 }
 
 TEST(Record, PlaintextRoundTrip) {
