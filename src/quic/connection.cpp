@@ -2,14 +2,11 @@
 
 #include <algorithm>
 
-#include "crypto/dh.h"
 #include "crypto/sha256.h"
 
 namespace quic {
 
 namespace {
-
-constexpr uint16_t kSigAlgRsaPssSha256 = 0x0804;
 
 /// Appends to `w` the payload of an Initial datagram padded so the
 /// protected datagram reaches `target` bytes (RFC 9000 section 14.1).
@@ -35,15 +32,12 @@ size_t initial_header_overhead(const ConnectionId& dcid,
          wire::varint_size(length_value) + 2;
 }
 
-std::vector<uint8_t> shared_secret_bytes(uint64_t secret,
-                                         std::span<const uint8_t> peer_pub) {
-  return crypto::dh_encode(crypto::dh_shared(secret,
-                                             crypto::dh_decode(peer_pub)));
-}
-
-const tls::TransportParametersExtension* find_tp_ext(
-    const std::vector<tls::Extension>& exts) {
-  return tls::find_transport_params(exts);
+/// The transport-parameters codepoint: RFC 9001 assigns 0x39 for v1;
+/// every draft used 0xffa5.
+uint16_t tp_codepoint(Version version) {
+  return static_cast<uint16_t>(
+      version == kVersion1 ? tls::ExtensionType::kQuicTransportParameters
+                           : tls::ExtensionType::kQuicTransportParametersDraft);
 }
 
 /// --- telemetry helpers ----------------------------------------------
@@ -82,13 +76,15 @@ std::string versions_to_string(const std::vector<Version>& versions) {
   return out;
 }
 
-/// One frame_processed event per frame of a just-decoded packet.
-void trace_frames(const telemetry::Tracer& tracer, const char* level,
-                  const std::vector<Frame>& frames) {
-  if (!tracer.active()) return;
-  for (const auto& frame : frames)
-    tracer.emit(telemetry::EventType::kFrameProcessed,
-                {{"level", level}, {"frame_type", frame_name(frame)}});
+const char* message_name(const tls::HandshakeMessage& msg) {
+  if (std::holds_alternative<tls::EncryptedExtensions>(msg))
+    return "encrypted_extensions";
+  if (std::holds_alternative<tls::CertificateMessage>(msg))
+    return "certificate";
+  if (std::holds_alternative<tls::CertificateVerify>(msg))
+    return "certificate_verify";
+  if (std::holds_alternative<tls::Finished>(msg)) return "finished";
+  return "?";
 }
 
 /// Stateless generator for adversary mutation bytes. Seeded from the
@@ -160,40 +156,16 @@ ClientConnection::ClientConnection(ClientConfig config, crypto::Rng rng,
       send_(std::move(send)),
       done_(std::move(done)) {}
 
-uint16_t ClientConnection::tp_codepoint() const {
-  // RFC 9001 assigns 0x39 for v1; every draft used 0xffa5.
-  return config_.version == kVersion1
-             ? static_cast<uint16_t>(
-                   tls::ExtensionType::kQuicTransportParameters)
-             : static_cast<uint16_t>(
-                   tls::ExtensionType::kQuicTransportParametersDraft);
-}
-
-tls::ClientHello ClientConnection::build_client_hello() {
-  tls::ClientHello ch;
-  auto random = rng_.bytes(32);
-  std::copy(random.begin(), random.end(), ch.random.begin());
-  ch.cipher_suites = {tls::CipherSuite::kAes128GcmSha256,
-                      tls::CipherSuite::kAes256GcmSha384,
-                      tls::CipherSuite::kChaCha20Poly1305Sha256};
-  if (config_.sni) ch.extensions.push_back(tls::SniExtension{*config_.sni});
-  if (!config_.alpn.empty())
-    ch.extensions.push_back(tls::AlpnExtension{config_.alpn});
-  ch.extensions.push_back(tls::SupportedGroupsExtension{
-      {static_cast<uint16_t>(tls::NamedGroup::kX25519),
-       static_cast<uint16_t>(tls::NamedGroup::kSecp256r1),
-       static_cast<uint16_t>(tls::NamedGroup::kSecp384r1)}});
-  ch.extensions.push_back(
-      tls::SignatureAlgorithmsExtension{{kSigAlgRsaPssSha256, 0x0403}});
-  ch.extensions.push_back(tls::SupportedVersionsExtension{{tls::kVersion13}});
-  ch.extensions.push_back(tls::KeyShareExtension{
-      {{static_cast<uint16_t>(tls::NamedGroup::kX25519),
-        crypto::dh_encode(key_pair_.public_value)}}});
-  TransportParameters tp = config_.transport_params;
-  tp.initial_source_connection_id = scid_;
-  ch.extensions.push_back(tls::TransportParametersExtension{
-      tp_codepoint(), encode_transport_parameters(tp)});
-  return ch;
+Packet ClientConnection::next_packet(PacketType type) {
+  Packet packet;
+  packet.type = type;
+  packet.version = config_.version;
+  packet.dcid = dcid_;
+  packet.scid = scid_;
+  packet.packet_number = type == PacketType::kInitial     ? pn_initial_++
+                         : type == PacketType::kHandshake ? pn_handshake_++
+                                                          : pn_app_++;
+  return packet;
 }
 
 void ClientConnection::start() { send_initial_flight(); }
@@ -203,8 +175,13 @@ void ClientConnection::send_initial_flight() {
   // derives fresh Initial keys from it (RFC 9001 section 5.2).
   dcid_ = retry_dcid_ ? *retry_dcid_ : rng_.bytes(8);
   scid_ = rng_.bytes(8);
-  key_pair_ = crypto::dh_generate(rng_.next());
-  key_schedule_ = tls::KeySchedule();
+  TransportParameters tp = config_.transport_params;
+  tp.initial_source_connection_id = scid_;
+  handshake_.emplace(rng_, config_.sni, config_.alpn,
+                     std::vector<uint16_t>{tls::kVersion13},
+                     tls::TransportParametersExtension{
+                         tp_codepoint(config_.version),
+                         encode_transport_parameters(tp)});
   handshake_crypto_.clear();
   pn_initial_ = pn_handshake_ = pn_app_ = 0;
 
@@ -219,20 +196,12 @@ void ClientConnection::send_initial_flight() {
   app_tx_.reset();
   app_rx_.reset();
 
-  auto ch = build_client_hello();
-  client_hello_bytes_ = tls::encode_handshake(ch);
-  key_schedule_.add_message(client_hello_bytes_);
-
-  Packet packet;
-  packet.type = PacketType::kInitial;
-  packet.version = config_.version;
-  packet.dcid = dcid_;
-  packet.scid = scid_;
+  const std::vector<uint8_t>& client_hello = handshake_->client_hello();
+  Packet packet = next_packet(PacketType::kInitial);
   packet.token = retry_token_;
-  packet.packet_number = pn_initial_++;
-  const Frame ch_frame = CryptoFrame{0, client_hello_bytes_};
+  const Frame ch_frame = CryptoFrame{0, client_hello};
   size_t overhead =
-      initial_header_overhead(dcid_, scid_, client_hello_bytes_.size() + 1100) +
+      initial_header_overhead(dcid_, scid_, client_hello.size() + 1100) +
       retry_token_.size();
   const size_t scratch_cap = frame_scratch_.capacity();
   frame_scratch_.clear();
@@ -244,7 +213,7 @@ void ClientConnection::send_initial_flight() {
     config_.tracer.emit(
         telemetry::EventType::kTlsMessage,
         {{"message", "client_hello"},
-         {"size", static_cast<uint64_t>(client_hello_bytes_.size())}});
+         {"size", static_cast<uint64_t>(client_hello.size())}});
     config_.tracer.emit(telemetry::EventType::kKeyUpdate,
                         {{"level", "initial"}});
   }
@@ -301,27 +270,58 @@ void ClientConnection::fail_protocol(ProtocolError error,
   finish(ConnectResult::kProtocolViolation);
 }
 
-bool ClientConnection::check_frames(const std::vector<Frame>& frames,
-                                    PacketType space, uint64_t next_pn) {
-  const bool handshake_space =
-      space == PacketType::kInitial || space == PacketType::kHandshake;
+std::optional<std::vector<Frame>> ClientConnection::read_frames(
+    const Packet& packet) {
+  std::vector<Frame> frames;
+  try {
+    frames = decode_frames(packet.payload);
+  } catch (const FrameDecodeError& e) {
+    fail_protocol(e.kind == FrameDecodeError::Kind::kUnknownType
+                      ? ProtocolError::kFrameUnknown
+                      : ProtocolError::kFrameEncoding,
+                  e.what());
+    return std::nullopt;
+  } catch (const wire::DecodeError& e) {
+    fail_protocol(ProtocolError::kFrameEncoding, e.what());
+    return std::nullopt;
+  }
+  const char* space = packet_type_name(packet.type);
+  if (config_.tracer.active())
+    for (const auto& frame : frames)
+      config_.tracer.emit(
+          telemetry::EventType::kFrameProcessed,
+          {{"level", space}, {"frame_type", frame_name(frame)}});
+  if (const auto* close = find_close(frames)) {
+    report_.close_error_code = close->error_code;
+    report_.close_reason = close->reason_phrase;
+    finish(is_crypto_error(close->error_code) ? ConnectResult::kCryptoError
+                                              : ConnectResult::kTransportError);
+    return std::nullopt;
+  }
+  // Space legality (RFC 9000 section 12.4), and ACK sanity against the
+  // next unsent packet number in this space.
+  const bool handshake_space = packet.type == PacketType::kInitial ||
+                               packet.type == PacketType::kHandshake;
+  const uint64_t next_pn = packet.type == PacketType::kInitial ? pn_initial_
+                           : packet.type == PacketType::kHandshake
+                               ? pn_handshake_
+                               : pn_app_;
   for (const auto& frame : frames) {
     if (handshake_space && (std::holds_alternative<StreamFrame>(frame) ||
                             std::holds_alternative<HandshakeDoneFrame>(frame))) {
       fail_protocol(ProtocolError::kFrameIllegal,
-                    std::string(frame_name(frame)) + " frame in " +
-                        packet_type_name(space) + " packet");
-      return false;
+                    std::string(frame_name(frame)) + " frame in " + space +
+                        " packet");
+      return std::nullopt;
     }
-    if (const auto* ack = std::get_if<AckFrame>(&frame)) {
-      if (!ack_frame_valid(*ack, next_pn)) {
-        fail_protocol(ProtocolError::kAckInvalid,
-                      "ACK for unsent packets or inverted range");
-        return false;
-      }
+    if (const auto* ack = std::get_if<AckFrame>(&frame);
+        ack && !ack_frame_valid(*ack, next_pn)) {
+      fail_protocol(ProtocolError::kAckInvalid,
+                    "ACK for unsent packets or inverted range");
+      return std::nullopt;
     }
   }
-  return true;
+  return frames;
 }
 
 void ClientConnection::process_version_negotiation(
@@ -394,44 +394,24 @@ void ClientConnection::on_datagram(std::span<const uint8_t> datagram) {
     return;
   }
 
-  auto trace_received = [this](const Packet& packet, size_t consumed) {
-    if (config_.tracer.active())
-      config_.tracer.emit(telemetry::EventType::kPacketReceived,
-                          {{"packet_type", packet_type_name(packet.type)},
-                           {"packet_number", packet.packet_number},
-                           {"size", static_cast<uint64_t>(consumed)}});
-  };
   // Each piece decodes into the reusable rx_packet_; process_* copies
   // everything it keeps out of the payload before any send_, so reuse
-  // is safe even when a reply nests inside the send callback.
+  // is safe even when a reply nests inside the send callback. Every
+  // process_* that ends the attempt leaves state_ at kDone, which stops
+  // the walk.
   size_t offset = 0;
   while (offset < datagram.size() && state_ != State::kDone) {
     auto piece = peek_datagram(datagram.subspan(offset));
     if (!piece) return;
-    size_t piece_start = offset;
-    bool opened = false;
-    if (piece->long_header && piece->type == PacketType::kInitial &&
-        initial_rx_) {
-      opened = initial_rx_->unprotect_into(datagram, offset, rx_packet_);
-      if (opened) {
-        trace_received(rx_packet_, offset - piece_start);
-        if (!process_initial(rx_packet_)) return;
-      }
-    } else if (piece->long_header && piece->type == PacketType::kHandshake &&
-               handshake_rx_) {
-      opened = handshake_rx_->unprotect_into(datagram, offset, rx_packet_);
-      if (opened) {
-        trace_received(rx_packet_, offset - piece_start);
-        if (!process_handshake(rx_packet_)) return;
-      }
-    } else if (!piece->long_header && app_rx_) {
-      opened = app_rx_->unprotect_into(datagram, offset, rx_packet_);
-      if (opened) {
-        trace_received(rx_packet_, offset - piece_start);
-        process_one_rtt(rx_packet_);
-      }
-    }
-    if (!opened) {
+    const size_t piece_start = offset;
+    const PacketProtector* rx = nullptr;
+    if (piece->long_header && piece->type == PacketType::kInitial)
+      rx = initial_rx_ ? &*initial_rx_ : nullptr;
+    else if (piece->long_header && piece->type == PacketType::kHandshake)
+      rx = handshake_rx_ ? &*handshake_rx_ : nullptr;
+    else if (!piece->long_header)
+      rx = app_rx_ ? &*app_rx_ : nullptr;
+    if (!rx || !rx->unprotect_into(datagram, offset, rx_packet_)) {
       // Undecryptable: corrupted in flight, or keys for this level are
       // not available yet (a reordered datagram overtook the flight
       // carrying them). Count and drop the rest of the datagram -- the
@@ -439,35 +419,27 @@ void ClientConnection::on_datagram(std::span<const uint8_t> datagram) {
       ++hotpath_stats_.undecryptable;
       return;
     }
+    if (config_.tracer.active())
+      config_.tracer.emit(
+          telemetry::EventType::kPacketReceived,
+          {{"packet_type", packet_type_name(rx_packet_.type)},
+           {"packet_number", rx_packet_.packet_number},
+           {"size", static_cast<uint64_t>(offset - piece_start)}});
+    if (rx_packet_.type == PacketType::kInitial)
+      process_initial(rx_packet_);
+    else if (rx_packet_.type == PacketType::kHandshake)
+      process_handshake(rx_packet_);
+    else
+      process_one_rtt(rx_packet_);
   }
 }
 
-bool ClientConnection::process_initial(const Packet& packet) {
-  std::vector<Frame> frames;
-  try {
-    frames = decode_frames(packet.payload);
-  } catch (const FrameDecodeError& e) {
-    fail_protocol(e.kind == FrameDecodeError::Kind::kUnknownType
-                      ? ProtocolError::kFrameUnknown
-                      : ProtocolError::kFrameEncoding,
-                  e.what());
-    return false;
-  } catch (const wire::DecodeError& e) {
-    fail_protocol(ProtocolError::kFrameEncoding, e.what());
-    return false;
-  }
-  trace_frames(config_.tracer, "initial", frames);
-  if (const auto* close = find_close(frames)) {
-    report_.close_error_code = close->error_code;
-    report_.close_reason = close->reason_phrase;
-    finish(is_crypto_error(close->error_code) ? ConnectResult::kCryptoError
-                                              : ConnectResult::kTransportError);
-    return false;
-  }
-  if (!check_frames(frames, PacketType::kInitial, pn_initial_)) return false;
-  const auto* crypto_frame = find_crypto(frames);
-  if (!crypto_frame) return true;  // bare ACK
-  if (state_ != State::kAwaitServerHello) return true;
+void ClientConnection::process_initial(const Packet& packet) {
+  const auto frames = read_frames(packet);
+  if (!frames) return;
+  const auto* crypto_frame = find_crypto(*frames);
+  // A bare ACK, or a ServerHello retransmitted after the first.
+  if (!crypto_frame || state_ != State::kAwaitServerHello) return;
 
   tls::HandshakeMessage msg;
   try {
@@ -475,13 +447,13 @@ bool ClientConnection::process_initial(const Packet& packet) {
     msg = tls::decode_handshake(r);
   } catch (const wire::DecodeError& e) {
     fail_protocol(ProtocolError::kTlsDecode, e.what());
-    return false;
+    return;
   }
   const auto* sh = std::get_if<tls::ServerHello>(&msg);
   if (!sh) {
     fail_protocol(ProtocolError::kTlsDecode,
                   "expected ServerHello in Initial CRYPTO");
-    return false;
+    return;
   }
   report_.server_hello_seen = true;
   if (config_.tracer.active())
@@ -489,172 +461,114 @@ bool ClientConnection::process_initial(const Packet& packet) {
         telemetry::EventType::kTlsMessage,
         {{"message", "server_hello"},
          {"size", static_cast<uint64_t>(crypto_frame->data.size())}});
-  key_schedule_.add_message(crypto_frame->data);
-
-  report_.tls.negotiated_version = sh->negotiated_version();
-  report_.tls.cipher_suite = sh->cipher_suite;
-  const auto* ks = tls::find_key_share(sh->extensions);
-  if (!ks || ks->entries.empty()) {
+  // The transcript hashes the whole CRYPTO data that carried the hello.
+  const bool tls13 = handshake_->on_server_hello(*sh, crypto_frame->data);
+  report_.tls = handshake_->details();
+  if (!tls13) {
     finish(ConnectResult::kInternalError);
-    return false;
+    return;
   }
-  report_.tls.key_exchange_group = ks->entries[0].group;
-  for (const auto& ext : sh->extensions)
-    report_.tls.server_extensions.push_back(tls::extension_type(ext));
-
-  auto shared = shared_secret_bytes(key_pair_.secret,
-                                    ks->entries[0].key_exchange);
-  key_schedule_.derive_handshake_secrets(shared);
+  const tls::KeySchedule& secrets = handshake_->secrets();
   handshake_tx_ = PacketProtector(tls::derive_traffic_keys(
-      key_schedule_.client_handshake_secret(), tls::KeyUsage::kQuic));
+      secrets.client_handshake_secret(), tls::KeyUsage::kQuic));
   handshake_rx_ = PacketProtector(tls::derive_traffic_keys(
-      key_schedule_.server_handshake_secret(), tls::KeyUsage::kQuic));
+      secrets.server_handshake_secret(), tls::KeyUsage::kQuic));
   handshake_tx_->set_stats(&hotpath_stats_);
   handshake_rx_->set_stats(&hotpath_stats_);
   config_.tracer.emit(telemetry::EventType::kKeyUpdate,
                       {{"level", "handshake"}});
   state_ = State::kAwaitServerFinished;
-  return true;
 }
 
-bool ClientConnection::process_handshake(const Packet& packet) {
-  if (state_ != State::kAwaitServerFinished) return true;
-  std::vector<Frame> frames;
+bool ClientConnection::accept_transport_params(
+    const tls::EncryptedExtensions& ee) {
+  const auto* tp = tls::find_transport_params(ee.extensions);
+  if (!tp) return true;
   try {
-    frames = decode_frames(packet.payload);
-  } catch (const FrameDecodeError& e) {
-    fail_protocol(e.kind == FrameDecodeError::Kind::kUnknownType
-                      ? ProtocolError::kFrameUnknown
-                      : ProtocolError::kFrameEncoding,
+    report_.server_transport_params = decode_transport_parameters(tp->payload);
+  } catch (const TpDecodeError& e) {
+    fail_protocol(e.kind == TpDecodeError::Kind::kDuplicate
+                      ? ProtocolError::kTpDuplicate
+                      : ProtocolError::kTpMalformed,
                   e.what());
     return false;
   } catch (const wire::DecodeError& e) {
-    fail_protocol(ProtocolError::kFrameEncoding, e.what());
+    fail_protocol(ProtocolError::kTpMalformed, e.what());
     return false;
   }
-  trace_frames(config_.tracer, "handshake", frames);
-  if (const auto* close = find_close(frames)) {
-    report_.close_error_code = close->error_code;
-    report_.close_reason = close->reason_phrase;
-    finish(is_crypto_error(close->error_code) ? ConnectResult::kCryptoError
-                                              : ConnectResult::kTransportError);
+  if (config_.tracer.active()) {
+    const auto& params = report_.server_transport_params;
+    config_.tracer.emit(
+        telemetry::EventType::kTransportParamsSet,
+        {{"owner", "remote"},
+         {"initial_max_data", params.initial_max_data.value_or(0)},
+         {"max_udp_payload_size", params.effective_max_udp_payload_size()}});
+  }
+  // Downgrade protection (RFC 9368 section 4): the authenticated chosen
+  // version must match the version actually in use.
+  const auto& info = report_.server_transport_params.version_information;
+  if (info && info->chosen != config_.version) {
+    report_.close_error_code = 0x11;  // VERSION_NEGOTIATION_ERROR
+    report_.close_reason = "version downgrade detected";
+    finish(ConnectResult::kTransportError);
     return false;
   }
-  if (!check_frames(frames, PacketType::kHandshake, pn_handshake_))
-    return false;
+  return true;
+}
+
+void ClientConnection::process_handshake(const Packet& packet) {
+  if (state_ != State::kAwaitServerFinished) return;
+  const auto frames = read_frames(packet);
+  if (!frames) return;
   // Feed every CRYPTO frame through the reassembler; out-of-order and
   // duplicate chunks buffer until the contiguous prefix grows. Chunks
   // that disagree about bytes they both cover are a protocol violation
   // (the peer is lying about its own stream).
   bool grew = false;
-  for (const auto& frame : frames)
+  for (const auto& frame : *frames)
     if (const auto* c = std::get_if<CryptoFrame>(&frame))
       grew |= handshake_crypto_.offer(c->offset, c->data);
   if (handshake_crypto_.conflict()) {
     fail_protocol(ProtocolError::kCryptoInconsistent,
                   "conflicting CRYPTO retransmission bytes");
-    return false;
+    return;
   }
-  if (!grew) return true;  // no new contiguous bytes: nothing to re-parse
+  if (!grew) return;  // no new contiguous bytes: nothing to re-parse
 
-  // Try to parse the complete EE..Finished flight.
-  const std::vector<uint8_t>& crypto_stream = handshake_crypto_.assembled();
-  std::vector<tls::HandshakeMessage> flight;
+  // Parse the EE..Finished flight once it is complete.
+  std::vector<tls::FlightMessage> flight;
   try {
-    flight = tls::decode_handshake_flight(crypto_stream);
+    flight = tls::decode_handshake_flight(handshake_crypto_.assembled());
   } catch (const wire::DecodeError&) {
-    return true;  // incomplete; wait for more CRYPTO data
+    return;  // incomplete; wait for more CRYPTO data
   }
-  bool have_finished = false;
-  for (const auto& m : flight)
-    if (std::holds_alternative<tls::Finished>(m)) have_finished = true;
-  if (!have_finished) return true;
+  if (std::ranges::none_of(flight, [](const tls::FlightMessage& m) {
+        return std::holds_alternative<tls::Finished>(m.message);
+      }))
+    return;
 
-  // Re-walk the flight, updating the transcript message by message so
-  // the Finished check runs over CH..CertificateVerify.
-  wire::Reader raw(crypto_stream);
-  for (const auto& m : flight) {
-    size_t before = raw.position();
-    tls::decode_handshake(raw);  // advance to find the encoded length
-    size_t len = raw.position() - before;
-    std::span<const uint8_t> encoded{crypto_stream.data() + before, len};
-    if (config_.tracer.active()) {
-      const char* name = "?";
-      if (std::holds_alternative<tls::EncryptedExtensions>(m))
-        name = "encrypted_extensions";
-      else if (std::holds_alternative<tls::CertificateMessage>(m))
-        name = "certificate";
-      else if (std::holds_alternative<tls::CertificateVerify>(m))
-        name = "certificate_verify";
-      else if (std::holds_alternative<tls::Finished>(m))
-        name = "finished";
+  // The transport parameters are checked before the engine records the
+  // EncryptedExtensions that carried them.
+  for (const auto& [msg, encoded] : flight) {
+    if (config_.tracer.active())
       config_.tracer.emit(telemetry::EventType::kTlsMessage,
-                          {{"message", name},
-                           {"size", static_cast<uint64_t>(len)}});
+                          {{"message", message_name(msg)},
+                           {"size", static_cast<uint64_t>(encoded.size())}});
+    const auto* ee = std::get_if<tls::EncryptedExtensions>(&msg);
+    if (ee && !accept_transport_params(*ee)) return;
+    if (!handshake_->on_server_message(msg, encoded)) {
+      report_.tls = handshake_->details();
+      finish(ConnectResult::kInternalError);
+      return;
     }
-    if (const auto* ee = std::get_if<tls::EncryptedExtensions>(&m)) {
-      if (const auto* tp = find_tp_ext(ee->extensions)) {
-        try {
-          report_.server_transport_params =
-              decode_transport_parameters(tp->payload);
-        } catch (const TpDecodeError& e) {
-          fail_protocol(e.kind == TpDecodeError::Kind::kDuplicate
-                            ? ProtocolError::kTpDuplicate
-                            : ProtocolError::kTpMalformed,
-                        e.what());
-          return false;
-        } catch (const wire::DecodeError& e) {
-          fail_protocol(ProtocolError::kTpMalformed, e.what());
-          return false;
-        }
-        if (config_.tracer.active()) {
-          const auto& params = report_.server_transport_params;
-          config_.tracer.emit(
-              telemetry::EventType::kTransportParamsSet,
-              {{"owner", "remote"},
-               {"initial_max_data", params.initial_max_data.value_or(0)},
-               {"max_udp_payload_size",
-                params.effective_max_udp_payload_size()}});
-        }
-        // Downgrade protection (RFC 9368 section 4): the authenticated
-        // chosen version must match the version actually in use.
-        const auto& info = report_.server_transport_params.version_information;
-        if (info && info->chosen != config_.version) {
-          report_.close_error_code = 0x11;  // VERSION_NEGOTIATION_ERROR
-          report_.close_reason = "version downgrade detected";
-          finish(ConnectResult::kTransportError);
-          return false;
-        }
-      }
-      if (const auto* alpn = tls::find_alpn(ee->extensions);
-          alpn && !alpn->protocols.empty())
-        report_.tls.selected_alpn = alpn->protocols[0];
-      report_.tls.sni_echoed = tls::find_sni(ee->extensions) != nullptr;
-      for (const auto& ext : ee->extensions)
-        report_.tls.server_extensions.push_back(tls::extension_type(ext));
-    } else if (const auto* cert = std::get_if<tls::CertificateMessage>(&m)) {
-      report_.tls.certificate_chain = cert->chain;
-    } else if (std::holds_alternative<tls::Finished>(m)) {
-      auto expected = key_schedule_.finished_verify_data(
-          key_schedule_.server_handshake_secret());
-      if (!std::ranges::equal(std::get<tls::Finished>(m).verify_data,
-                              expected)) {
-        finish(ConnectResult::kInternalError);
-        return false;
-      }
-    }
-    key_schedule_.add_message(encoded);
   }
-  std::sort(report_.tls.server_extensions.begin(),
-            report_.tls.server_extensions.end());
+  report_.tls = handshake_->details();
 
-  // Application secrets come from the transcript through server
-  // Finished, which is exactly the current state.
-  key_schedule_.derive_application_secrets();
+  const tls::KeySchedule& secrets = handshake_->secrets();
   app_tx_ = PacketProtector(tls::derive_traffic_keys(
-      key_schedule_.client_application_secret(), tls::KeyUsage::kQuic));
+      secrets.client_application_secret(), tls::KeyUsage::kQuic));
   app_rx_ = PacketProtector(tls::derive_traffic_keys(
-      key_schedule_.server_application_secret(), tls::KeyUsage::kQuic));
+      secrets.server_application_secret(), tls::KeyUsage::kQuic));
   app_tx_->set_stats(&hotpath_stats_);
   app_rx_->set_stats(&hotpath_stats_);
   config_.tracer.emit(telemetry::EventType::kKeyUpdate,
@@ -663,105 +577,65 @@ bool ClientConnection::process_handshake(const Packet& packet) {
   // Client flight: Initial ACK + Handshake Finished (+ optional 1-RTT
   // request), appended into one datagram via protect_into; each packet's
   // frames are encoded into the reusable scratch Writer.
-  {
-    const size_t scratch_cap = frame_scratch_.capacity();
-    std::vector<uint8_t> datagram;
+  const size_t scratch_cap = frame_scratch_.capacity();
+  std::vector<uint8_t> datagram;
 
-    Packet ack_packet;
-    ack_packet.type = PacketType::kInitial;
-    ack_packet.version = config_.version;
-    ack_packet.dcid = dcid_;
-    ack_packet.scid = scid_;
-    ack_packet.packet_number = pn_initial_++;
-    frame_scratch_.clear();
-    const Frame initial_frames[] = {AckFrame{0, 0, 0, {}}, PingFrame{}};
-    encode_frames_into(frame_scratch_, initial_frames);
-    initial_tx_->protect_into(ack_packet, frame_scratch_.span(), datagram);
-    size_t initial_size = datagram.size();
+  const Packet ack_packet = next_packet(PacketType::kInitial);
+  frame_scratch_.clear();
+  const Frame initial_frames[] = {AckFrame{0, 0, 0, {}}, PingFrame{}};
+  encode_frames_into(frame_scratch_, initial_frames);
+  initial_tx_->protect_into(ack_packet, frame_scratch_.span(), datagram);
+  size_t initial_size = datagram.size();
 
-    tls::Finished fin;
-    auto verify_data = key_schedule_.finished_verify_data(
-        key_schedule_.client_handshake_secret());
-    fin.verify_data.assign(verify_data.begin(), verify_data.end());
-    Packet hs_packet;
-    hs_packet.type = PacketType::kHandshake;
-    hs_packet.version = config_.version;
-    hs_packet.dcid = dcid_;
-    hs_packet.scid = scid_;
-    hs_packet.packet_number = pn_handshake_++;
-    frame_scratch_.clear();
-    const Frame hs_frames[] = {CryptoFrame{0, tls::encode_handshake(fin)},
-                               AckFrame{0, 0, 0, {}}};
-    encode_frames_into(frame_scratch_, hs_frames);
-    handshake_tx_->protect_into(hs_packet, frame_scratch_.span(), datagram);
-    size_t hs_size = datagram.size() - initial_size;
-    if (config_.tracer.active()) {
-      config_.tracer.emit(telemetry::EventType::kTlsMessage,
-                          {{"message", "finished"}, {"sent", true}});
-      config_.tracer.emit(telemetry::EventType::kPacketSent,
-                          {{"packet_type", "initial"},
-                           {"packet_number", ack_packet.packet_number},
-                           {"size", static_cast<uint64_t>(initial_size)}});
-      config_.tracer.emit(telemetry::EventType::kPacketSent,
-                          {{"packet_type", "handshake"},
-                           {"packet_number", hs_packet.packet_number},
-                           {"size", static_cast<uint64_t>(hs_size)}});
-    }
-
-    if (config_.http_request) {
-      Packet req;
-      req.type = PacketType::kOneRtt;
-      req.dcid = dcid_;
-      req.packet_number = pn_app_++;
-      StreamFrame stream;
-      stream.stream_id = 0;
-      stream.fin = true;
-      stream.data.assign(config_.http_request->begin(),
-                         config_.http_request->end());
-      size_t before = datagram.size();
-      frame_scratch_.clear();
-      const Frame req_frame = std::move(stream);
-      encode_frames_into(frame_scratch_, {&req_frame, 1});
-      app_tx_->protect_into(req, frame_scratch_.span(), datagram);
-      if (config_.tracer.active())
-        config_.tracer.emit(
-            telemetry::EventType::kPacketSent,
-            {{"packet_type", "1rtt"},
-             {"packet_number", req.packet_number},
-             {"size", static_cast<uint64_t>(datagram.size() - before)}});
-    }
-    if (frame_scratch_.capacity() > scratch_cap)
-      hotpath_stats_.alloc_bytes += frame_scratch_.capacity() - scratch_cap;
-    state_ = State::kAwaitHttpResponse;  // before send_: reply may nest
-    send_(std::move(datagram));
+  const Packet hs_packet = next_packet(PacketType::kHandshake);
+  frame_scratch_.clear();
+  const Frame hs_frames[] = {CryptoFrame{0, handshake_->client_finished()},
+                             AckFrame{0, 0, 0, {}}};
+  encode_frames_into(frame_scratch_, hs_frames);
+  handshake_tx_->protect_into(hs_packet, frame_scratch_.span(), datagram);
+  size_t hs_size = datagram.size() - initial_size;
+  if (config_.tracer.active()) {
+    config_.tracer.emit(telemetry::EventType::kTlsMessage,
+                        {{"message", "finished"}, {"sent", true}});
+    config_.tracer.emit(telemetry::EventType::kPacketSent,
+                        {{"packet_type", "initial"},
+                         {"packet_number", ack_packet.packet_number},
+                         {"size", static_cast<uint64_t>(initial_size)}});
+    config_.tracer.emit(telemetry::EventType::kPacketSent,
+                        {{"packet_type", "handshake"},
+                         {"packet_number", hs_packet.packet_number},
+                         {"size", static_cast<uint64_t>(hs_size)}});
   }
-  return true;
+
+  if (config_.http_request) {
+    const Packet req = next_packet(PacketType::kOneRtt);
+    StreamFrame stream;
+    stream.stream_id = 0;
+    stream.fin = true;
+    stream.data.assign(config_.http_request->begin(),
+                       config_.http_request->end());
+    size_t before = datagram.size();
+    frame_scratch_.clear();
+    const Frame req_frame = std::move(stream);
+    encode_frames_into(frame_scratch_, {&req_frame, 1});
+    app_tx_->protect_into(req, frame_scratch_.span(), datagram);
+    if (config_.tracer.active())
+      config_.tracer.emit(
+          telemetry::EventType::kPacketSent,
+          {{"packet_type", "1rtt"},
+           {"packet_number", req.packet_number},
+           {"size", static_cast<uint64_t>(datagram.size() - before)}});
+  }
+  if (frame_scratch_.capacity() > scratch_cap)
+    hotpath_stats_.alloc_bytes += frame_scratch_.capacity() - scratch_cap;
+  state_ = State::kAwaitHttpResponse;  // before send_: reply may nest
+  send_(std::move(datagram));
 }
 
 void ClientConnection::process_one_rtt(const Packet& packet) {
-  std::vector<Frame> frames;
-  try {
-    frames = decode_frames(packet.payload);
-  } catch (const FrameDecodeError& e) {
-    fail_protocol(e.kind == FrameDecodeError::Kind::kUnknownType
-                      ? ProtocolError::kFrameUnknown
-                      : ProtocolError::kFrameEncoding,
-                  e.what());
-    return;
-  } catch (const wire::DecodeError& e) {
-    fail_protocol(ProtocolError::kFrameEncoding, e.what());
-    return;
-  }
-  trace_frames(config_.tracer, "1rtt", frames);
-  if (const auto* close = find_close(frames)) {
-    report_.close_error_code = close->error_code;
-    report_.close_reason = close->reason_phrase;
-    finish(is_crypto_error(close->error_code) ? ConnectResult::kCryptoError
-                                              : ConnectResult::kTransportError);
-    return;
-  }
-  if (!check_frames(frames, PacketType::kOneRtt, pn_app_)) return;
-  for (const auto& frame : frames) {
+  const auto frames = read_frames(packet);
+  if (!frames) return;
+  for (const auto& frame : *frames) {
     if (std::holds_alternative<HandshakeDoneFrame>(frame))
       report_.handshake_done_seen = true;
     if (const auto* stream = std::get_if<StreamFrame>(&frame)) {
@@ -784,6 +658,28 @@ ServerConnection::ServerConnection(const DeploymentBehavior& behavior,
       rng_(std::move(rng)),
       send_(std::move(send)),
       tracer_(tracer) {}
+
+Packet ServerConnection::next_packet(PacketType type) {
+  Packet packet;
+  packet.type = type;
+  packet.version = version_;
+  packet.dcid = client_scid_;
+  packet.scid = scid_;
+  packet.packet_number = type == PacketType::kInitial     ? pn_initial_++
+                         : type == PacketType::kHandshake ? pn_handshake_++
+                                                          : pn_app_++;
+  return packet;
+}
+
+std::optional<std::vector<Frame>> ServerConnection::read_frames(
+    const Packet& packet) {
+  try {
+    return decode_frames(packet.payload);
+  } catch (const wire::DecodeError&) {
+    state_ = State::kClosed;
+    return std::nullopt;
+  }
+}
 
 void ServerConnection::respond_version_negotiation(const DatagramInfo& info) {
   if (!behavior_.respond_to_version_negotiation &&
@@ -814,12 +710,7 @@ void ServerConnection::send_close(uint64_t error_code,
     tracer_.emit(telemetry::EventType::kConnectionClosed,
                  {{"error_code", error_code}, {"reason", reason}});
   if (initial_tx_) {
-    Packet packet;
-    packet.type = PacketType::kInitial;
-    packet.version = version_;
-    packet.dcid = client_scid_;
-    packet.scid = scid_;
-    packet.packet_number = pn_initial_++;
+    const Packet packet = next_packet(PacketType::kInitial);
     ConnectionCloseFrame close;
     close.error_code = error_code;
     close.reason_phrase = reason;
@@ -968,14 +859,9 @@ void ServerConnection::on_datagram(std::span<const uint8_t> datagram) {
 }
 
 void ServerConnection::process_client_initial(const Packet& packet) {
-  std::vector<Frame> frames;
-  try {
-    frames = decode_frames(packet.payload);
-  } catch (const wire::DecodeError&) {
-    state_ = State::kClosed;
-    return;
-  }
-  const auto* crypto_frame = find_crypto(frames);
+  const auto frames = read_frames(packet);
+  if (!frames) return;
+  const auto* crypto_frame = find_crypto(*frames);
   if (!crypto_frame) return;
 
   tls::HandshakeMessage msg;
@@ -996,7 +882,6 @@ void ServerConnection::process_client_initial(const Packet& packet) {
         telemetry::EventType::kTlsMessage,
         {{"message", "client_hello"},
          {"size", static_cast<uint64_t>(crypto_frame->data.size())}});
-  key_schedule_.add_message(crypto_frame->data);
   scid_ = rng_.bytes(8);
 
   if (behavior_.always_handshake_failure) {
@@ -1022,16 +907,9 @@ void ServerConnection::process_client_initial(const Packet& packet) {
     return;
   }
 
-  // ALPN: first client preference the deployment supports.
   std::optional<std::string> selected_alpn;
   if (const auto* alpn = tls::find_alpn(ch->extensions)) {
-    for (const auto& p : alpn->protocols) {
-      if (std::find(behavior_.alpn.begin(), behavior_.alpn.end(), p) !=
-          behavior_.alpn.end()) {
-        selected_alpn = p;
-        break;
-      }
-    }
+    selected_alpn = tls::select_alpn(alpn->protocols, behavior_.alpn);
     if (!selected_alpn) {
       send_close(crypto_error(static_cast<uint8_t>(
                      tls::AlertDescription::kNoApplicationProtocol)),
@@ -1048,33 +926,17 @@ void ServerConnection::process_client_initial(const Packet& packet) {
     return;
   }
 
-  // ServerHello.
-  auto server_pair = crypto::dh_generate(rng_.next());
-  tls::ServerHello sh;
-  auto random = rng_.bytes(32);
-  std::copy(random.begin(), random.end(), sh.random.begin());
-  sh.legacy_session_id_echo = ch->legacy_session_id;
-  sh.cipher_suite = tls::CipherSuite::kAes128GcmSha256;
-  sh.extensions.push_back(tls::SupportedVersionsExtension{{tls::kVersion13}});
-  sh.extensions.push_back(tls::KeyShareExtension{
-      {{ks->entries[0].group, crypto::dh_encode(server_pair.public_value)}}});
-  auto sh_bytes = tls::encode_handshake(sh);
-  key_schedule_.add_message(sh_bytes);
-
-  auto shared =
-      shared_secret_bytes(server_pair.secret, ks->entries[0].key_exchange);
-  key_schedule_.derive_handshake_secrets(shared);
-  client_hs_secret_ = key_schedule_.client_handshake_secret();
-  server_hs_secret_ = key_schedule_.server_handshake_secret();
-  handshake_tx_ = PacketProtector(
-      tls::derive_traffic_keys(server_hs_secret_, tls::KeyUsage::kQuic));
-  handshake_rx_ = PacketProtector(
-      tls::derive_traffic_keys(client_hs_secret_, tls::KeyUsage::kQuic));
+  // The transcript hashes the whole CRYPTO data that carried the hello.
+  handshake_.emplace(*ch, crypto_frame->data, ks->entries[0], rng_);
+  const tls::KeySchedule& secrets = handshake_->secrets();
+  handshake_tx_ = PacketProtector(tls::derive_traffic_keys(
+      secrets.server_handshake_secret(), tls::KeyUsage::kQuic));
+  handshake_rx_ = PacketProtector(tls::derive_traffic_keys(
+      secrets.client_handshake_secret(), tls::KeyUsage::kQuic));
   handshake_tx_->set_stats(&hotpath_stats_);
   handshake_rx_->set_stats(&hotpath_stats_);
 
   // EncryptedExtensions with server transport parameters.
-  tls::EncryptedExtensions ee;
   TransportParameters tp = behavior_.transport_params;
   // Compatible Version Negotiation (paper ref. [40] / RFC 9368):
   // authenticate the chosen version and advertise the full set, so a
@@ -1090,11 +952,6 @@ void ServerConnection::process_client_initial(const Packet& packet) {
   if (!retry_scid_.empty()) tp.retry_source_connection_id = retry_scid_;
   tp.initial_source_connection_id = scid_;
   tp.stateless_reset_token = rng_.bytes(16);
-  uint16_t tp_codepoint =
-      version_ == kVersion1
-          ? static_cast<uint16_t>(tls::ExtensionType::kQuicTransportParameters)
-          : static_cast<uint16_t>(
-                tls::ExtensionType::kQuicTransportParametersDraft);
   const AdversaryPlan& plan = behavior_.adversary;
   std::vector<uint8_t> tp_bytes = encode_transport_parameters(tp);
   if (plan.tp_grease > 0 || plan.tp_duplicate || plan.tp_malformed) {
@@ -1124,40 +981,16 @@ void ServerConnection::process_client_initial(const Packet& packet) {
       mutated.varint(0x01);  // id with its length varint missing
     tp_bytes = mutated.take();
   }
-  ee.extensions.push_back(
-      tls::TransportParametersExtension{tp_codepoint, std::move(tp_bytes)});
-  if (selected_alpn)
-    ee.extensions.push_back(tls::AlpnExtension{{*selected_alpn}});
-  if (sni && behavior_.echo_sni)
-    ee.extensions.push_back(tls::SniExtension{});
-  auto ee_bytes = tls::encode_handshake(ee);
-  key_schedule_.add_message(ee_bytes);
-
-  tls::CertificateMessage cm;
-  cm.chain.push_back(*cert);
-  auto cm_bytes = tls::encode_handshake(cm);
-  key_schedule_.add_message(cm_bytes);
-
-  tls::CertificateVerify cv;
-  cv.algorithm = kSigAlgRsaPssSha256;
-  auto th = key_schedule_.transcript_hash();
-  auto key_bytes = crypto::dh_encode(cert->public_key_id);
-  auto sig = crypto::hmac_sha256(key_bytes, th);
-  cv.signature.assign(sig.begin(), sig.end());
-  auto cv_bytes = tls::encode_handshake(cv);
-  key_schedule_.add_message(cv_bytes);
-
-  tls::Finished fin;
-  auto verify_data = key_schedule_.finished_verify_data(server_hs_secret_);
-  fin.verify_data.assign(verify_data.begin(), verify_data.end());
-  auto fin_bytes = tls::encode_handshake(fin);
-  key_schedule_.add_message(fin_bytes);
-
-  key_schedule_.derive_application_secrets();
+  std::vector<tls::Extension> ee;
+  ee.push_back(tls::TransportParametersExtension{tp_codepoint(version_),
+                                                 std::move(tp_bytes)});
+  if (selected_alpn) ee.push_back(tls::AlpnExtension{{*selected_alpn}});
+  if (sni && behavior_.echo_sni) ee.push_back(tls::SniExtension{});
+  const auto messages = handshake_->flight(std::move(ee), *cert);
   app_tx_ = PacketProtector(tls::derive_traffic_keys(
-      key_schedule_.server_application_secret(), tls::KeyUsage::kQuic));
+      secrets.server_application_secret(), tls::KeyUsage::kQuic));
   app_rx_ = PacketProtector(tls::derive_traffic_keys(
-      key_schedule_.client_application_secret(), tls::KeyUsage::kQuic));
+      secrets.client_application_secret(), tls::KeyUsage::kQuic));
   app_tx_->set_stats(&hotpath_stats_);
   app_rx_->set_stats(&hotpath_stats_);
 
@@ -1167,12 +1000,7 @@ void ServerConnection::process_client_initial(const Packet& packet) {
   // one Handshake packet per datagram, so the fault fabric can reorder
   // or drop them independently.
   std::vector<uint8_t> datagram;
-  Packet init;
-  init.type = PacketType::kInitial;
-  init.version = version_;
-  init.dcid = client_scid_;
-  init.scid = scid_;
-  init.packet_number = pn_initial_++;
+  const Packet init = next_packet(PacketType::kInitial);
   frame_scratch_.clear();
   // Bad-ACK mutation: acknowledge a range reaching past packet number
   // zero (first_ack_range > largest), which no honest peer can produce.
@@ -1180,7 +1008,7 @@ void ServerConnection::process_client_initial(const Packet& packet) {
       plan.ack_invalid ? packet.packet_number + 5 : 0;
   const Frame init_frames[] = {
       AckFrame{packet.packet_number, 0, first_ack_range, {}},
-      CryptoFrame{0, sh_bytes}};
+      CryptoFrame{0, handshake_->server_hello()}};
   encode_frames_into(frame_scratch_, init_frames);
   // Frame-level mutations ride in the Initial payload: a well-formed
   // STREAM frame (illegal in that space, RFC 9000 section 12.4) and a
@@ -1211,10 +1039,8 @@ void ServerConnection::process_client_initial(const Packet& packet) {
   }
 
   std::vector<uint8_t> flight;
-  flight.insert(flight.end(), ee_bytes.begin(), ee_bytes.end());
-  flight.insert(flight.end(), cm_bytes.begin(), cm_bytes.end());
-  flight.insert(flight.end(), cv_bytes.begin(), cv_bytes.end());
-  flight.insert(flight.end(), fin_bytes.begin(), fin_bytes.end());
+  for (const auto& bytes : messages)
+    flight.insert(flight.end(), bytes.begin(), bytes.end());
   if (plan.crypto_truncate > 0 && flight.size() > 1) {
     // Truncated flight: withhold the tail so the TLS flight can never
     // complete. PTO retransmissions resend the same truncated bytes.
@@ -1224,12 +1050,7 @@ void ServerConnection::process_client_initial(const Packet& packet) {
   last_flight_.clear();
 
   if (behavior_.max_crypto_chunk == 0 && !plan.crypto_overlap_conflict) {
-    Packet hs;
-    hs.type = PacketType::kHandshake;
-    hs.version = version_;
-    hs.dcid = client_scid_;
-    hs.scid = scid_;
-    hs.packet_number = pn_handshake_++;
+    const Packet hs = next_packet(PacketType::kHandshake);
     frame_scratch_.clear();
     const Frame hs_frame = CryptoFrame{0, std::move(flight)};
     encode_frames_into(frame_scratch_, {&hs_frame, 1});
@@ -1275,12 +1096,7 @@ void ServerConnection::process_client_initial(const Packet& packet) {
     lie.data.assign(flight.begin(),
                     flight.begin() + static_cast<ptrdiff_t>(prefix_len));
     lie.data.back() ^= 0x01;
-    Packet hs;
-    hs.type = PacketType::kHandshake;
-    hs.version = version_;
-    hs.dcid = client_scid_;
-    hs.scid = scid_;
-    hs.packet_number = pn_handshake_++;
+    const Packet hs = next_packet(PacketType::kHandshake);
     frame_scratch_.clear();
     const Frame lie_frame = std::move(lie);
     encode_frames_into(frame_scratch_, {&lie_frame, 1});
@@ -1294,12 +1110,7 @@ void ServerConnection::process_client_initial(const Packet& packet) {
                                  : flight.size();
   for (size_t chunk_offset = 0; chunk_offset < flight.size();) {
     const size_t len = std::min(chunk_limit, flight.size() - chunk_offset);
-    Packet hs;
-    hs.type = PacketType::kHandshake;
-    hs.version = version_;
-    hs.dcid = client_scid_;
-    hs.scid = scid_;
-    hs.packet_number = pn_handshake_++;
+    const Packet hs = next_packet(PacketType::kHandshake);
     CryptoFrame chunk;
     chunk.offset = chunk_offset;
     chunk.data.assign(flight.begin() + static_cast<ptrdiff_t>(chunk_offset),
@@ -1325,14 +1136,9 @@ void ServerConnection::process_client_initial(const Packet& packet) {
 
 void ServerConnection::process_client_handshake(const Packet& packet) {
   if (state_ != State::kAwaitFinished) return;
-  std::vector<Frame> frames;
-  try {
-    frames = decode_frames(packet.payload);
-  } catch (const wire::DecodeError&) {
-    state_ = State::kClosed;
-    return;
-  }
-  const auto* crypto_frame = find_crypto(frames);
+  const auto frames = read_frames(packet);
+  if (!frames) return;
+  const auto* crypto_frame = find_crypto(*frames);
   if (!crypto_frame) return;
   tls::HandshakeMessage msg;
   try {
@@ -1344,8 +1150,7 @@ void ServerConnection::process_client_handshake(const Packet& packet) {
   }
   const auto* fin = std::get_if<tls::Finished>(&msg);
   if (!fin) return;
-  auto expected = key_schedule_.finished_verify_data(client_hs_secret_);
-  if (!std::ranges::equal(fin->verify_data, expected)) {
+  if (!handshake_->client_finished_ok(*fin)) {
     send_close(crypto_error(static_cast<uint8_t>(
                    tls::AlertDescription::kHandshakeFailure)),
                "finished verification failed");
@@ -1354,10 +1159,7 @@ void ServerConnection::process_client_handshake(const Packet& packet) {
   state_ = State::kEstablished;  // before send_: request may nest
 
   // Handshake confirmed: HANDSHAKE_DONE in 1-RTT.
-  Packet done;
-  done.type = PacketType::kOneRtt;
-  done.dcid = client_scid_;
-  done.packet_number = pn_app_++;
+  Packet done = next_packet(PacketType::kOneRtt);
   done.payload = encode_frames({HandshakeDoneFrame{}});
   send_(app_tx_->protect(done));
 
@@ -1379,22 +1181,14 @@ void ServerConnection::process_client_handshake(const Packet& packet) {
 
 void ServerConnection::process_client_one_rtt(const Packet& packet) {
   if (state_ != State::kEstablished) return;
-  std::vector<Frame> frames;
-  try {
-    frames = decode_frames(packet.payload);
-  } catch (const wire::DecodeError&) {
-    state_ = State::kClosed;
-    return;
-  }
-  const auto* stream = find_stream(frames);
+  const auto frames = read_frames(packet);
+  if (!frames) return;
+  const auto* stream = find_stream(*frames);
   if (!stream || !behavior_.http_responder) return;
   std::string request(stream->data.begin(), stream->data.end());
   std::string response = behavior_.http_responder(request);
 
-  Packet resp;
-  resp.type = PacketType::kOneRtt;
-  resp.dcid = client_scid_;
-  resp.packet_number = pn_app_++;
+  Packet resp = next_packet(PacketType::kOneRtt);
   StreamFrame out;
   out.stream_id = stream->stream_id;
   out.fin = true;

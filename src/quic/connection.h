@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "crypto/dh.h"
 #include "crypto/rng.h"
 #include "quic/assembler.h"
 #include "quic/frame.h"
@@ -21,8 +20,7 @@
 #include "quic/transport_params.h"
 #include "quic/version.h"
 #include "telemetry/trace.h"
-#include "tls/handshake.h"
-#include "tls/key_schedule.h"
+#include "tls/session.h"
 
 namespace quic {
 
@@ -130,21 +128,24 @@ class ClientConnection {
 
  private:
   void send_initial_flight();
+  /// A header for the next packet of `type`, numbered in its space.
+  Packet next_packet(PacketType type);
   void process_version_negotiation(const VersionNegotiationPacket& vn);
-  bool process_initial(const Packet& packet);
-  bool process_handshake(const Packet& packet);
+  void process_initial(const Packet& packet);
+  void process_handshake(const Packet& packet);
   void process_one_rtt(const Packet& packet);
+  /// Decodes and traces a packet's frames and applies the checks every
+  /// space shares: CONNECTION_CLOSE ends the attempt, and so do a frame
+  /// illegal in its space (RFC 9000 section 12.4) or an ACK for packets
+  /// not sent. nullopt once the attempt has ended.
+  std::optional<std::vector<Frame>> read_frames(const Packet& packet);
+  /// Decodes the server's transport parameters and runs the RFC 9368
+  /// downgrade check; false once that ended the attempt.
+  bool accept_transport_params(const tls::EncryptedExtensions& ee);
   void finish(ConnectResult result);
   /// Terminates the attempt as kProtocolViolation with `error` recorded
   /// in the report and a qlog protocol_error terminal event.
   void fail_protocol(ProtocolError error, const std::string& reason);
-  /// Space-legality (RFC 9000 section 12.4) and ACK-sanity checks over a
-  /// just-decoded packet; on violation fails the attempt and returns
-  /// false. `next_pn` is the next unsent packet number in that space.
-  bool check_frames(const std::vector<Frame>& frames, PacketType space,
-                    uint64_t next_pn);
-  tls::ClientHello build_client_hello();
-  uint16_t tp_codepoint() const;
 
   ClientConfig config_;
   crypto::Rng rng_;
@@ -157,9 +158,7 @@ class ClientConnection {
   std::optional<ConnectionId> retry_dcid_;  // from a Retry's SCID
   std::vector<uint8_t> retry_token_;
   std::vector<uint8_t> last_initial_datagram_;  // for PTO retransmission
-  crypto::DhKeyPair key_pair_;
-  std::vector<uint8_t> client_hello_bytes_;
-  tls::KeySchedule key_schedule_;
+  std::optional<tls::ClientHandshake> handshake_;
 
   std::optional<PacketProtector> initial_tx_, initial_rx_;
   std::optional<PacketProtector> handshake_tx_, handshake_rx_;
@@ -310,6 +309,11 @@ class ServerConnection {
   bool closed() const { return state_ == State::kClosed; }
 
  private:
+  /// A header for the next packet of `type`, numbered in its space.
+  Packet next_packet(PacketType type);
+  /// Decodes a client packet's frames; a malformed payload closes the
+  /// session (nullopt).
+  std::optional<std::vector<Frame>> read_frames(const Packet& packet);
   void process_client_initial(const Packet& packet);
   void process_client_handshake(const Packet& packet);
   void process_client_one_rtt(const Packet& packet);
@@ -327,11 +331,10 @@ class ServerConnection {
   ConnectionId original_dcid_;  // recovered from a Retry token
   ConnectionId retry_scid_;     // CID our Retry instructed the client to use
   Version version_ = 0;
-  tls::KeySchedule key_schedule_;
+  std::optional<tls::ServerHandshake> handshake_;
   std::optional<PacketProtector> initial_tx_, initial_rx_;
   std::optional<PacketProtector> handshake_tx_, handshake_rx_;
   std::optional<PacketProtector> app_tx_, app_rx_;
-  std::vector<uint8_t> server_hs_secret_, client_hs_secret_;
 
   enum class State { kAwaitInitial, kAwaitFinished, kEstablished, kClosed };
   State state_ = State::kAwaitInitial;

@@ -1,7 +1,6 @@
 #include "quic/frame.h"
 
 #include <algorithm>
-#include <map>
 
 namespace quic {
 
@@ -160,20 +159,6 @@ const StreamFrame* find_stream(const std::vector<Frame>& frames) {
   for (const auto& f : frames)
     if (const auto* s = std::get_if<StreamFrame>(&f)) return s;
   return nullptr;
-}
-
-std::vector<uint8_t> reassemble_crypto(const std::vector<Frame>& frames) {
-  std::map<uint64_t, const CryptoFrame*> by_offset;
-  for (const auto& f : frames)
-    if (const auto* c = std::get_if<CryptoFrame>(&f))
-      by_offset.emplace(c->offset, c);
-  std::vector<uint8_t> out;
-  for (const auto& [offset, c] : by_offset) {
-    if (offset != out.size())
-      throw wire::DecodeError("gap in CRYPTO stream reassembly");
-    out.insert(out.end(), c->data.begin(), c->data.end());
-  }
-  return out;
 }
 
 }  // namespace quic

@@ -116,8 +116,4 @@ const CryptoFrame* find_crypto(const std::vector<Frame>& frames);
 const ConnectionCloseFrame* find_close(const std::vector<Frame>& frames);
 const StreamFrame* find_stream(const std::vector<Frame>& frames);
 
-/// Concatenates CRYPTO frame contents in offset order (no gaps
-/// tolerated; a handshake flight in this simulation is always in-order).
-std::vector<uint8_t> reassemble_crypto(const std::vector<Frame>& frames);
-
 }  // namespace quic

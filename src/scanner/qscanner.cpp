@@ -3,11 +3,20 @@
 #include <algorithm>
 
 #include "http/alpn.h"
-#include "quic/recovery.h"
 #include "http/h3.h"
 #include "http/message.h"
 
 namespace scanner {
+
+namespace {
+
+// The first probe timeout, before any RTT sample (RFC 9002 section
+// 6.2.1): smoothed_rtt + max(4 * rttvar, granularity) + max_ack_delay
+// with the 333 ms initial RTT, rttvar = 166.5 ms and the 25 ms default
+// max_ack_delay, i.e. 333 + 666 + 25 ms.
+constexpr uint64_t kInitialPtoUs = 1'024'000;
+
+}  // namespace
 
 std::string to_string(QscanOutcome outcome) {
   switch (outcome) {
@@ -171,8 +180,7 @@ QscanResult QScanner::attempt_once(const QscanTarget& target) {
 
   connection.start();
   // PTO retransmissions (RFC 9002 section 6.2: the backoff doubles).
-  quic::RttEstimator rtt;
-  uint64_t pto = rtt.pto_us();
+  uint64_t pto = kInitialPtoUs;
   uint64_t next_probe = loop.now_us() + pto;
   std::vector<netsim::TimerId> probe_timers;
   for (int probe = 0; probe < options_.max_retransmits; ++probe) {

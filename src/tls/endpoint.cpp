@@ -2,13 +2,11 @@
 
 #include <algorithm>
 
-#include "crypto/dh.h"
+#include "tls/session.h"
 
 namespace tls {
 
 namespace {
-
-constexpr uint16_t kSigAlgRsaPssSha256 = 0x0804;
 
 std::vector<uint8_t> encode_alert_record(AlertDescription desc) {
   Record rec;
@@ -138,81 +136,34 @@ std::vector<uint8_t> TlsServerSession::handle_client_hello(
   std::optional<std::string> selected_alpn;
   const bool skip_alpn = !sni && !config_.alpn_without_sni;
   if (const auto* alpn = find_alpn(ch.extensions); alpn && !skip_alpn) {
-    for (const auto& p : alpn->protocols) {
-      if (std::find(config_.alpn.begin(), config_.alpn.end(), p) !=
-          config_.alpn.end()) {
-        selected_alpn = p;
-        break;
-      }
-    }
+    selected_alpn = select_alpn(alpn->protocols, config_.alpn);
     if (!selected_alpn)
       return alert(AlertDescription::kNoApplicationProtocol);
   }
 
-  key_schedule_.add_message(raw);
-  auto server_pair = crypto::dh_generate(rng_.next());
-  ServerHello sh;
-  auto random = rng_.bytes(32);
-  std::copy(random.begin(), random.end(), sh.random.begin());
-  sh.legacy_session_id_echo = ch.legacy_session_id;
-  sh.cipher_suite = CipherSuite::kAes128GcmSha256;
-  sh.extensions.push_back(SupportedVersionsExtension{{kVersion13}});
-  sh.extensions.push_back(KeyShareExtension{
-      {{ks->entries[0].group, crypto::dh_encode(server_pair.public_value)}}});
-  auto sh_bytes = encode_handshake(sh);
-  key_schedule_.add_message(sh_bytes);
-
-  auto shared = crypto::dh_encode(crypto::dh_shared(
-      server_pair.secret, crypto::dh_decode(ks->entries[0].key_exchange)));
-  key_schedule_.derive_handshake_secrets(shared);
-  tx_ = std::make_unique<RecordCrypter>(derive_traffic_keys(
-      key_schedule_.server_handshake_secret(), KeyUsage::kTls));
-  rx_ = std::make_unique<RecordCrypter>(derive_traffic_keys(
-      key_schedule_.client_handshake_secret(), KeyUsage::kTls));
-
-  EncryptedExtensions ee;
-  if (selected_alpn) ee.extensions.push_back(AlpnExtension{{*selected_alpn}});
-  if (sni && config_.echo_sni) ee.extensions.push_back(SniExtension{});
-  auto ee_bytes = encode_handshake(ee);
-  key_schedule_.add_message(ee_bytes);
-
-  CertificateMessage cm;
-  cm.chain.push_back(*cert);
-  auto cm_bytes = encode_handshake(cm);
-  key_schedule_.add_message(cm_bytes);
-
-  CertificateVerify cv;
-  cv.algorithm = kSigAlgRsaPssSha256;
-  auto th = key_schedule_.transcript_hash();
-  auto sig = crypto::hmac_sha256(crypto::dh_encode(cert->public_key_id), th);
-  cv.signature.assign(sig.begin(), sig.end());
-  auto cv_bytes = encode_handshake(cv);
-  key_schedule_.add_message(cv_bytes);
-
-  Finished fin;
-  auto verify_data = key_schedule_.finished_verify_data(
-      key_schedule_.server_handshake_secret());
-  fin.verify_data.assign(verify_data.begin(), verify_data.end());
-  auto fin_bytes = encode_handshake(fin);
-  key_schedule_.add_message(fin_bytes);
-
-  key_schedule_.derive_application_secrets();
+  ServerHandshake handshake(ch, raw, ks->entries[0], rng_);
+  std::vector<Extension> ee;
+  if (selected_alpn) ee.push_back(AlpnExtension{{*selected_alpn}});
+  if (sni && config_.echo_sni) ee.push_back(SniExtension{});
+  const auto messages = handshake.flight(std::move(ee), *cert);
+  const KeySchedule& secrets = handshake.secrets();
+  tx_ = std::make_unique<RecordCrypter>(
+      derive_traffic_keys(secrets.server_handshake_secret(), KeyUsage::kTls));
+  rx_ = std::make_unique<RecordCrypter>(
+      derive_traffic_keys(secrets.client_handshake_secret(), KeyUsage::kTls));
   app_tx_ = std::make_unique<RecordCrypter>(derive_traffic_keys(
-      key_schedule_.server_application_secret(), KeyUsage::kTls));
+      secrets.server_application_secret(), KeyUsage::kTls));
   app_rx_ = std::make_unique<RecordCrypter>(derive_traffic_keys(
-      key_schedule_.client_application_secret(), KeyUsage::kTls));
+      secrets.client_application_secret(), KeyUsage::kTls));
 
   // Flight: plaintext SH record + one encrypted record per message.
   std::vector<uint8_t> out;
   Record sh_rec;
   sh_rec.type = ContentType::kHandshake;
-  sh_rec.payload = sh_bytes;
-  auto sh_rec_bytes = encode_record(sh_rec);
-  out.insert(out.end(), sh_rec_bytes.begin(), sh_rec_bytes.end());
-  for (const auto* bytes : {&ee_bytes, &cm_bytes, &cv_bytes, &fin_bytes}) {
-    auto sealed = tx_->seal(ContentType::kHandshake, *bytes);
-    out.insert(out.end(), sealed.begin(), sealed.end());
-  }
+  sh_rec.payload = handshake.server_hello();
+  encode_record_into(sh_rec, out);
+  for (const auto& bytes : messages)
+    tx_->seal_into(ContentType::kHandshake, bytes, out);
   state_ = State::kAwaitFinished;
   return out;
 }
@@ -227,34 +178,11 @@ TlsClientResult TlsClient::run(
     const ExchangeFn& exchange,
     const std::optional<std::string>& http_request) {
   TlsClientResult result;
-  KeySchedule key_schedule;
-
-  auto key_pair = crypto::dh_generate(rng_.next());
-  ClientHello ch;
-  auto random = rng_.bytes(32);
-  std::copy(random.begin(), random.end(), ch.random.begin());
-  ch.cipher_suites = {CipherSuite::kAes128GcmSha256,
-                      CipherSuite::kAes256GcmSha384,
-                      CipherSuite::kChaCha20Poly1305Sha256};
-  if (sni_) ch.extensions.push_back(SniExtension{*sni_});
-  if (!alpn_.empty()) ch.extensions.push_back(AlpnExtension{alpn_});
-  ch.extensions.push_back(SupportedGroupsExtension{
-      {static_cast<uint16_t>(NamedGroup::kX25519),
-       static_cast<uint16_t>(NamedGroup::kSecp256r1),
-       static_cast<uint16_t>(NamedGroup::kSecp384r1)}});
-  ch.extensions.push_back(
-      SignatureAlgorithmsExtension{{kSigAlgRsaPssSha256, 0x0403}});
-  ch.extensions.push_back(
-      SupportedVersionsExtension{{kVersion13, kVersion12}});
-  ch.extensions.push_back(KeyShareExtension{
-      {{static_cast<uint16_t>(NamedGroup::kX25519),
-        crypto::dh_encode(key_pair.public_value)}}});
-  auto ch_bytes = encode_handshake(ch);
-  key_schedule.add_message(ch_bytes);
+  ClientHandshake handshake(rng_, sni_, alpn_, {kVersion13, kVersion12});
 
   Record ch_rec;
   ch_rec.type = ContentType::kHandshake;
-  ch_rec.payload = ch_bytes;
+  ch_rec.payload = handshake.client_hello();
   auto reply = exchange(encode_record(ch_rec));
   std::vector<Record> records;
   try {
@@ -268,32 +196,27 @@ TlsClientResult TlsClient::run(
   }
 
   // ServerHello is the first plaintext handshake record.
-  const ServerHello* sh = nullptr;
-  ServerHello sh_storage;
+  std::optional<bool> tls13;
   for (const auto& rec : records) {
     if (rec.type != ContentType::kHandshake) continue;
     try {
       wire::Reader r(rec.payload);
       auto msg = decode_handshake(r);
-      if (auto* parsed = std::get_if<ServerHello>(&msg)) {
-        sh_storage = *parsed;
-        sh = &sh_storage;
-        key_schedule.add_message(rec.payload);
+      if (auto* sh = std::get_if<ServerHello>(&msg)) {
+        tls13 = handshake.on_server_hello(*sh, rec.payload);
         break;
       }
     } catch (const wire::DecodeError&) {
       return result;
     }
   }
-  if (!sh) return result;
+  if (!tls13) return result;
+  result.details = handshake.details();
 
-  result.details.negotiated_version = sh->negotiated_version();
-  result.details.cipher_suite = sh->cipher_suite;
-  for (const auto& ext : sh->extensions)
-    result.details.server_extensions.push_back(extension_type(ext));
-
-  if (result.details.negotiated_version < kVersion13) {
-    // Legacy path: certificate arrives in plaintext; record and stop.
+  if (!*tls13) {
+    // A 1.3 answer without a key share fails. Below 1.3 (the legacy
+    // path) the certificate arrives in plaintext: record it and stop.
+    if (result.details.negotiated_version >= kVersion13) return result;
     for (const auto& rec : records) {
       if (rec.type != ContentType::kHandshake) continue;
       try {
@@ -308,59 +231,39 @@ TlsClientResult TlsClient::run(
     return result;
   }
 
-  const auto* ks = find_key_share(sh->extensions);
-  if (!ks || ks->entries.empty()) return result;
-  result.details.key_exchange_group = ks->entries[0].group;
-  auto shared = crypto::dh_encode(crypto::dh_shared(
-      key_pair.secret, crypto::dh_decode(ks->entries[0].key_exchange)));
-  key_schedule.derive_handshake_secrets(shared);
-  RecordCrypter rx(derive_traffic_keys(key_schedule.server_handshake_secret(),
+  // Decrypt the EE..Finished flight. A record that fails to open or a
+  // message that fails to decode ends the attempt as a failed
+  // handshake, without an alert.
+  const KeySchedule& secrets = handshake.secrets();
+  RecordCrypter rx(derive_traffic_keys(secrets.server_handshake_secret(),
                                        KeyUsage::kTls));
-  RecordCrypter tx(derive_traffic_keys(key_schedule.client_handshake_secret(),
+  RecordCrypter tx(derive_traffic_keys(secrets.client_handshake_secret(),
                                        KeyUsage::kTls));
-
-  // Decrypt the EE..Finished flight.
-  bool finished_ok = false;
-  for (const auto& rec : records) {
-    if (rec.type != ContentType::kApplicationData) continue;
-    auto opened = rx.open(rec);
-    if (!opened || opened->type != ContentType::kHandshake) return result;
-    wire::Reader r(opened->payload);
-    auto msg = decode_handshake(r);
-    if (auto* ee = std::get_if<EncryptedExtensions>(&msg)) {
-      if (const auto* alpn = find_alpn(ee->extensions);
-          alpn && !alpn->protocols.empty())
-        result.details.selected_alpn = alpn->protocols[0];
-      result.details.sni_echoed = find_sni(ee->extensions) != nullptr;
-      for (const auto& ext : ee->extensions)
-        result.details.server_extensions.push_back(extension_type(ext));
-    } else if (auto* cm = std::get_if<CertificateMessage>(&msg)) {
-      result.details.certificate_chain = cm->chain;
-    } else if (auto* fin = std::get_if<Finished>(&msg)) {
-      auto expected = key_schedule.finished_verify_data(
-          key_schedule.server_handshake_secret());
-      if (!std::ranges::equal(fin->verify_data, expected)) return result;
-      finished_ok = true;
+  auto read_flight = [&] {
+    for (const auto& rec : records) {
+      if (rec.type != ContentType::kApplicationData) continue;
+      auto opened = rx.open(rec);
+      if (!opened || opened->type != ContentType::kHandshake) return false;
+      try {
+        wire::Reader r(opened->payload);
+        if (!handshake.on_server_message(decode_handshake(r),
+                                         opened->payload))
+          return false;
+      } catch (const wire::DecodeError&) {
+        return false;
+      }
     }
-    key_schedule.add_message(opened->payload);
-  }
-  if (!finished_ok) return result;
-  std::sort(result.details.server_extensions.begin(),
-            result.details.server_extensions.end());
+    return handshake.complete();
+  };
+  const bool flight_ok = read_flight();
+  result.details = handshake.details();
+  if (!flight_ok) return result;
 
-  key_schedule.derive_application_secrets();
   RecordCrypter app_tx(derive_traffic_keys(
-      key_schedule.client_application_secret(), KeyUsage::kTls));
+      secrets.client_application_secret(), KeyUsage::kTls));
   RecordCrypter app_rx(derive_traffic_keys(
-      key_schedule.server_application_secret(), KeyUsage::kTls));
-
-  // Client Finished.
-  Finished fin;
-  auto verify_data = key_schedule.finished_verify_data(
-      key_schedule.client_handshake_secret());
-  fin.verify_data.assign(verify_data.begin(), verify_data.end());
-  auto fin_flight = tx.seal(ContentType::kHandshake, encode_handshake(fin));
-  exchange(fin_flight);
+      secrets.server_application_secret(), KeyUsage::kTls));
+  exchange(tx.seal(ContentType::kHandshake, handshake.client_finished()));
   result.handshake_ok = true;
 
   if (http_request) {

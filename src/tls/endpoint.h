@@ -58,7 +58,6 @@ class TlsServerSession {
 
   const TlsServerConfig& config_;
   crypto::Rng rng_;
-  KeySchedule key_schedule_;
   std::unique_ptr<RecordCrypter> tx_, rx_;        // handshake keys
   std::unique_ptr<RecordCrypter> app_tx_, app_rx_;
   enum class State { kAwaitClientHello, kAwaitFinished, kEstablished, kClosed };

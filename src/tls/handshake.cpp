@@ -180,11 +180,16 @@ HandshakeMessage decode_handshake(wire::Reader& r) {
   }
 }
 
-std::vector<HandshakeMessage> decode_handshake_flight(
+std::vector<FlightMessage> decode_handshake_flight(
     std::span<const uint8_t> data) {
-  std::vector<HandshakeMessage> out;
+  std::vector<FlightMessage> out;
   wire::Reader r(data);
-  while (!r.done()) out.push_back(decode_handshake(r));
+  while (!r.done()) {
+    const size_t start = r.position();
+    HandshakeMessage message = decode_handshake(r);
+    out.push_back({std::move(message),
+                   data.subspan(start, r.position() - start)});
+  }
   return out;
 }
 

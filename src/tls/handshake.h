@@ -47,7 +47,7 @@ struct CertificateMessage {
 };
 
 struct CertificateVerify {
-  uint16_t algorithm = 0x0804;  // rsa_pss_rsae_sha256 stand-in
+  uint16_t algorithm = kSigAlgRsaPssSha256;
   std::vector<uint8_t> signature;
 };
 
@@ -71,8 +71,16 @@ std::vector<uint8_t> encode_handshake(const HandshakeMessage& msg);
 /// Decodes exactly one handshake message, advancing the reader.
 HandshakeMessage decode_handshake(wire::Reader& r);
 
+/// One message of a decoded flight and the bytes that encoded it,
+/// handshake header included -- what the transcript hashes. `encoded`
+/// points into the buffer the flight was decoded from.
+struct FlightMessage {
+  HandshakeMessage message;
+  std::span<const uint8_t> encoded;
+};
+
 /// Decodes a concatenated flight of messages.
-std::vector<HandshakeMessage> decode_handshake_flight(
+std::vector<FlightMessage> decode_handshake_flight(
     std::span<const uint8_t> data);
 
 /// What a scanner extracts from a completed TLS handshake -- the

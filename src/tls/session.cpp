@@ -1,0 +1,162 @@
+#include "tls/session.h"
+
+#include <algorithm>
+
+#include "crypto/dh.h"
+
+namespace tls {
+
+namespace {
+
+std::vector<uint8_t> shared_secret(uint64_t secret,
+                                   std::span<const uint8_t> peer_public) {
+  return crypto::dh_encode(
+      crypto::dh_shared(secret, crypto::dh_decode(peer_public)));
+}
+
+Finished finished_for(const KeySchedule& schedule,
+                      std::span<const uint8_t> traffic_secret) {
+  const auto verify_data = schedule.finished_verify_data(traffic_secret);
+  return Finished{{verify_data.begin(), verify_data.end()}};
+}
+
+bool finished_verifies(const Finished& fin, const KeySchedule& schedule,
+                       std::span<const uint8_t> traffic_secret) {
+  return std::ranges::equal(fin.verify_data,
+                            schedule.finished_verify_data(traffic_secret));
+}
+
+}  // namespace
+
+std::optional<std::string> select_alpn(
+    const std::vector<std::string>& offered,
+    const std::vector<std::string>& supported) {
+  for (const auto& protocol : offered)
+    if (std::ranges::find(supported, protocol) != supported.end())
+      return protocol;
+  return std::nullopt;
+}
+
+/// --- Client ----------------------------------------------------------
+
+ClientHandshake::ClientHandshake(crypto::Rng& rng,
+                                 const std::optional<std::string>& sni,
+                                 const std::vector<std::string>& alpn,
+                                 std::vector<uint16_t> versions,
+                                 std::optional<Extension> trailing) {
+  const auto key_pair = crypto::dh_generate(rng.next());
+  dh_secret_ = key_pair.secret;
+  ClientHello ch;
+  rng.fill(ch.random);
+  ch.cipher_suites = {CipherSuite::kAes128GcmSha256,
+                      CipherSuite::kAes256GcmSha384,
+                      CipherSuite::kChaCha20Poly1305Sha256};
+  if (sni) ch.extensions.push_back(SniExtension{*sni});
+  if (!alpn.empty()) ch.extensions.push_back(AlpnExtension{alpn});
+  ch.extensions.push_back(SupportedGroupsExtension{
+      {static_cast<uint16_t>(NamedGroup::kX25519),
+       static_cast<uint16_t>(NamedGroup::kSecp256r1),
+       static_cast<uint16_t>(NamedGroup::kSecp384r1)}});
+  ch.extensions.push_back(
+      SignatureAlgorithmsExtension{{kSigAlgRsaPssSha256, 0x0403}});
+  ch.extensions.push_back(SupportedVersionsExtension{std::move(versions)});
+  ch.extensions.push_back(KeyShareExtension{
+      {{static_cast<uint16_t>(NamedGroup::kX25519),
+        crypto::dh_encode(key_pair.public_value)}}});
+  if (trailing) ch.extensions.push_back(std::move(*trailing));
+  client_hello_ = encode_handshake(ch);
+  schedule_.add_message(client_hello_);
+}
+
+bool ClientHandshake::on_server_hello(const ServerHello& sh,
+                                      std::span<const uint8_t> encoded) {
+  schedule_.add_message(encoded);
+  details_.negotiated_version = sh.negotiated_version();
+  details_.cipher_suite = sh.cipher_suite;
+  for (const auto& ext : sh.extensions)
+    details_.server_extensions.push_back(extension_type(ext));
+  if (details_.negotiated_version < kVersion13) return false;
+  const auto* ks = find_key_share(sh.extensions);
+  if (!ks || ks->entries.empty()) return false;
+  details_.key_exchange_group = ks->entries[0].group;
+  schedule_.derive_handshake_secrets(
+      shared_secret(dh_secret_, ks->entries[0].key_exchange));
+  return true;
+}
+
+bool ClientHandshake::on_server_message(const HandshakeMessage& msg,
+                                        std::span<const uint8_t> encoded) {
+  if (const auto* ee = std::get_if<EncryptedExtensions>(&msg)) {
+    if (const auto* alpn = find_alpn(ee->extensions);
+        alpn && !alpn->protocols.empty())
+      details_.selected_alpn = alpn->protocols[0];
+    details_.sni_echoed = find_sni(ee->extensions) != nullptr;
+    for (const auto& ext : ee->extensions)
+      details_.server_extensions.push_back(extension_type(ext));
+  } else if (const auto* cm = std::get_if<CertificateMessage>(&msg)) {
+    details_.certificate_chain = cm->chain;
+  } else if (const auto* fin = std::get_if<Finished>(&msg)) {
+    if (!finished_verifies(*fin, schedule_,
+                           schedule_.server_handshake_secret()))
+      return false;
+    schedule_.add_message(encoded);
+    std::ranges::sort(details_.server_extensions);
+    schedule_.derive_application_secrets();
+    complete_ = true;
+    return true;
+  }
+  schedule_.add_message(encoded);
+  return true;
+}
+
+std::vector<uint8_t> ClientHandshake::client_finished() const {
+  return encode_handshake(
+      finished_for(schedule_, schedule_.client_handshake_secret()));
+}
+
+/// --- Server ----------------------------------------------------------
+
+ServerHandshake::ServerHandshake(const ClientHello& ch,
+                                 std::span<const uint8_t> encoded,
+                                 const KeyShareEntry& client_share,
+                                 crypto::Rng& rng) {
+  schedule_.add_message(encoded);
+  const auto key_pair = crypto::dh_generate(rng.next());
+  ServerHello sh;
+  rng.fill(sh.random);
+  sh.legacy_session_id_echo = ch.legacy_session_id;
+  sh.cipher_suite = CipherSuite::kAes128GcmSha256;
+  sh.extensions.push_back(SupportedVersionsExtension{{kVersion13}});
+  sh.extensions.push_back(KeyShareExtension{
+      {{client_share.group, crypto::dh_encode(key_pair.public_value)}}});
+  server_hello_ = encode_handshake(sh);
+  schedule_.add_message(server_hello_);
+  schedule_.derive_handshake_secrets(
+      shared_secret(key_pair.secret, client_share.key_exchange));
+}
+
+std::array<std::vector<uint8_t>, 4> ServerHandshake::flight(
+    std::vector<Extension> ee_extensions, const Certificate& cert) {
+  std::array<std::vector<uint8_t>, 4> out;
+  size_t next = 0;
+  auto add = [&](const HandshakeMessage& msg) {
+    out[next] = encode_handshake(msg);
+    schedule_.add_message(out[next++]);
+  };
+  add(EncryptedExtensions{std::move(ee_extensions)});
+  add(CertificateMessage{{cert}});
+  const auto signature = crypto::hmac_sha256(
+      crypto::dh_encode(cert.public_key_id), schedule_.transcript_hash());
+  add(CertificateVerify{kSigAlgRsaPssSha256,
+                        {signature.begin(), signature.end()}});
+  add(finished_for(schedule_, schedule_.server_handshake_secret()));
+  schedule_.derive_application_secrets();
+  return out;
+}
+
+bool ServerHandshake::client_finished_ok(const Finished& fin) const {
+  return finished_verifies(fin, schedule_,
+                           schedule_.client_handshake_secret());
+}
+
+}  // namespace tls

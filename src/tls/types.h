@@ -35,6 +35,11 @@ enum class NamedGroup : uint16_t {
 
 std::string named_group_name(NamedGroup group);
 
+// rsa_pss_rsae_sha256: offered in signature_algorithms and named in
+// CertificateVerify, whose signature is an HMAC stand-in (DESIGN.md
+// section 7).
+inline constexpr uint16_t kSigAlgRsaPssSha256 = 0x0804;
+
 // Extension codepoints.
 enum class ExtensionType : uint16_t {
   kServerName = 0,

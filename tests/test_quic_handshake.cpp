@@ -10,6 +10,7 @@
 
 #include "quic/assembler.h"
 #include "quic/connection.h"
+#include "tls/endpoint.h"
 
 namespace {
 
@@ -443,6 +444,49 @@ TEST(Handshake, VersionInformationAdvertisedAndValidated) {
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->chosen, kVersion1);
   EXPECT_EQ(info->available, (std::vector<uint32_t>{kVersion1, kDraft29}));
+}
+
+TEST(Handshake, QuicAndTcpShowTheSameTlsDetailsForOneServer) {
+  // Table 5 compares what one host shows over QUIC and over
+  // TLS-over-TCP. With one server configuration behind both carriers,
+  // the details must agree but for QUIC's transport-parameters
+  // extension, or a Table 5 difference could come from the code.
+  const auto example = make_cert("example.com", {"*.example.com"});
+  const auto other = make_cert("other.net", {"www.other.net"}, "Other CA");
+  auto select = [example, other](const std::optional<std::string>& sni)
+      -> std::optional<tls::Certificate> {
+    return sni && other.matches_host(*sni) ? other : example;
+  };
+  DeploymentBehavior quic_server = default_behavior();
+  quic_server.select_certificate = select;
+  tls::TlsServerConfig tcp_server;
+  tcp_server.select_certificate = select;
+  tcp_server.alpn = quic_server.alpn;
+  tcp_server.echo_sni = quic_server.echo_sni;
+
+  for (const char* sni : {"www.example.com", "www.other.net"}) {
+    ClientConfig config;
+    config.version = kVersion1;
+    config.sni = sni;
+    config.alpn = {"h3"};
+    auto report = run_handshake(config, quic_server);
+    ASSERT_EQ(report.result, ConnectResult::kSuccess) << sni;
+
+    tls::TlsServerSession session(tcp_server, crypto::Rng(2));
+    tls::TlsClient client(crypto::Rng(3), std::string(sni), {"h3"});
+    auto tcp = client.run(
+        [&](std::span<const uint8_t> data) { return session.on_data(data); },
+        std::nullopt);
+    ASSERT_TRUE(tcp.handshake_ok) << sni;
+
+    tls::TlsDetails quic_details = report.tls;
+    std::erase(quic_details.server_extensions,
+               static_cast<uint16_t>(
+                   tls::ExtensionType::kQuicTransportParameters));
+    EXPECT_EQ(quic_details, tcp.details) << sni;
+    ASSERT_EQ(tcp.details.certificate_chain.size(), 1u);
+    EXPECT_TRUE(tcp.details.certificate_chain[0].matches_host(sni));
+  }
 }
 
 std::vector<uint8_t> bytes_of(const char* text) {

@@ -189,17 +189,6 @@ TEST(Frames, UnknownTypeThrows) {
   EXPECT_THROW(decode_frames(w.span()), wire::DecodeError);
 }
 
-TEST(Frames, ReassembleCryptoInOrder) {
-  std::vector<Frame> frames{CryptoFrame{4, {5, 6, 7}}, CryptoFrame{0, {1, 2, 3, 4}}};
-  auto data = reassemble_crypto(frames);
-  EXPECT_EQ(data, (std::vector<uint8_t>{1, 2, 3, 4, 5, 6, 7}));
-}
-
-TEST(Frames, ReassembleCryptoRejectsGaps) {
-  std::vector<Frame> frames{CryptoFrame{5, {1}}};
-  EXPECT_THROW(reassemble_crypto(frames), wire::DecodeError);
-}
-
 TEST(VersionNegotiation, RoundTrip) {
   VersionNegotiationPacket vn;
   vn.dcid = {1, 2, 3, 4};

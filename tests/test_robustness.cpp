@@ -205,6 +205,34 @@ TEST(Robustness, TruncatedServerFlightTimesOutCleanly) {
       << "truncated flights must look like packet loss, not errors";
 }
 
+TEST(Robustness, FirstProbeComesOneInitialPtoAfterTheFirstFlight) {
+  // Against a silent host the first flight is retransmitted once inside
+  // the 3 s deadline (the second probe would be due at 3.072 s), and
+  // exactly one RFC 9002 initial PTO after the first send.
+  struct Collect : telemetry::TraceSink {
+    std::vector<uint64_t>* sent_us = nullptr;
+    void on_event(const telemetry::TraceEvent& event) override {
+      if (event.type == telemetry::EventType::kPacketSent)
+        sent_us->push_back(event.time_us);
+    }
+  };
+  netsim::EventLoop loop;
+  netsim::Network network(loop);
+  std::vector<uint64_t> sent_us;
+  scanner::QscanOptions options;
+  options.trace_factory = [&sent_us](const std::string&) {
+    auto sink = std::make_unique<Collect>();
+    sink->sent_us = &sent_us;
+    return std::unique_ptr<telemetry::TraceSink>(std::move(sink));
+  };
+  scanner::QScanner qscanner(network, options);
+  auto result = qscanner.scan_one(
+      {*netsim::IpAddress::parse("198.51.100.7"), std::nullopt, {}});
+  EXPECT_EQ(result.outcome, scanner::QscanOutcome::kTimeout);
+  ASSERT_EQ(sent_us.size(), 2u);
+  EXPECT_EQ(sent_us[1] - sent_us[0], 1'024'000u);
+}
+
 TEST(Robustness, PtoRetransmissionRecoversLossyHandshakes) {
   netsim::EventLoop loop;
   internet::Internet net({.dns_corpus_scale = 0.005}, 18, loop);

@@ -1,8 +1,11 @@
 // TLS stack tests: extension codec, handshake message codec,
 // certificates (wildcards, signing, rotation identity), key schedule
-// symmetry and record-layer encryption.
+// symmetry, record-layer encryption and the TLS-over-TCP client against
+// the server session.
 #include <gtest/gtest.h>
 
+#include "crypto/dh.h"
+#include "tls/endpoint.h"
 #include "tls/extensions.h"
 #include "tls/handshake.h"
 #include "tls/key_schedule.h"
@@ -132,9 +135,9 @@ TEST(Handshake, FlightRoundTrip) {
   }
   auto decoded = decode_handshake_flight(flight);
   ASSERT_EQ(decoded.size(), 3u);
-  EXPECT_TRUE(std::holds_alternative<EncryptedExtensions>(decoded[0]));
-  EXPECT_TRUE(std::holds_alternative<CertificateMessage>(decoded[1]));
-  EXPECT_TRUE(std::holds_alternative<Finished>(decoded[2]));
+  EXPECT_TRUE(std::holds_alternative<EncryptedExtensions>(decoded[0].message));
+  EXPECT_TRUE(std::holds_alternative<CertificateMessage>(decoded[1].message));
+  EXPECT_TRUE(std::holds_alternative<Finished>(decoded[2].message));
 }
 
 TEST(Certificate, WildcardMatching) {
@@ -432,6 +435,128 @@ TEST(Handshake, EmptyAlpnListRejectedOnWire) {
   wire::Writer w;
   EXPECT_THROW(encode_extensions(w, exts, HandshakeContext::kClientHello),
                std::invalid_argument);
+}
+
+/// --- TLS-over-TCP: TlsClient against TlsServerSession ----------------
+
+TlsServerConfig tcp_server_config() {
+  TlsServerConfig config;
+  config.select_certificate =
+      [](const std::optional<std::string>&) -> std::optional<Certificate> {
+    Certificate cert;
+    cert.subject_cn = "example.com";
+    cert.san_dns = {"example.com", "*.example.com"};
+    cert.issuer_cn = "Example CA";
+    cert.public_key_id = 777;
+    return cert;
+  };
+  config.http_responder = [](const std::string& request) {
+    return "HTTP/1.1 200 OK\r\nx-request-bytes: " +
+           std::to_string(request.size()) + "\r\n\r\n";
+  };
+  return config;
+}
+
+TlsClientResult run_tcp(const TlsServerConfig& config,
+                        std::optional<std::string> sni,
+                        std::vector<std::string> alpn = {"h2", "http/1.1"},
+                        const std::optional<std::string>& request = {}) {
+  TlsServerSession server(config, crypto::Rng(2));
+  TlsClient client(crypto::Rng(1), std::move(sni), std::move(alpn));
+  return client.run(
+      [&](std::span<const uint8_t> data) { return server.on_data(data); },
+      request);
+}
+
+TEST(TlsOverTcp, Tls13WithSniAndHttp) {
+  auto result = run_tcp(tcp_server_config(), "www.example.com",
+                        {"h2", "http/1.1"}, "GET / HTTP/1.1\r\n\r\n");
+  ASSERT_TRUE(result.handshake_ok);
+  EXPECT_FALSE(result.alert.has_value());
+  EXPECT_EQ(result.details.negotiated_version, 0x0304);
+  EXPECT_EQ(result.details.cipher_suite, CipherSuite::kAes128GcmSha256);
+  EXPECT_EQ(result.details.key_exchange_group, 0x001d);
+  ASSERT_EQ(result.details.certificate_chain.size(), 1u);
+  EXPECT_EQ(result.details.certificate_chain[0].subject_cn, "example.com");
+  EXPECT_EQ(result.details.selected_alpn, "h2");
+  EXPECT_TRUE(result.details.sni_echoed);
+  EXPECT_EQ(result.details.server_extensions,
+            (std::vector<uint16_t>{0, 16, 43, 51}));
+  EXPECT_EQ(result.http_response,
+            "HTTP/1.1 200 OK\r\nx-request-bytes: 18\r\n\r\n");
+}
+
+TEST(TlsOverTcp, NoCertificateAlertsHandshakeFailure) {
+  auto config = tcp_server_config();
+  config.select_certificate = [](const std::optional<std::string>&) {
+    return std::optional<Certificate>{};
+  };
+  auto result = run_tcp(config, "www.example.com");
+  EXPECT_FALSE(result.handshake_ok);
+  EXPECT_EQ(result.alert, AlertDescription::kHandshakeFailure);
+}
+
+TEST(TlsOverTcp, AlpnMismatchAlertsNoApplicationProtocol) {
+  auto result = run_tcp(tcp_server_config(), "www.example.com", {"h3"});
+  EXPECT_FALSE(result.handshake_ok);
+  EXPECT_EQ(result.alert, AlertDescription::kNoApplicationProtocol);
+}
+
+TEST(TlsOverTcp, Tls12OnlyServerSendsTheLegacyFlight) {
+  auto config = tcp_server_config();
+  config.max_version = kVersion12;
+  auto result = run_tcp(config, "www.example.com");
+  EXPECT_TRUE(result.handshake_ok);
+  EXPECT_EQ(result.details.negotiated_version, 0x0303);
+  EXPECT_EQ(result.details.cipher_suite,
+            CipherSuite::kEcdheRsaAes128GcmSha256);
+  EXPECT_EQ(result.details.certificate_chain.size(), 1u);
+}
+
+TEST(TlsOverTcp, SilentSniLeavesTheServerNameCodepointOut) {
+  auto config = tcp_server_config();
+  config.echo_sni = false;
+  auto result = run_tcp(config, "www.example.com");
+  ASSERT_TRUE(result.handshake_ok);
+  EXPECT_FALSE(result.details.sni_echoed);
+  EXPECT_EQ(result.details.server_extensions,
+            (std::vector<uint16_t>{16, 43, 51}));
+}
+
+TEST(TlsOverTcp, MalformedEncryptedMessageFailsTheHandshake) {
+  // The server answers a real ServerHello, then seals an
+  // EncryptedExtensions that claims 5 body bytes and carries 1. The
+  // client must record a failed handshake, not throw: one such server
+  // would otherwise abort a whole campaign.
+  auto exchange = [](std::span<const uint8_t> data) {
+    auto records = decode_records(data);
+    wire::Reader reader(records.at(0).payload);
+    auto ch = std::get<ClientHello>(decode_handshake(reader));
+    const KeyShareEntry& share = find_key_share(ch.extensions)->entries.at(0);
+    KeySchedule schedule;
+    schedule.add_message(records[0].payload);
+    auto pair = crypto::dh_generate(42);
+    ServerHello sh;
+    sh.extensions.push_back(SupportedVersionsExtension{{kVersion13}});
+    sh.extensions.push_back(KeyShareExtension{
+        {{share.group, crypto::dh_encode(pair.public_value)}}});
+    Record sh_record;
+    sh_record.payload = encode_handshake(sh);
+    schedule.add_message(sh_record.payload);
+    schedule.derive_handshake_secrets(crypto::dh_encode(crypto::dh_shared(
+        pair.secret, crypto::dh_decode(share.key_exchange))));
+    RecordCrypter tx(derive_traffic_keys(schedule.server_handshake_secret(),
+                                         KeyUsage::kTls));
+    std::vector<uint8_t> flight = encode_record(sh_record);
+    const uint8_t truncated_ee[] = {0x08, 0x00, 0x00, 0x05, 0x00};
+    tx.seal_into(ContentType::kHandshake, truncated_ee, flight);
+    return flight;
+  };
+  TlsClient client(crypto::Rng(1), "www.example.com", {"h2"});
+  TlsClientResult result;
+  ASSERT_NO_THROW(result = client.run(exchange, std::nullopt));
+  EXPECT_FALSE(result.handshake_ok);
+  EXPECT_FALSE(result.alert.has_value());
 }
 
 }  // namespace

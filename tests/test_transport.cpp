@@ -1,13 +1,9 @@
 // Transport-internals tests: flow control windows (RFC 9000 section 4),
-// ACK range tracking and encoding (section 13.2/19.3), RTT estimation,
-// loss detection and NewReno congestion control (RFC 9002).
+// the model behind the transport-parameter ablation (bench/ablation_tp_flow).
 #include <gtest/gtest.h>
 
-#include "crypto/rng.h"
 #include "internet/tp_catalog.h"
-#include "quic/ack_tracker.h"
 #include "quic/flow_control.h"
-#include "quic/recovery.h"
 
 namespace {
 
@@ -94,189 +90,6 @@ TEST(FlowControl, WindowViolationDetection) {
   window.consume(60);
   EXPECT_TRUE(window.would_violate(41));
   EXPECT_FALSE(window.would_violate(40));
-}
-
-/// --- ACK tracking -----------------------------------------------------
-
-TEST(AckTracker, MergesAdjacentAndDetectsDuplicates) {
-  AckTracker tracker;
-  EXPECT_TRUE(tracker.on_packet(1));
-  EXPECT_TRUE(tracker.on_packet(3));
-  EXPECT_EQ(tracker.range_count(), 2u);
-  EXPECT_TRUE(tracker.on_packet(2));  // bridges 1..3
-  EXPECT_EQ(tracker.range_count(), 1u);
-  EXPECT_FALSE(tracker.on_packet(2));  // duplicate
-  EXPECT_TRUE(tracker.contains(1));
-  EXPECT_TRUE(tracker.contains(3));
-  EXPECT_FALSE(tracker.contains(4));
-  EXPECT_EQ(tracker.largest(), 3u);
-}
-
-TEST(AckTracker, BuildAckEncodesGaps) {
-  AckTracker tracker;
-  for (uint64_t pn : {0, 1, 2, 5, 6, 9}) tracker.on_packet(pn);
-  auto ack = tracker.build_ack(7);
-  EXPECT_EQ(ack.largest_acknowledged, 9u);
-  EXPECT_EQ(ack.first_ack_range, 0u);
-  EXPECT_EQ(ack.ack_delay, 7u);
-  ASSERT_EQ(ack.ranges.size(), 2u);
-  // 9 -> gap to 5..6: gap = 9-0-6-2 = 1; length 1.
-  EXPECT_EQ(ack.ranges[0].gap, 1u);
-  EXPECT_EQ(ack.ranges[0].length, 1u);
-  // 5..6 -> gap to 0..2: gap = 5-2-2 = 1? start=5, prev_start=5: 5-2-2=1.
-  EXPECT_EQ(ack.ranges[1].gap, 1u);
-  EXPECT_EQ(ack.ranges[1].length, 2u);
-
-  // Round trip through the decoder.
-  auto ranges = ack_ranges(ack);
-  ASSERT_EQ(ranges.size(), 3u);
-  EXPECT_EQ(ranges[0], (std::pair<uint64_t, uint64_t>{9, 9}));
-  EXPECT_EQ(ranges[1], (std::pair<uint64_t, uint64_t>{5, 6}));
-  EXPECT_EQ(ranges[2], (std::pair<uint64_t, uint64_t>{0, 2}));
-}
-
-TEST(AckTracker, RandomisedRangeReconstruction) {
-  crypto::Rng rng(404);
-  AckTracker tracker;
-  std::set<uint64_t> truth;
-  for (int i = 0; i < 300; ++i) {
-    uint64_t pn = rng.below(120);
-    EXPECT_EQ(tracker.on_packet(pn), truth.insert(pn).second);
-  }
-  auto ranges = ack_ranges(tracker.build_ack());
-  std::set<uint64_t> reconstructed;
-  for (auto [start, end] : ranges)
-    for (uint64_t pn = start; pn <= end; ++pn) reconstructed.insert(pn);
-  EXPECT_EQ(reconstructed, truth);
-}
-
-/// --- RTT estimation ---------------------------------------------------
-
-TEST(RttEstimator, FirstSampleInitializes) {
-  RttEstimator rtt;
-  EXPECT_EQ(rtt.smoothed_rtt_us(), 333'000u);  // initial
-  rtt.on_sample(100'000);
-  EXPECT_EQ(rtt.smoothed_rtt_us(), 100'000u);
-  EXPECT_EQ(rtt.rtt_var_us(), 50'000u);
-  EXPECT_EQ(rtt.min_rtt_us(), 100'000u);
-}
-
-TEST(RttEstimator, SmoothingConverges) {
-  RttEstimator rtt;
-  for (int i = 0; i < 100; ++i) rtt.on_sample(80'000);
-  EXPECT_NEAR(static_cast<double>(rtt.smoothed_rtt_us()), 80'000, 1'000);
-  EXPECT_LT(rtt.rtt_var_us(), 2'000u);
-}
-
-TEST(RttEstimator, AckDelaySubtractedOnlyAboveMinRtt) {
-  RttEstimator rtt;
-  rtt.on_sample(100'000);
-  rtt.on_sample(130'000, 20'000);  // adjusted to 110 000
-  EXPECT_LT(rtt.smoothed_rtt_us(), 105'000u);
-  // A sample at min_rtt with huge claimed delay is not adjusted below.
-  rtt.on_sample(100'000, 90'000);
-  EXPECT_GE(rtt.min_rtt_us(), 100'000u);
-}
-
-TEST(RttEstimator, PtoGrowsWithVariance) {
-  RttEstimator stable, jittery;
-  for (int i = 0; i < 20; ++i) {
-    stable.on_sample(100'000);
-    jittery.on_sample(i % 2 ? 40'000 : 160'000);
-  }
-  EXPECT_GT(jittery.pto_us(), stable.pto_us());
-}
-
-/// --- Congestion control -----------------------------------------------
-
-TEST(CongestionController, SlowStartDoublesPerRtt) {
-  CongestionController cc;
-  uint64_t initial = cc.congestion_window();
-  EXPECT_EQ(initial, 12'000u);  // 10 x 1200
-  EXPECT_TRUE(cc.in_slow_start());
-  cc.on_packet_sent(initial);
-  cc.on_packet_acked(initial, /*sent_time_us=*/1000);
-  EXPECT_EQ(cc.congestion_window(), 2 * initial);  // +acked bytes
-}
-
-TEST(CongestionController, LossHalvesOncePerEvent) {
-  CongestionController cc;
-  cc.on_packet_sent(24'000);
-  uint64_t before = cc.congestion_window();
-  cc.on_packets_lost(1200, /*largest_lost_sent_time_us=*/5000,
-                     /*now_us=*/10'000);
-  EXPECT_EQ(cc.congestion_window(), before / 2);
-  // A second loss from the same flight (sent before recovery began)
-  // must not halve again.
-  cc.on_packets_lost(1200, /*largest_lost_sent_time_us=*/6000,
-                     /*now_us=*/11'000);
-  EXPECT_EQ(cc.congestion_window(), before / 2);
-  // A loss from after recovery started is a new event.
-  cc.on_packets_lost(1200, /*largest_lost_sent_time_us=*/20'000,
-                     /*now_us=*/30'000);
-  EXPECT_EQ(cc.congestion_window(), before / 4);
-}
-
-TEST(CongestionController, CongestionAvoidanceLinearGrowth) {
-  CongestionController cc;
-  cc.on_packet_sent(48'000);
-  cc.on_packets_lost(1200, 1, 2);  // exit slow start
-  EXPECT_FALSE(cc.in_slow_start());
-  uint64_t cwnd = cc.congestion_window();
-  // Acking one full cwnd grows the window by one datagram.
-  cc.on_packet_sent(cwnd);
-  cc.on_packet_acked(cwnd, /*sent_time_us=*/100);
-  EXPECT_EQ(cc.congestion_window(), cwnd + 1200);
-}
-
-TEST(CongestionController, PersistentCongestionCollapses) {
-  CongestionController cc;
-  cc.on_packet_sent(50'000);
-  cc.on_persistent_congestion();
-  EXPECT_EQ(cc.congestion_window(), 2'400u);  // 2 x 1200 floor
-}
-
-TEST(CongestionController, NeverBelowMinimumWindow) {
-  CongestionController cc;
-  for (int i = 0; i < 10; ++i)
-    cc.on_packets_lost(1200, static_cast<uint64_t>(100 * i + 100),
-                       static_cast<uint64_t>(100 * i + 150));
-  EXPECT_GE(cc.congestion_window(), 2'400u);
-}
-
-/// --- Loss detection ----------------------------------------------------
-
-TEST(LossDetector, PacketThresholdDeclaresLoss) {
-  LossDetector detector;
-  for (uint64_t pn = 0; pn < 6; ++pn)
-    detector.on_packet_sent(pn, 1200, pn * 1000);
-  // Ack 3..5; packets 0..2 trail the largest acked by >= 3 -> 0,1,2
-  // lost... packet threshold: largest(5) >= pn+3 -> pn <= 2.
-  auto outcome = detector.on_ack({{3, 5}}, /*now_us=*/50'000,
-                                 /*srtt=*/10'000);
-  EXPECT_EQ(outcome.newly_acked.size(), 3u);
-  ASSERT_EQ(outcome.lost.size(), 3u);
-  EXPECT_EQ(outcome.lost[0].packet_number, 0u);
-  EXPECT_EQ(detector.outstanding(), 0u);
-}
-
-TEST(LossDetector, RttSampleFromLargestAcked) {
-  LossDetector detector;
-  detector.on_packet_sent(0, 1200, 1'000);
-  detector.on_packet_sent(1, 1200, 2'000);
-  auto outcome = detector.on_ack({{0, 1}}, /*now_us=*/42'000, 10'000);
-  ASSERT_TRUE(outcome.rtt_sample_us.has_value());
-  EXPECT_EQ(*outcome.rtt_sample_us, 40'000u);  // vs packet 1 at t=2000
-}
-
-TEST(LossDetector, ReorderingWithinThresholdNotLost) {
-  LossDetector detector;
-  for (uint64_t pn = 0; pn < 4; ++pn)
-    detector.on_packet_sent(pn, 1200, pn * 100);
-  // Ack only packet 2: packets 0,1 trail by < 3 and are recent.
-  auto outcome = detector.on_ack({{2, 2}}, /*now_us=*/500, /*srtt=*/100'000);
-  EXPECT_TRUE(outcome.lost.empty());
-  EXPECT_EQ(detector.outstanding(), 3u);  // 0, 1, 3 still out
 }
 
 }  // namespace

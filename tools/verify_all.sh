@@ -29,6 +29,9 @@
 # SHA-256 alike -- tests that pin a backend explicitly are unaffected
 # by the knob.
 #
+# The last line is the tracked size (ROADMAP "Design quality"): the
+# lines of all files under src/ and tools/, their sum, and tests/.
+#
 # On the sanitizer trees the fast lane additionally runs one pass with
 # QREPRO_ADVERSARY=broken: every campaign that leaves
 # CampaignOptions.adversary unset then scans a fabric of misbehaving
@@ -79,3 +82,7 @@ echo "=== campaign_bench: digest lane (selftest, --all --seed 9001)"
 (cd "$ROOT" && python3 campaign_bench/run.py --all --seed 9001 --seconds 1)
 
 echo "verify_all: all trees and the digest lane green"
+
+lines() { find "$ROOT/$1" -type f -exec cat {} + | wc -l; }
+echo "size: src $(lines src) + tools $(lines tools) =" \
+     "$(($(lines src) + $(lines tools))) lines; tests $(lines tests)"
