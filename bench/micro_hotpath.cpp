@@ -26,8 +26,7 @@
 //
 // The AEAD hot loop is additionally swept once per available crypto
 // backend (DESIGN.md "Crypto backends") and the per-backend ns/op land
-// in the JSON under "backends". Three gates protect the crypto layer:
-//   - portable_batched must beat portable (the 4-block ILP win),
+// in the JSON under "backends". Two gates protect the crypto layer:
 //   - aesni must be >= 3x portable where the host has the ISA,
 //   - on AES-NI hosts, aead_seal_cached must not regress > 10% against
 //     the committed BENCH_hotpath.json this run is about to replace.
@@ -244,8 +243,7 @@ int main(int argc, char** argv) {
               crypto::backend_name(crypto::resolve_backend()));
   std::map<std::string, double> backend_ns;
   for (crypto::Backend backend :
-       {crypto::Backend::kPortable, crypto::Backend::kPortableBatched,
-        crypto::Backend::kAesni}) {
+       {crypto::Backend::kPortable, crypto::Backend::kAesni}) {
     if (!crypto::backend_available(backend)) continue;
     crypto::ScopedBackendOverride force(backend);
     Component c = bench_aead_seal_cached();
@@ -254,14 +252,6 @@ int main(int argc, char** argv) {
                 c.ns_per_op);
   }
   const double portable_ns = backend_ns.at("portable");
-  const double batched_ns = backend_ns.at("portable_batched");
-  if (batched_ns >= portable_ns) {
-    std::fprintf(stderr,
-                 "FAIL: portable_batched (%.1f ns/op) is not faster than "
-                 "portable (%.1f ns/op)\n",
-                 batched_ns, portable_ns);
-    return 1;
-  }
   const bool have_aesni = backend_ns.count("aesni") != 0;
   if (have_aesni && portable_ns < 3.0 * backend_ns.at("aesni")) {
     std::fprintf(stderr,

@@ -46,10 +46,9 @@ inline constexpr uint32_t rotr8_c(uint32_t x) { return x >> 8 | x << 24; }
 
 // Combined SubBytes+MixColumns T-tables (encryption direction), built
 // once per process: t0[b] = MixColumn(Sbox[b] placed in lane 0), and
-// t1..t3 are its byte rotations. The original single-block kernel
-// (Backend::kPortable, the frozen reference) only reads t0 and rotates
-// in registers; the interleaved kernel (Backend::kPortableBatched)
-// trades 3 KiB more table for dropping those 6 rotates per column.
+// t1..t3 are its byte rotations. The single-block kernel only reads t0
+// and rotates in registers; the interleaved kernel trades 3 KiB more
+// table for dropping those 6 rotates per column.
 struct TTables {
   uint32_t t0[256];
   uint32_t t1[256];
@@ -79,14 +78,15 @@ const TTables& ttables() {
 inline uint32_t rotr8(uint32_t x) { return x >> 8 | x << 24; }
 
 // One T-table encryption of `blocks` consecutive 16-byte states.
-// kBlocks == 1 is the frozen kPortable reference kernel: t0 only, with
-// the other three rotations done in registers, exactly the pre-backend
-// code. kBlocks > 1 is the kPortableBatched CTR kernel: the per-round
-// loop over independent states lets the compiler overlap their
-// lookup/xor dependency chains instead of serializing one block's ten
-// rounds at a time, and the precomputed t1..t3 rotations cut the ALU
-// work per column from ~10 ops to 4 xors so the interleave's extra
-// live state does not just trade rotates for spills.
+// kBlocks == 1 is the single-block kernel (header protection, CTR
+// tails): t0 only, with the other three rotations done in registers.
+// kBlocks > 1 is the CTR kernel: the per-round loop over independent
+// states lets the compiler overlap their lookup/xor dependency chains
+// instead of serializing one block's ten rounds at a time, and the
+// precomputed t1..t3 rotations cut the ALU work per column from ~10 ops
+// to 4 xors so the interleave's extra live state does not just trade
+// rotates for spills. The two compute every block independently, so
+// tests pit them against each other on every host.
 template <int kBlocks>
 inline void encrypt_blocks_portable(const uint8_t round_keys[11][16],
                                     const uint8_t* in, uint8_t* out) {
@@ -188,15 +188,6 @@ void Aes128::encrypt_block(const uint8_t* in, uint8_t* out) const {
 }
 
 void Aes128::encrypt4_blocks(const uint8_t* in, uint8_t* out) const {
-#ifdef QREPRO_HAVE_AESNI
-  if (backend_ == Backend::kAesni) {
-    // Single-shot convenience only; the GCM hot path pipelines AESENC
-    // itself in aesni::ctr_xor and never routes through here.
-    for (int b = 0; b < 4; ++b)
-      aesni::encrypt_block(round_keys_, in + 16 * b, out + 16 * b);
-    return;
-  }
-#endif
   encrypt_blocks_portable<4>(round_keys_, in, out);
 }
 
@@ -339,21 +330,19 @@ void Aes128Gcm::ctr_xor(const Block& initial_counter,
     for (int i = 15; i >= 12; --i)
       if (++counter[i] != 0) break;
   };
+  // Four counter blocks per pass through the round-interleaved scalar
+  // kernel: same keystream, overlapping dependency chains.
   size_t off = 0;
-  if (aes_.backend() == Backend::kPortableBatched) {
-    // Four counter blocks per pass through the round-interleaved
-    // scalar kernel: same keystream, overlapping dependency chains.
-    uint8_t counters[64];
-    uint8_t keystream[64];
-    while (off + 64 <= in.size()) {
-      for (int b = 0; b < 4; ++b) {
-        inc32();
-        std::memcpy(counters + 16 * b, counter.data(), 16);
-      }
-      aes_.encrypt4_blocks(counters, keystream);
-      for (size_t i = 0; i < 64; ++i) out[off + i] = in[off + i] ^ keystream[i];
-      off += 64;
+  uint8_t counters[64];
+  uint8_t keystream4[64];
+  while (off + 64 <= in.size()) {
+    for (int b = 0; b < 4; ++b) {
+      inc32();
+      std::memcpy(counters + 16 * b, counter.data(), 16);
     }
+    aes_.encrypt4_blocks(counters, keystream4);
+    for (size_t i = 0; i < 64; ++i) out[off + i] = in[off + i] ^ keystream4[i];
+    off += 64;
   }
   Block keystream;
   while (off < in.size()) {

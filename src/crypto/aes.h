@@ -44,9 +44,10 @@ class Aes128 {
       std::span<const uint8_t> block) const;
 
   /// Encrypts four consecutive 16-byte blocks (64 bytes, out may alias
-  /// in) in one pass. On the portable backends the four states run
-  /// round-interleaved through the T-tables so their dependency chains
-  /// overlap -- the scalar batching win GCM's CTR mode exploits.
+  /// in) in one pass: the four states run round-interleaved through the
+  /// T-tables so their dependency chains overlap -- the scalar batching
+  /// win the portable backend's GCM CTR exploits. The T-table kernel
+  /// runs on every backend (kAesni's CTR pipelines AESENC itself).
   void encrypt4_blocks(const uint8_t* in, uint8_t* out) const;
 
   /// The kernel backend this context resolved at construction.
@@ -63,13 +64,13 @@ class Aes128 {
 ///
 /// Construction resolves the kernel backend, expands the AES key
 /// schedule and precomputes the backend's GHASH material (a 4 KiB
-/// heap-allocated Shoup table on the portable backends; just H on the
+/// heap-allocated Shoup table on the portable backend; just H on the
 /// PCLMUL one, whose contexts are a few hundred bytes and allocate
 /// nothing), so contexts are meant to be long-lived: build one per
 /// traffic secret and reuse it for every packet (see quic::PacketProtector). The
 /// append-style seal/open entry points write into a caller-owned buffer
 /// and run CTR four counter blocks per pass (round-interleaved scalar
-/// on kPortableBatched, pipelined AESENC on kAesni), so the
+/// on kPortable, pipelined AESENC on kAesni), so the
 /// steady-state packet path performs no allocations and no per-call
 /// backend dispatch of its own.
 class Aes128Gcm {

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
-#include <string_view>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <cpuid.h>
@@ -43,14 +42,16 @@ CpuFeatures probe_cpu() {
 // main thread may have set the override just before launching them.
 std::atomic<int> g_override{-1};
 
-// QREPRO_CRYPTO_BACKEND=portable, read once: SHA-256 objects are built
-// per hash, so they must not pay a getenv each.
-bool env_pins_portable() {
-  static const bool kPinned = [] {
+// QREPRO_CRYPTO_BACKEND, read and parsed once per process: AEAD
+// contexts and SHA-256 objects are built per handshake and per hash. A
+// bad name leaves the static unset, so every call reads it again and
+// throws.
+std::optional<Backend> env_backend() {
+  static const std::optional<Backend> kEnv = [] {
     const char* env = std::getenv("QREPRO_CRYPTO_BACKEND");
-    return env != nullptr && std::string_view(env) == "portable";
+    return env && *env ? parse_backend(env) : std::nullopt;
   }();
-  return kPinned;
+  return kEnv;
 }
 
 }  // namespace
@@ -63,7 +64,6 @@ const CpuFeatures& cpu_features() {
 bool backend_available(Backend backend) {
   switch (backend) {
     case Backend::kPortable:
-    case Backend::kPortableBatched:
       return true;
     case Backend::kAesni:
 #ifdef QREPRO_HAVE_AESNI
@@ -77,23 +77,20 @@ bool backend_available(Backend backend) {
 
 Backend best_backend() {
   if (backend_available(Backend::kAesni)) return Backend::kAesni;
-  return Backend::kPortableBatched;
+  return Backend::kPortable;
 }
 
-Backend parse_backend(const std::string& name) {
+std::optional<Backend> parse_backend(const std::string& name) {
   Backend backend;
   if (name == "auto") {
-    return best_backend();
+    return std::nullopt;
   } else if (name == "portable") {
     backend = Backend::kPortable;
-  } else if (name == "portable_batched") {
-    backend = Backend::kPortableBatched;
   } else if (name == "aesni") {
     backend = Backend::kAesni;
   } else {
-    throw std::invalid_argument(
-        "unknown crypto backend '" + name +
-        "' (expected portable, portable_batched, aesni or auto)");
+    throw std::invalid_argument("unknown crypto backend '" + name +
+                                "' (expected portable, aesni or auto)");
   }
   if (!backend_available(backend))
     throw std::invalid_argument("crypto backend '" + name +
@@ -104,7 +101,6 @@ Backend parse_backend(const std::string& name) {
 const char* backend_name(Backend backend) {
   switch (backend) {
     case Backend::kPortable: return "portable";
-    case Backend::kPortableBatched: return "portable_batched";
     case Backend::kAesni: return "aesni";
   }
   return "unknown";
@@ -123,10 +119,7 @@ std::optional<Backend> backend_override() {
 
 Backend resolve_backend() {
   if (auto forced = backend_override()) return *forced;
-  if (const char* env = std::getenv("QREPRO_CRYPTO_BACKEND");
-      env && *env != '\0')
-    return parse_backend(env);
-  return best_backend();
+  return env_backend().value_or(best_backend());
 }
 
 bool sha256_hardware_available() {
@@ -140,7 +133,11 @@ bool sha256_hardware_available() {
 bool sha256_hardware_selected() {
   if (!sha256_hardware_available()) return false;
   if (auto forced = backend_override()) return *forced != Backend::kPortable;
-  return !env_pins_portable();
+  try {
+    return env_backend() != Backend::kPortable;
+  } catch (const std::invalid_argument&) {
+    return true;  // resolve_backend() reports the bad name
+  }
 }
 
 }  // namespace crypto

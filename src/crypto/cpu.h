@@ -4,23 +4,22 @@
 // zero dispatch overhead in steady state).
 //
 // Backends:
-//   kPortable        the original table-based scalar kernels, one
-//                    counter block at a time, and the scalar SHA-256
-//                    block function. The byte-identity reference every
-//                    other backend is diffed against.
-//   kPortableBatched portable T-table AES with a round-interleaved
-//                    4-block CTR kernel (ILP win on every ISA,
-//                    including hosts with no AES instructions at all).
-//   kAesni           AES-NI + PCLMULQDQ: hardware key schedule
-//                    (AESKEYGENASSIST), pipelined AESENC CTR, GHASH
-//                    via carry-less multiply. Compiled in its own
-//                    translation unit with per-file ISA flags and only
-//                    selected when CPUID reports both AES and PCLMUL.
+//   kPortable  T-table AES: a round-interleaved 4-block CTR kernel (ILP
+//              win on every ISA, including hosts with no AES
+//              instructions at all) plus a single-block kernel for
+//              header protection and CTR tails. The default wherever
+//              AES-NI is absent.
+//   kAesni     AES-NI + PCLMULQDQ: hardware key schedule
+//              (AESKEYGENASSIST), pipelined AESENC CTR, GHASH via
+//              carry-less multiply. Compiled in its own translation unit
+//              with per-file ISA flags and only selected when CPUID
+//              reports both AES and PCLMUL.
 //
 // SHA-256 rides on the same selection with no backend value of its own:
-// kPortable pins the scalar block kernel, and every other backend runs
-// the SHA-NI kernel (crypto/sha256_shani.cpp) wherever it is compiled
-// in and CpuFeatures::sha is set. So --crypto-backend portable and
+// naming kPortable (override or environment) pins the scalar block
+// kernel; otherwise the SHA-NI kernel (crypto/sha256_shani.cpp) runs
+// wherever it is compiled in and CpuFeatures::sha is set, also when the
+// probe picks kPortable. So --crypto-backend portable and
 // QREPRO_CRYPTO_BACKEND=portable A/B both SHA-256 kernels as well as
 // the AES ones. Each Sha256 object takes its kernel from
 // sha256_hardware_selected() at construction.
@@ -31,10 +30,11 @@
 // the engine differential battery hold every backend to that).
 //
 // Selection order: API override (set_backend_override, the CLIs'
-// --crypto-backend) > QREPRO_CRYPTO_BACKEND environment variable >
-// best_backend() hardware probe. Requesting an unavailable or unknown
-// backend throws std::invalid_argument -- an A/B run that silently
-// fell back to another backend would be measuring nothing.
+// --crypto-backend) > QREPRO_CRYPTO_BACKEND environment variable, read
+// once per process > best_backend() hardware probe. Requesting an
+// unavailable or unknown backend throws std::invalid_argument -- an A/B
+// run that silently fell back to another backend would be measuring
+// nothing.
 #pragma once
 
 #include <optional>
@@ -42,9 +42,9 @@
 
 namespace crypto {
 
+// The values are what the hotpath.crypto_backend gauge reports.
 enum class Backend {
   kPortable = 0,
-  kPortableBatched = 1,
   kAesni = 2,
 };
 
@@ -64,16 +64,17 @@ struct CpuFeatures {
 const CpuFeatures& cpu_features();
 
 /// True when `backend` is both compiled into this binary and usable on
-/// this CPU. The portable backends are always available.
+/// this CPU. The portable backend is always available.
 bool backend_available(Backend backend);
 
 /// The fastest available backend on this host.
 Backend best_backend();
 
-/// Parses "portable" / "portable_batched" / "aesni" / "auto" ("auto"
-/// resolves to best_backend()). Throws std::invalid_argument for
-/// unknown names or a named backend that is unavailable on this host.
-Backend parse_backend(const std::string& name);
+/// Parses "portable" / "aesni" / "auto" ("auto" names no backend:
+/// nullopt, so the environment and then the probe decide). Throws
+/// std::invalid_argument for unknown names or a named backend that is
+/// unavailable on this host.
+std::optional<Backend> parse_backend(const std::string& name);
 
 const char* backend_name(Backend backend);
 
@@ -86,8 +87,9 @@ std::optional<Backend> backend_override();
 
 /// The backend a context constructed right now would use:
 /// override > QREPRO_CRYPTO_BACKEND > best_backend(). Throws
-/// std::invalid_argument when the environment names an unknown or
-/// unavailable backend (loudly, on first AEAD construction).
+/// std::invalid_argument when no override is set and the environment
+/// names an unknown or unavailable backend (loudly, on every AEAD
+/// construction).
 Backend resolve_backend();
 
 /// True when the SHA-NI SHA-256 kernel is compiled into this binary and
@@ -95,10 +97,10 @@ Backend resolve_backend();
 bool sha256_hardware_available();
 
 /// Whether a Sha256 constructed right now runs the SHA-NI kernel: it is
-/// available and the selected backend is not kPortable (override >
-/// QREPRO_CRYPTO_BACKEND, read once per process). Never throws: an
-/// unknown or unavailable backend name in the environment still fails
-/// on the first AEAD construction, not on a hash.
+/// available and neither the override nor, without one,
+/// QREPRO_CRYPTO_BACKEND names kPortable. Never throws: an unknown or
+/// unavailable backend name in the environment still fails on the first
+/// AEAD construction, not on a hash.
 bool sha256_hardware_selected();
 
 /// RAII override for tests: forces `backend` for the scope's lifetime

@@ -27,9 +27,13 @@ DhKeyPair dh_generate(uint64_t secret_seed) {
 }
 
 uint64_t dh_shared(uint64_t secret, uint64_t peer_public) {
-  if (peer_public <= 1 || peer_public >= kDhPrime)
+  if (!dh_public_valid(peer_public))
     throw std::invalid_argument("dh_shared: invalid peer public value");
   return mod_pow(peer_public, secret, kDhPrime);
+}
+
+bool dh_public_valid(uint64_t peer_public) {
+  return peer_public > 1 && peer_public < kDhPrime;
 }
 
 std::vector<uint8_t> dh_encode(uint64_t v) {

@@ -25,7 +25,10 @@ struct DhKeyPair {
 };
 
 DhKeyPair dh_generate(uint64_t secret_seed);
+/// Throws std::invalid_argument unless dh_public_valid(peer_public).
 uint64_t dh_shared(uint64_t secret, uint64_t peer_public);
+/// True for a public value in [2, p - 1], the range dh_shared accepts.
+bool dh_public_valid(uint64_t peer_public);
 
 /// Big-endian 8-byte encoding used in the key_share extension payload.
 std::vector<uint8_t> dh_encode(uint64_t v);

@@ -14,6 +14,15 @@ uint64_t splitmix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+uint64_t fnv1a64(std::string_view text) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (char c : text) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& w : s_) w = splitmix64(sm);

@@ -14,6 +14,10 @@ namespace crypto {
 
 uint64_t splitmix64(uint64_t& state);
 
+/// FNV-1a 64 over `text`: a stable key for deterministic draws, the
+/// same on every platform and standard library, unlike std::hash.
+uint64_t fnv1a64(std::string_view text);
+
 /// xoshiro256** PRNG. Not cryptographic; deterministic by design.
 class Rng {
  public:

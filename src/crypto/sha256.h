@@ -20,7 +20,7 @@ using Sha256Digest = std::array<uint8_t, kSha256DigestSize>;
 ///
 /// Construction picks the block kernel once (crypto/cpu.h
 /// sha256_hardware_selected(): SHA-NI where available unless the
-/// portable backend is selected, the scalar reference otherwise); copies
+/// portable backend is named, the scalar reference otherwise); copies
 /// keep it. Every kernel produces the same digest.
 class Sha256 {
  public:

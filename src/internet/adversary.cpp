@@ -13,34 +13,19 @@ bool AdversaryProfile::is_compliant() const {
 
 namespace {
 
-uint64_t splitmix64(uint64_t z) {
-  z += 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-/// FNV-1a over the canonical address text: stable across platforms and
-/// standard-library implementations, unlike std::hash.
-uint64_t address_key(const netsim::IpAddress& address) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (char c : address.to_string()) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
+/// crypto::splitmix64 as a pure function of its input.
+uint64_t mix(uint64_t z) { return crypto::splitmix64(z); }
 
 /// One lane's deterministic draw in [0, 1).
 double lane_draw(uint64_t seed, uint64_t host, uint64_t lane) {
-  uint64_t h = splitmix64(seed ^ splitmix64(host ^ splitmix64(lane)));
+  uint64_t h = mix(seed ^ mix(host ^ mix(lane)));
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
 /// Small deterministic integer in [lo, hi] for lane parameters.
 uint64_t lane_int(uint64_t seed, uint64_t host, uint64_t lane, uint64_t lo,
                   uint64_t hi) {
-  uint64_t h = splitmix64(seed ^ splitmix64(host ^ splitmix64(lane ^ 0xa5)));
+  uint64_t h = mix(seed ^ mix(host ^ mix(lane ^ 0xa5)));
   return lo + h % (hi - lo + 1);
 }
 
@@ -109,7 +94,7 @@ AdversaryModel::AdversaryModel(const AdversaryProfile& profile, uint64_t seed)
 
 quic::AdversaryPlan AdversaryModel::plan_for(
     const netsim::IpAddress& address) const {
-  const uint64_t host = address_key(address);
+  const uint64_t host = crypto::fnv1a64(address.to_string());
   auto armed = [&](double probability, uint64_t lane) {
     return probability > 0 && lane_draw(seed_, host, lane) < probability;
   };
@@ -131,7 +116,7 @@ quic::AdversaryPlan AdversaryModel::plan_for(
   if (armed(profile_.crypto_truncate, kLaneCryptoTruncate))
     plan.crypto_truncate = lane_int(seed_, host, kLaneCryptoTruncate, 16, 128);
   plan.stall_after_hello = armed(profile_.stall, kLaneStall);
-  plan.seed = splitmix64(seed_ ^ splitmix64(host ^ kLaneSeed));
+  plan.seed = mix(seed_ ^ mix(host ^ kLaneSeed));
   return plan;
 }
 

@@ -8,20 +8,6 @@
 
 namespace internet {
 
-namespace {
-
-/// Stable 64-bit hash for certificate serials / key ids.
-uint64_t fnv64(std::string_view s) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-}  // namespace
-
 ServerHost::ServerHost(const Population& population,
                        const HostProfile& profile, crypto::Rng rng)
     : population_(population), profile_(profile), rng_(std::move(rng)) {
@@ -77,10 +63,11 @@ tls::Certificate ServerHost::make_certificate(const std::string& subject,
   int rotation = profile_.cert_rotates_weekly
                      ? (tcp_path && profile_.cert_skew ? week - 1 : week)
                      : 0;
-  cert.serial = fnv64(subject) ^ static_cast<uint64_t>(rotation) << 48;
+  cert.serial =
+      crypto::fnv1a64(subject) ^ static_cast<uint64_t>(rotation) << 48;
   cert.not_before_day = static_cast<uint32_t>(18600 + 7 * rotation);
   cert.not_after_day = cert.not_before_day + 90;
-  cert.public_key_id = fnv64(profile_.group);
+  cert.public_key_id = crypto::fnv1a64(profile_.group);
   std::vector<uint8_t> ca_key{0x51, 0x55, 0x49, 0x43};  // simulation CA
   tls::sign_certificate(cert, ca_key);
   return cert;
@@ -104,7 +91,7 @@ std::optional<tls::Certificate> ServerHost::select_certificate(
     cert.subject_cn = "invalid2.invalid";
     cert.issuer_cn = "invalid2.invalid";
     cert.serial = 1;
-    cert.public_key_id = fnv64(profile_.group);
+    cert.public_key_id = crypto::fnv1a64(profile_.group);
     tls::sign_certificate(cert, std::vector<uint8_t>{0});
     return cert;
   }

@@ -1,6 +1,7 @@
 #include "quic/connection.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "crypto/sha256.h"
 
@@ -85,18 +86,6 @@ const char* message_name(const tls::HandshakeMessage& msg) {
     return "certificate_verify";
   if (std::holds_alternative<tls::Finished>(msg)) return "finished";
   return "?";
-}
-
-/// Stateless generator for adversary mutation bytes. Seeded from the
-/// per-host AdversaryPlan only -- never from per-connection randomness,
-/// which differs across shard partitions -- so mutated bytes are a pure
-/// function of (adversary seed, host).
-uint64_t splitmix64(uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ull;
-  uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
 }
 
 /// ACK sanity (RFC 9000 section 19.3): every acknowledged packet number
@@ -652,12 +641,8 @@ void ClientConnection::process_one_rtt(const Packet& packet) {
 /// --- ServerConnection ------------------------------------------------
 
 ServerConnection::ServerConnection(const DeploymentBehavior& behavior,
-                                   crypto::Rng rng, SendFn send,
-                                   telemetry::Tracer tracer)
-    : behavior_(behavior),
-      rng_(std::move(rng)),
-      send_(std::move(send)),
-      tracer_(tracer) {}
+                                   crypto::Rng rng, SendFn send)
+    : behavior_(behavior), rng_(std::move(rng)), send_(std::move(send)) {}
 
 Packet ServerConnection::next_packet(PacketType type) {
   Packet packet;
@@ -695,20 +680,12 @@ void ServerConnection::respond_version_negotiation(const DatagramInfo& info) {
     // client is sent in circles.
     vn.supported_versions = {kDraft29, kDraft32, kDraft34, kVersion1};
   }
-  if (tracer_.active())
-    tracer_.emit(telemetry::EventType::kVersionNegotiation,
-                 {{"offered", version_name(info.version)},
-                  {"advertised",
-                   versions_to_string(behavior_.advertised_versions)}});
   send_(encode_version_negotiation(vn, static_cast<uint8_t>(rng_.next())));
   state_ = State::kClosed;
 }
 
 void ServerConnection::send_close(uint64_t error_code,
                                   const std::string& reason) {
-  if (tracer_.active())
-    tracer_.emit(telemetry::EventType::kConnectionClosed,
-                 {{"error_code", error_code}, {"reason", reason}});
   if (initial_tx_) {
     const Packet packet = next_packet(PacketType::kInitial);
     ConnectionCloseFrame close;
@@ -801,10 +778,6 @@ void ServerConnection::on_datagram(std::span<const uint8_t> datagram) {
         retry.token.push_back('t');
         retry.token.insert(retry.token.end(), client_dcid_.begin(),
                            client_dcid_.end());
-        if (tracer_.active())
-          tracer_.emit(
-              telemetry::EventType::kRetry,
-              {{"token_size", static_cast<uint64_t>(retry.token.size())}});
         send_(encode_retry(retry, client_dcid_));
         state_ = State::kClosed;  // stateless: next Initial = new session
         return;
@@ -877,11 +850,6 @@ void ServerConnection::process_client_initial(const Packet& packet) {
     send_close(kProtocolViolation, "expected ClientHello");
     return;
   }
-  if (tracer_.active())
-    tracer_.emit(
-        telemetry::EventType::kTlsMessage,
-        {{"message", "client_hello"},
-         {"size", static_cast<uint64_t>(crypto_frame->data.size())}});
   scid_ = rng_.bytes(8);
 
   if (behavior_.always_handshake_failure) {
@@ -918,8 +886,8 @@ void ServerConnection::process_client_initial(const Packet& packet) {
     }
   }
 
-  const auto* ks = tls::find_key_share(ch->extensions);
-  if (!ks || ks->entries.empty()) {
+  const tls::KeyShareEntry* share = tls::usable_key_share(ch->extensions);
+  if (!share) {
     send_close(crypto_error(static_cast<uint8_t>(
                    tls::AlertDescription::kMissingExtension)),
                "missing key_share");
@@ -927,7 +895,7 @@ void ServerConnection::process_client_initial(const Packet& packet) {
   }
 
   // The transcript hashes the whole CRYPTO data that carried the hello.
-  handshake_.emplace(*ch, crypto_frame->data, ks->entries[0], rng_);
+  handshake_.emplace(*ch, crypto_frame->data, *share, rng_);
   const tls::KeySchedule& secrets = handshake_->secrets();
   handshake_tx_ = PacketProtector(tls::derive_traffic_keys(
       secrets.server_handshake_secret(), tls::KeyUsage::kQuic));
@@ -964,7 +932,7 @@ void ServerConnection::process_client_initial(const Packet& packet) {
     mutated.bytes(tp_bytes);
     uint64_t mstate = plan.seed ^ 0x677265617365ull;
     for (int i = 0; i < plan.tp_grease; ++i) {
-      uint64_t draw = splitmix64(mstate);
+      uint64_t draw = crypto::splitmix64(mstate);
       mutated.varint(27 + 31 * static_cast<uint64_t>(i + 1));
       mutated.varint(2);
       mutated.u8(static_cast<uint8_t>(draw >> 8));
@@ -994,11 +962,11 @@ void ServerConnection::process_client_initial(const Packet& packet) {
   app_tx_->set_stats(&hotpath_stats_);
   app_rx_->set_stats(&hotpath_stats_);
 
-  // Transmit: Initial(ACK + SH) coalesced with Handshake(EE..Fin) in
-  // one datagram by default. With max_crypto_chunk set, the Initial
-  // goes out alone and the CRYPTO stream follows in bounded chunks,
-  // one Handshake packet per datagram, so the fault fabric can reorder
-  // or drop them independently.
+  // Transmit: Initial(ACK + SH), then EE..Fin as CRYPTO chunks of at
+  // most max_crypto_chunk bytes (the whole flight when 0), one Handshake
+  // packet each. An unsplit flight's packet rides in the Initial's
+  // datagram; otherwise every packet is its own datagram, so the fault
+  // fabric can reorder or drop them independently.
   std::vector<uint8_t> datagram;
   const Packet init = next_packet(PacketType::kInitial);
   frame_scratch_.clear();
@@ -1021,18 +989,11 @@ void ServerConnection::process_client_initial(const Packet& packet) {
   }
   if (plan.frame_unknown) frame_scratch_.varint(0x21);
   initial_tx_->protect_into(init, frame_scratch_.span(), datagram);
-  size_t initial_size = datagram.size();
 
   if (plan.stall_after_hello) {
     // Mid-handshake stall: the ServerHello goes out, the EE..Finished
     // flight never follows. The client sits in kAwaitServerFinished
     // until its deadline; the scanner classifies the attempt Stalled.
-    if (tracer_.active())
-      tracer_.emit(telemetry::EventType::kPacketSent,
-                   {{"packet_type", "initial"},
-                    {"packet_number", init.packet_number},
-                    {"size", static_cast<uint64_t>(initial_size)},
-                    {"stalled", true}});
     state_ = State::kClosed;
     send_(std::move(datagram));
     return;
@@ -1047,44 +1008,9 @@ void ServerConnection::process_client_initial(const Packet& packet) {
     flight.resize(flight.size() -
                   std::min(plan.crypto_truncate, flight.size() - 1));
   }
-  last_flight_.clear();
-
-  if (behavior_.max_crypto_chunk == 0 && !plan.crypto_overlap_conflict) {
-    const Packet hs = next_packet(PacketType::kHandshake);
-    frame_scratch_.clear();
-    const Frame hs_frame = CryptoFrame{0, std::move(flight)};
-    encode_frames_into(frame_scratch_, {&hs_frame, 1});
-    handshake_tx_->protect_into(hs, frame_scratch_.span(), datagram);
-    if (tracer_.active()) {
-      tracer_.emit(telemetry::EventType::kKeyUpdate,
-                   {{"level", "application"}});
-      tracer_.emit(
-          telemetry::EventType::kPacketSent,
-          {{"packet_type", "initial"},
-           {"packet_number", init.packet_number},
-           {"size", static_cast<uint64_t>(initial_size)}});
-      tracer_.emit(
-          telemetry::EventType::kPacketSent,
-          {{"packet_type", "handshake"},
-           {"packet_number", hs.packet_number},
-           {"size", static_cast<uint64_t>(datagram.size() - initial_size)}});
-    }
-    state_ = State::kAwaitFinished;  // before send_: reply may nest
-    last_flight_.push_back(datagram);
-    send_(std::move(datagram));
-    return;
-  }
-
-  if (tracer_.active()) {
-    tracer_.emit(telemetry::EventType::kKeyUpdate, {{"level", "application"}});
-    tracer_.emit(telemetry::EventType::kPacketSent,
-                 {{"packet_type", "initial"},
-                  {"packet_number", init.packet_number},
-                  {"size", static_cast<uint64_t>(initial_size)}});
-  }
   state_ = State::kAwaitFinished;  // before send_: replies may nest
-  last_flight_.push_back(datagram);
-  send_(std::move(datagram));
+  if (behavior_.max_crypto_chunk > 0 || plan.crypto_overlap_conflict)
+    send_flight(std::exchange(datagram, {}));
   if (plan.crypto_overlap_conflict && flight.size() > 2) {
     // Conflicting overlap: a prefix of the flight with its last byte
     // flipped, sent before the true bytes. Whichever order the fabric
@@ -1092,46 +1018,40 @@ void ServerConnection::process_client_initial(const Packet& packet) {
     // cover and the client's reassembler flags the conflict.
     const size_t prefix_len = std::min<size_t>(64, flight.size() - 1);
     CryptoFrame lie;
-    lie.offset = 0;
     lie.data.assign(flight.begin(),
                     flight.begin() + static_cast<ptrdiff_t>(prefix_len));
     lie.data.back() ^= 0x01;
-    const Packet hs = next_packet(PacketType::kHandshake);
-    frame_scratch_.clear();
-    const Frame lie_frame = std::move(lie);
-    encode_frames_into(frame_scratch_, {&lie_frame, 1});
-    std::vector<uint8_t> lie_datagram;
-    handshake_tx_->protect_into(hs, frame_scratch_.span(), lie_datagram);
-    last_flight_.push_back(lie_datagram);
-    send_(std::move(lie_datagram));
+    append_handshake_packet(std::move(lie), datagram);
+    send_flight(std::exchange(datagram, {}));
   }
   const size_t chunk_limit = behavior_.max_crypto_chunk > 0
                                  ? behavior_.max_crypto_chunk
                                  : flight.size();
-  for (size_t chunk_offset = 0; chunk_offset < flight.size();) {
-    const size_t len = std::min(chunk_limit, flight.size() - chunk_offset);
-    const Packet hs = next_packet(PacketType::kHandshake);
+  for (size_t offset = 0; offset < flight.size();) {
+    const size_t len = std::min(chunk_limit, flight.size() - offset);
     CryptoFrame chunk;
-    chunk.offset = chunk_offset;
-    chunk.data.assign(flight.begin() + static_cast<ptrdiff_t>(chunk_offset),
-                      flight.begin() +
-                          static_cast<ptrdiff_t>(chunk_offset + len));
-    frame_scratch_.clear();
-    const Frame chunk_frame = std::move(chunk);
-    encode_frames_into(frame_scratch_, {&chunk_frame, 1});
-    std::vector<uint8_t> chunk_datagram;
-    handshake_tx_->protect_into(hs, frame_scratch_.span(), chunk_datagram);
-    if (tracer_.active())
-      tracer_.emit(
-          telemetry::EventType::kPacketSent,
-          {{"packet_type", "handshake"},
-           {"packet_number", hs.packet_number},
-           {"crypto_offset", static_cast<uint64_t>(chunk_offset)},
-           {"size", static_cast<uint64_t>(chunk_datagram.size())}});
-    last_flight_.push_back(chunk_datagram);
-    send_(std::move(chunk_datagram));
-    chunk_offset += len;
+    chunk.offset = offset;
+    chunk.data.assign(
+        flight.begin() + static_cast<ptrdiff_t>(offset),
+        flight.begin() + static_cast<ptrdiff_t>(offset + len));
+    append_handshake_packet(std::move(chunk), datagram);
+    send_flight(std::exchange(datagram, {}));
+    offset += len;
   }
+}
+
+void ServerConnection::append_handshake_packet(
+    CryptoFrame crypto, std::vector<uint8_t>& datagram) {
+  const Packet packet = next_packet(PacketType::kHandshake);
+  frame_scratch_.clear();
+  const Frame frame = std::move(crypto);
+  encode_frames_into(frame_scratch_, {&frame, 1});
+  handshake_tx_->protect_into(packet, frame_scratch_.span(), datagram);
+}
+
+void ServerConnection::send_flight(std::vector<uint8_t> datagram) {
+  last_flight_.push_back(datagram);
+  send_(std::move(datagram));
 }
 
 void ServerConnection::process_client_handshake(const Packet& packet) {
@@ -1172,7 +1092,8 @@ void ServerConnection::process_client_handshake(const Packet& packet) {
     uint64_t gstate = plan.seed ^ 0x67617262616765ull;
     for (int i = 0; i < plan.garbage_datagrams; ++i) {
       std::vector<uint8_t> noise(48 + 16 * static_cast<size_t>(i % 4));
-      for (auto& b : noise) b = static_cast<uint8_t>(splitmix64(gstate));
+      for (auto& b : noise)
+        b = static_cast<uint8_t>(crypto::splitmix64(gstate));
       noise[0] = 0x40 | (noise[0] & 0x3f);  // plausible short header
       send_(std::move(noise));
     }

@@ -300,7 +300,7 @@ class ServerConnection {
   using SendFn = std::function<void(std::vector<uint8_t> datagram)>;
 
   ServerConnection(const DeploymentBehavior& behavior, crypto::Rng rng,
-                   SendFn send, telemetry::Tracer tracer = {});
+                   SendFn send);
 
   /// Feeds one client datagram; returns false once the connection is
   /// dead (caller may drop it).
@@ -315,6 +315,11 @@ class ServerConnection {
   /// session (nullopt).
   std::optional<std::vector<Frame>> read_frames(const Packet& packet);
   void process_client_initial(const Packet& packet);
+  /// Appends to `datagram` one Handshake packet carrying `crypto`.
+  void append_handshake_packet(CryptoFrame crypto,
+                               std::vector<uint8_t>& datagram);
+  /// Records `datagram` as part of the flight and sends it.
+  void send_flight(std::vector<uint8_t> datagram);
   void process_client_handshake(const Packet& packet);
   void process_client_one_rtt(const Packet& packet);
   void send_close(uint64_t error_code, const std::string& reason);
@@ -323,7 +328,6 @@ class ServerConnection {
   const DeploymentBehavior& behavior_;
   crypto::Rng rng_;
   SendFn send_;
-  telemetry::Tracer tracer_;
 
   ConnectionId client_dcid_;  // original, for initial keys
   ConnectionId client_scid_;

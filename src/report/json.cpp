@@ -1,9 +1,10 @@
 #include "report/json.h"
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+
+#include "telemetry/trace.h"
 
 namespace report::json {
 
@@ -228,27 +229,7 @@ class Parser {
 Value parse(const std::string& text) { return Parser(text).parse_document(); }
 
 std::string escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-        break;
-    }
-  }
-  return out;
+  return telemetry::json_escape(text);
 }
 
 }  // namespace report::json

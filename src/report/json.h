@@ -37,7 +37,7 @@ struct Value {
 /// on malformed input or trailing garbage.
 Value parse(const std::string& text);
 
-/// JSON string escaping for the writers ('"', '\\', control chars).
+/// telemetry::json_escape, for the report writers.
 std::string escape(const std::string& text);
 
 }  // namespace report::json

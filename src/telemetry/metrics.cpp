@@ -99,9 +99,7 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
 namespace {
 
 void write_key(std::ostream& out, const std::string& name) {
-  out << '"';
-  json_escape(out, name);
-  out << '"';
+  out << '"' << json_escape(name) << '"';
 }
 
 }  // namespace

@@ -34,23 +34,28 @@ const Value* TraceEvent::find(const std::string& key) const {
   return nullptr;
 }
 
-void json_escape(std::ostream& out, const std::string& value) {
+std::string json_escape(const std::string& value) {
+  std::string out;
+  out.reserve(value.size());
   for (unsigned char c : value) {
     switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
       default:
         if (c < 0x20) {
           const char* hex = "0123456789abcdef";
-          out << "\\u00" << hex[c >> 4] << hex[c & 0xf];
+          out += "\\u00";
+          out += hex[c >> 4];
+          out += hex[c & 0xf];
         } else {
-          out << static_cast<char>(c);
+          out += static_cast<char>(c);
         }
     }
   }
+  return out;
 }
 
 namespace {
@@ -61,9 +66,7 @@ void write_value(std::ostream& out, const Value& value) {
       out << value.num;
       break;
     case Value::Kind::kString:
-      out << '"';
-      json_escape(out, value.str);
-      out << '"';
+      out << '"' << json_escape(value.str) << '"';
       break;
     case Value::Kind::kBool:
       out << (value.flag ? "true" : "false");
@@ -81,9 +84,7 @@ void write_json_line(std::ostream& out, const TraceEvent& event) {
   for (const auto& [key, value] : event.data) {
     if (!first) out << ',';
     first = false;
-    out << '"';
-    json_escape(out, key);
-    out << "\":";
+    out << '"' << json_escape(key) << "\":";
     write_value(out, value);
   }
   out << "}}\n";
@@ -105,9 +106,8 @@ namespace {
 
 void write_header(std::ostream& out, const std::string& title) {
   out << "{\"qlog_format\":\"JSON-LINES\",\"schema\":"
-         "\"quic-scanner-trace\",\"title\":\"";
-  json_escape(out, title);
-  out << "\"}\n";
+         "\"quic-scanner-trace\",\"title\":\""
+      << json_escape(title) << "\"}\n";
 }
 
 }  // namespace

@@ -100,8 +100,8 @@ class TraceSink {
 void write_json_line(std::ostream& out, const TraceEvent& event);
 
 /// JSON string escaping per RFC 8259 (quotes, backslashes, control
-/// characters); exposed for the metrics writer and tests.
-void json_escape(std::ostream& out, const std::string& value);
+/// characters): the one escaper of every JSON writer.
+std::string json_escape(const std::string& value);
 
 /// The per-connection tracing handle. Copyable, two pointers wide.
 /// Inactive (default-constructed) tracers cost one branch per emit;

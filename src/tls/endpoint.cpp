@@ -129,9 +129,8 @@ std::vector<uint8_t> TlsServerSession::handle_client_hello(
                 client_versions->versions.end(),
                 kVersion13) != client_versions->versions.end();
   if (!offers_13) return alert(AlertDescription::kProtocolVersion);
-  const auto* ks = find_key_share(ch.extensions);
-  if (!ks || ks->entries.empty())
-    return alert(AlertDescription::kMissingExtension);
+  const KeyShareEntry* share = usable_key_share(ch.extensions);
+  if (!share) return alert(AlertDescription::kMissingExtension);
 
   std::optional<std::string> selected_alpn;
   const bool skip_alpn = !sni && !config_.alpn_without_sni;
@@ -141,7 +140,7 @@ std::vector<uint8_t> TlsServerSession::handle_client_hello(
       return alert(AlertDescription::kNoApplicationProtocol);
   }
 
-  ServerHandshake handshake(ch, raw, ks->entries[0], rng_);
+  ServerHandshake handshake(ch, raw, *share, rng_);
   std::vector<Extension> ee;
   if (selected_alpn) ee.push_back(AlpnExtension{{*selected_alpn}});
   if (sni && config_.echo_sni) ee.push_back(SniExtension{});
@@ -214,7 +213,7 @@ TlsClientResult TlsClient::run(
   result.details = handshake.details();
 
   if (!*tls13) {
-    // A 1.3 answer without a key share fails. Below 1.3 (the legacy
+    // A 1.3 answer without a usable key share fails. Below 1.3 (the legacy
     // path) the certificate arrives in plaintext: record it and stop.
     if (result.details.negotiated_version >= kVersion13) return result;
     for (const auto& rec : records) {

@@ -37,6 +37,17 @@ std::optional<std::string> select_alpn(
   return std::nullopt;
 }
 
+const KeyShareEntry* usable_key_share(
+    const std::vector<Extension>& extensions) {
+  const auto* ks = find_key_share(extensions);
+  if (!ks || ks->entries.empty()) return nullptr;
+  const KeyShareEntry& entry = ks->entries[0];
+  if (entry.key_exchange.size() != 8 ||
+      !crypto::dh_public_valid(crypto::dh_decode(entry.key_exchange)))
+    return nullptr;
+  return &entry;
+}
+
 /// --- Client ----------------------------------------------------------
 
 ClientHandshake::ClientHandshake(crypto::Rng& rng,
@@ -76,11 +87,11 @@ bool ClientHandshake::on_server_hello(const ServerHello& sh,
   for (const auto& ext : sh.extensions)
     details_.server_extensions.push_back(extension_type(ext));
   if (details_.negotiated_version < kVersion13) return false;
-  const auto* ks = find_key_share(sh.extensions);
-  if (!ks || ks->entries.empty()) return false;
-  details_.key_exchange_group = ks->entries[0].group;
+  const KeyShareEntry* share = usable_key_share(sh.extensions);
+  if (!share) return false;
+  details_.key_exchange_group = share->group;
   schedule_.derive_handshake_secrets(
-      shared_secret(dh_secret_, ks->entries[0].key_exchange));
+      shared_secret(dh_secret_, share->key_exchange));
   return true;
 }
 

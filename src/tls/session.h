@@ -27,6 +27,12 @@ std::optional<std::string> select_alpn(
     const std::vector<std::string>& offered,
     const std::vector<std::string>& supported);
 
+/// The key share every endpoint answers: the first key_share entry, if
+/// it carries a public value the handshake can use (8 bytes, in the DH
+/// group's range). nullptr when the extension is missing, empty or
+/// malformed, which every endpoint treats alike.
+const KeyShareEntry* usable_key_share(const std::vector<Extension>& extensions);
+
 class ClientHandshake {
  public:
   /// Draws the key share and then the 32-byte random from `rng`, builds
@@ -44,8 +50,8 @@ class ClientHandshake {
 
   /// Adds `encoded` (the bytes that carried `sh`) to the transcript and
   /// records the version, suite and codepoints. Returns false on an
-  /// answer below TLS 1.3 or without a key share; otherwise records the
-  /// group and derives the handshake secrets.
+  /// answer below TLS 1.3 or without a usable key share; otherwise
+  /// records the group and derives the handshake secrets.
   bool on_server_hello(const ServerHello& sh,
                        std::span<const uint8_t> encoded);
 
@@ -80,6 +86,7 @@ class ServerHandshake {
   /// transcript, draws the key share and then the random from `rng`,
   /// answers with a TLS 1.3 ServerHello (supported_versions, key_share
   /// in `client_share`'s group) and derives the handshake secrets.
+  /// `client_share` is the ClientHello's usable_key_share.
   ServerHandshake(const ClientHello& ch, std::span<const uint8_t> encoded,
                   const KeyShareEntry& client_share, crypto::Rng& rng);
 

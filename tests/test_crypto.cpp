@@ -30,11 +30,12 @@ std::vector<uint8_t> str_bytes(std::string_view s) {
   return {s.begin(), s.end()};
 }
 
-// SHA-256 kernels under test: the scalar reference, which the portable
-// backend pins, and SHA-NI, which every other backend selects where the
+// SHA-256 kernels under test: the scalar reference, which naming the
+// portable backend pins, and SHA-NI, which naming aesni selects where the
 // host has it (crypto/cpu.h). The FIPS 180-4, RFC 4231 and RFC 5869
 // vectors below run under each; tests that need SHA-NI skip visibly
-// without it.
+// without it. They build no AEAD context, so forcing aesni needs no
+// AES-NI.
 struct Sha256Kernel {
   const char* name;
   crypto::Backend backend;  // a backend that selects this kernel
@@ -44,7 +45,7 @@ std::vector<Sha256Kernel> sha256_kernels() {
   std::vector<Sha256Kernel> kernels = {
       {"scalar", crypto::Backend::kPortable}};
   if (crypto::sha256_hardware_available())
-    kernels.push_back({"sha_ni", crypto::Backend::kPortableBatched});
+    kernels.push_back({"sha_ni", crypto::Backend::kAesni});
   return kernels;
 }
 
@@ -128,11 +129,8 @@ TEST(Sha256Kernels, PortableBackendPinsScalar) {
     EXPECT_FALSE(crypto::sha256_hardware_selected());
     EXPECT_FALSE(crypto::Sha256().hardware_kernel());
   }
-  for (crypto::Backend backend :
-       {crypto::Backend::kPortableBatched, crypto::Backend::kAesni}) {
-    if (!crypto::backend_available(backend)) continue;
-    crypto::ScopedBackendOverride force(backend);
-    SCOPED_TRACE(crypto::backend_name(backend));
+  {
+    crypto::ScopedBackendOverride force(crypto::Backend::kAesni);
     EXPECT_EQ(crypto::sha256_hardware_selected(),
               crypto::sha256_hardware_available());
     EXPECT_EQ(crypto::Sha256().hardware_kernel(),
@@ -140,7 +138,7 @@ TEST(Sha256Kernels, PortableBackendPinsScalar) {
   }
   // An object keeps the kernel it was built with; copies keep it too.
   crypto::Sha256 hw = [] {
-    crypto::ScopedBackendOverride force(crypto::Backend::kPortableBatched);
+    crypto::ScopedBackendOverride force(crypto::Backend::kAesni);
     return crypto::Sha256();
   }();
   crypto::ScopedBackendOverride force(crypto::Backend::kPortable);
@@ -179,8 +177,7 @@ TEST(Sha256Kernels, ShaNiMatchesScalarAcrossPaddingEdges) {
         for (size_t at = 0; at <= len; ++at) splits.push_back(at);
     }
     for (size_t split : splits) {
-      ASSERT_EQ(hash_split(crypto::Backend::kPortableBatched, len, split),
-                reference)
+      ASSERT_EQ(hash_split(crypto::Backend::kAesni, len, split), reference)
           << "len=" << len << " split=" << split;
       ASSERT_EQ(hash_split(crypto::Backend::kPortable, len, split), reference)
           << "scalar len=" << len << " split=" << split;
@@ -465,14 +462,13 @@ TEST(Aes128Gcm, RejectsBadNonceAndShortCiphertext) {
 
 // ---------------------------------------------------------------------------
 // Backend-dispatch battery: every available kernel backend (portable,
-// portable_batched, and aesni when the host has the ISA) must produce
-// byte-identical ciphertext and tags. The KAT vectors are NIST CAVP
-// gcmEncryptExtIV128 entries plus the McGrew-Viega GCM test cases the
-// earlier Aes128Gcm tests already pin for the default backend.
+// and aesni when the host has the ISA) must produce byte-identical
+// ciphertext and tags. The KAT vectors are NIST CAVP gcmEncryptExtIV128
+// entries plus the McGrew-Viega GCM test cases the earlier Aes128Gcm
+// tests already pin for the default backend.
 
 std::vector<crypto::Backend> available_backends() {
-  std::vector<crypto::Backend> backends = {crypto::Backend::kPortable,
-                                           crypto::Backend::kPortableBatched};
+  std::vector<crypto::Backend> backends = {crypto::Backend::kPortable};
   if (crypto::backend_available(crypto::Backend::kAesni))
     backends.push_back(crypto::Backend::kAesni);
   return backends;
@@ -638,9 +634,8 @@ TEST(Aes128Backends, Encrypt4MatchesSingleBlocks) {
 
 TEST(CryptoCpu, ParseBackendNamesAndOverride) {
   EXPECT_EQ(crypto::parse_backend("portable"), crypto::Backend::kPortable);
-  EXPECT_EQ(crypto::parse_backend("portable_batched"),
-            crypto::Backend::kPortableBatched);
-  EXPECT_EQ(crypto::parse_backend("auto"), crypto::best_backend());
+  // "auto" names no backend: the environment, then the probe, decide.
+  EXPECT_EQ(crypto::parse_backend("auto"), std::nullopt);
   EXPECT_THROW(crypto::parse_backend("sse9000"), std::invalid_argument);
   EXPECT_THROW(crypto::parse_backend(""), std::invalid_argument);
   if (!crypto::backend_available(crypto::Backend::kAesni)) {
@@ -649,9 +644,7 @@ TEST(CryptoCpu, ParseBackendNamesAndOverride) {
 
   EXPECT_TRUE(crypto::backend_available(crypto::best_backend()));
   for (crypto::Backend backend : available_backends()) {
-    EXPECT_STREQ(crypto::backend_name(backend),
-                 crypto::backend_name(crypto::parse_backend(
-                     crypto::backend_name(backend))));
+    EXPECT_EQ(crypto::parse_backend(crypto::backend_name(backend)), backend);
     crypto::ScopedBackendOverride force(backend);
     EXPECT_EQ(crypto::resolve_backend(), backend);
   }
@@ -761,7 +754,7 @@ TEST(HmacKey, KeyBuiltUnderOneKernelRunsTheForcedOne) {
     crypto::ScopedBackendOverride force(backend);
     return crypto::HmacKey(secret);
   };
-  const crypto::HmacKey built_hw = build(crypto::Backend::kPortableBatched);
+  const crypto::HmacKey built_hw = build(crypto::Backend::kAesni);
   const crypto::HmacKey built_scalar = build(crypto::Backend::kPortable);
   for (const crypto::HmacKey* key : {&built_hw, &built_scalar}) {
     {
@@ -769,7 +762,7 @@ TEST(HmacKey, KeyBuiltUnderOneKernelRunsTheForcedOne) {
       EXPECT_FALSE(crypto::HmacKeyTestPeer::runs_hardware_kernel(*key));
       EXPECT_EQ(to_hex(key->mac(data)), rfc4231_case1);
     }
-    crypto::ScopedBackendOverride force(crypto::Backend::kPortableBatched);
+    crypto::ScopedBackendOverride force(crypto::Backend::kAesni);
     EXPECT_TRUE(crypto::HmacKeyTestPeer::runs_hardware_kernel(*key));
     EXPECT_EQ(to_hex(key->mac(data)), rfc4231_case1);
   }
@@ -866,7 +859,7 @@ TEST(Aes128GcmContexts, CopiesAndMovesSealLikeAFreshContext) {
 }
 
 TEST(Aes128GcmContexts, ContextStaysSmall) {
-  // The portable backends' 4 KiB GHASH table lives on the heap; an
+  // The portable backend's 4 KiB GHASH table lives on the heap; an
   // inline table would put the context back above 4 KiB.
   EXPECT_LE(sizeof(crypto::Aes128Gcm), 512u);
 }

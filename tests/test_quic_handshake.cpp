@@ -8,6 +8,7 @@
 #include <cstring>
 #include <deque>
 
+#include "crypto/sha256.h"
 #include "quic/assembler.h"
 #include "quic/connection.h"
 #include "tls/endpoint.h"
@@ -62,6 +63,7 @@ struct Loopback {
   ClientConnection* client = nullptr;
   std::vector<uint8_t> session_dcid;
   std::deque<std::pair<bool, std::vector<uint8_t>>> queue;  // to_server?
+  std::vector<std::vector<uint8_t>> from_server;  // in delivery order
 
   explicit Loopback(const DeploymentBehavior& b, uint64_t s)
       : behavior(b), seed(s) {}
@@ -84,16 +86,19 @@ struct Loopback {
         }
         server->on_datagram(datagram);
       } else if (client) {
+        from_server.push_back(datagram);
         client->on_datagram(datagram);
       }
     }
   }
 };
 
-/// Runs a handshake over a zero-latency loopback; returns the report.
-ClientReport run_handshake(ClientConfig config,
-                           const DeploymentBehavior& behavior,
-                           uint64_t seed = 1) {
+/// Runs a handshake over a zero-latency loopback; returns the report
+/// and, when `from_server` is set, every server datagram in order.
+ClientReport run_handshake(
+    ClientConfig config, const DeploymentBehavior& behavior,
+    uint64_t seed = 1,
+    std::vector<std::vector<uint8_t>>* from_server = nullptr) {
   Loopback loopback(behavior, seed);
   ClientConnection client(
       std::move(config), crypto::Rng(seed),
@@ -104,7 +109,113 @@ ClientReport run_handshake(ClientConfig config,
   loopback.client = &client;
   client.start();
   loopback.pump();
+  if (from_server) *from_server = std::move(loopback.from_server);
   return client.report();
+}
+
+/// Key shares no endpoint can use: short, long, and 8 bytes outside the
+/// DH group's range.
+std::vector<std::vector<uint8_t>> malformed_key_shares() {
+  return {std::vector<uint8_t>(4, 0x42), std::vector<uint8_t>(9, 0x42),
+          std::vector<uint8_t>(8, 0x00)};
+}
+
+/// The client's report once its first Initial is answered by a
+/// ServerHello whose x25519 key_share carries `share` (no key_share at
+/// all when nullopt).
+ClientReport client_meets_server_share(
+    std::optional<std::vector<uint8_t>> share) {
+  std::vector<uint8_t> first;
+  ClientConfig config;
+  config.sni = "www.example.com";
+  ClientConnection client(
+      config, crypto::Rng(3),
+      [&](std::vector<uint8_t> datagram) { first = std::move(datagram); },
+      nullptr);
+  client.start();
+  const auto info = peek_datagram(first);
+  tls::ServerHello sh;
+  sh.extensions.push_back(tls::SupportedVersionsExtension{{tls::kVersion13}});
+  if (share)
+    sh.extensions.push_back(tls::KeyShareExtension{
+        {{static_cast<uint16_t>(tls::NamedGroup::kX25519), *share}}});
+  Packet initial;
+  initial.type = PacketType::kInitial;
+  initial.version = kVersion1;
+  initial.dcid = info->scid;
+  initial.scid = ConnectionId(8, 0x5e);
+  initial.payload = encode_frames({CryptoFrame{0, tls::encode_handshake(sh)}});
+  client.on_datagram(
+      PacketProtector::for_initial(kVersion1, info->dcid, /*is_server=*/true)
+          .protect(initial));
+  return client.report();
+}
+
+/// The CONNECTION_CLOSE a server answers with when a ClientHello's
+/// x25519 key_share carries `share` (no key_share at all when nullopt).
+ConnectionCloseFrame server_meets_client_share(
+    std::optional<std::vector<uint8_t>> share) {
+  tls::ClientHello ch;
+  ch.cipher_suites = {tls::CipherSuite::kAes128GcmSha256};
+  ch.extensions.push_back(tls::SupportedVersionsExtension{{tls::kVersion13}});
+  if (share)
+    ch.extensions.push_back(tls::KeyShareExtension{
+        {{static_cast<uint16_t>(tls::NamedGroup::kX25519), *share}}});
+  const ConnectionId dcid(8, 0xd1);
+  Packet initial;
+  initial.type = PacketType::kInitial;
+  initial.version = kVersion1;
+  initial.dcid = dcid;
+  initial.scid = ConnectionId(8, 0xc1);
+  initial.payload = encode_frames(
+      {CryptoFrame{0, tls::encode_handshake(ch)}, PaddingFrame{1100}});
+  const auto behavior = default_behavior();
+  std::vector<std::vector<uint8_t>> replies;
+  ServerConnection server(behavior, crypto::Rng(4),
+                          [&](std::vector<uint8_t> datagram) {
+                            replies.push_back(std::move(datagram));
+                          });
+  server.on_datagram(
+      PacketProtector::for_initial(kVersion1, dcid, /*is_server=*/false)
+          .protect(initial));
+  EXPECT_TRUE(server.closed());
+  if (replies.size() != 1) return {};
+  size_t offset = 0;
+  const auto reply =
+      PacketProtector::for_initial(kVersion1, dcid, /*is_server=*/true)
+          .unprotect(replies[0], offset);
+  if (!reply) return {};
+  const auto frames = decode_frames(reply->payload);
+  const auto* close = find_close(frames);
+  return close ? *close : ConnectionCloseFrame{};
+}
+
+TEST(Handshake, ClientTreatsAMalformedServerKeyShareAsMissing) {
+  // The share used to reach the DH decoder, whose exception escaped
+  // on_datagram and ended the scanner's whole campaign chunk.
+  const ClientReport missing = client_meets_server_share(std::nullopt);
+  EXPECT_EQ(missing.result, ConnectResult::kInternalError);
+  for (const auto& share : malformed_key_shares()) {
+    SCOPED_TRACE(wire::to_hex(share));
+    ClientReport report;
+    ASSERT_NO_THROW(report = client_meets_server_share(share));
+    EXPECT_EQ(report.result, missing.result);
+    EXPECT_EQ(report.tls.key_exchange_group, missing.tls.key_exchange_group);
+  }
+}
+
+TEST(Handshake, ServerTreatsAMalformedClientKeyShareAsMissing) {
+  const ConnectionCloseFrame missing = server_meets_client_share(std::nullopt);
+  EXPECT_EQ(missing.error_code,
+            crypto_error(static_cast<uint8_t>(
+                tls::AlertDescription::kMissingExtension)));
+  EXPECT_EQ(missing.reason_phrase, "missing key_share");
+  for (const auto& share : malformed_key_shares()) {
+    SCOPED_TRACE(wire::to_hex(share));
+    ConnectionCloseFrame close;
+    ASSERT_NO_THROW(close = server_meets_client_share(share));
+    EXPECT_EQ(close, missing);
+  }
 }
 
 TEST(Handshake, SuccessWithSniAndHttp) {
@@ -573,6 +684,56 @@ TEST(Handshake, SplitFlightInOrderStillSucceeds) {
   auto report = run_handshake(config, behavior);
   EXPECT_EQ(report.result, ConnectResult::kSuccess);
   ASSERT_TRUE(report.http_response.has_value());
+}
+
+TEST(Handshake, ServerFlightBytesArePinned) {
+  // The first 8 bytes of the SHA-256 of every server datagram, in
+  // order, for each shape of the EE..Finished flight: coalesced into the
+  // Initial's datagram, split into 200-byte chunks, preceded by a
+  // conflicting overlap, truncated, and withheld after the ServerHello.
+  // Pins the bytes and the datagram boundaries of each shape.
+  struct Shape {
+    const char* name;
+    void (*apply)(DeploymentBehavior&);
+    std::vector<std::string> digests;
+  };
+  const Shape shapes[] = {
+      {"coalesced",
+       [](DeploymentBehavior&) {},
+       {"3ed5bb6f1efa2733", "36b4f1af7f7d2f38", "6a017b2815a4f6c7"}},
+      {"chunked",
+       [](DeploymentBehavior& b) { b.max_crypto_chunk = 200; },
+       {"d25e8de1873bf2d0", "183b72d480fad0e1", "980b380f74e8df6b",
+        "36b4f1af7f7d2f38", "6a017b2815a4f6c7"}},
+      {"overlap",
+       [](DeploymentBehavior& b) {
+         b.adversary.crypto_overlap_conflict = true;
+       },
+       {"d25e8de1873bf2d0", "ed3314f38f8e4034", "18e9d26cd419b5a2"}},
+      {"truncate",
+       [](DeploymentBehavior& b) { b.adversary.crypto_truncate = 40; },
+       {"c8679f788f375518"}},
+      {"stall",
+       [](DeploymentBehavior& b) { b.adversary.stall_after_hello = true; },
+       {"d25e8de1873bf2d0"}},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    auto behavior = default_behavior();
+    shape.apply(behavior);
+    ClientConfig config;
+    config.sni = "www.example.com";
+    config.alpn = {"h3"};
+    config.http_request = "HEAD / HTTP/1.1\r\nhost: www.example.com\r\n\r\n";
+    std::vector<std::vector<uint8_t>> from_server;
+    run_handshake(config, behavior, 7, &from_server);
+    std::vector<std::string> digests;
+    for (const auto& datagram : from_server) {
+      const auto digest = crypto::Sha256::hash(datagram);
+      digests.push_back(wire::to_hex({digest.data(), 8}));
+    }
+    EXPECT_EQ(digests, shape.digests);
+  }
 }
 
 TEST(Handshake, OutOfOrderCryptoReassembledAcrossDatagrams) {

@@ -248,12 +248,13 @@ TEST(InitialSecrets, MatchRfc9001AppendixA) {
 
 TEST(InitialSecrets, BothSidesMatchRfc9001AppendixA1OnEveryKernel) {
   // RFC 9001 Appendix A.1: both directions' secrets and packet
-  // protection keys for DCID 8394c8f03e515708, under each SHA-256
-  // kernel (portable pins the scalar one).
+  // protection keys for DCID 8394c8f03e515708, under each backend the
+  // host offers: portable pins the scalar SHA-256 kernel, and aesni
+  // selects SHA-NI where the host has it.
   auto dcid = wire::from_hex("8394c8f03e515708");
   std::vector<crypto::Backend> backends = {crypto::Backend::kPortable};
-  if (crypto::sha256_hardware_available())
-    backends.push_back(crypto::Backend::kPortableBatched);
+  if (crypto::backend_available(crypto::Backend::kAesni))
+    backends.push_back(crypto::Backend::kAesni);
   for (crypto::Backend backend : backends) {
     crypto::ScopedBackendOverride force(backend);
     SCOPED_TRACE(crypto::backend_name(backend));
@@ -307,8 +308,7 @@ TEST(PacketProtectorContexts, CopiesAndMovesProtectLikeAFreshProtector) {
   packet.scid = rng.bytes(8);
   packet.packet_number = 5;
   packet.payload = encode_frames({CryptoFrame{0, rng.bytes(400)}});
-  std::vector<crypto::Backend> backends = {crypto::Backend::kPortable,
-                                           crypto::Backend::kPortableBatched};
+  std::vector<crypto::Backend> backends = {crypto::Backend::kPortable};
   if (crypto::backend_available(crypto::Backend::kAesni))
     backends.push_back(crypto::Backend::kAesni);
   for (crypto::Backend backend : backends) {

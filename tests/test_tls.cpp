@@ -19,11 +19,13 @@ namespace {
 using namespace tls;
 
 // A backend that selects each SHA-256 kernel the host offers (portable
-// pins the scalar one; see crypto/cpu.h).
+// pins the scalar one, aesni selects SHA-NI; see crypto/cpu.h). The
+// tests that loop over them build no AEAD context, so forcing aesni
+// needs no AES-NI.
 std::vector<crypto::Backend> sha256_kernel_backends() {
   std::vector<crypto::Backend> backends = {crypto::Backend::kPortable};
   if (crypto::sha256_hardware_available())
-    backends.push_back(crypto::Backend::kPortableBatched);
+    backends.push_back(crypto::Backend::kAesni);
   return backends;
 }
 
@@ -557,6 +559,77 @@ TEST(TlsOverTcp, MalformedEncryptedMessageFailsTheHandshake) {
   ASSERT_NO_THROW(result = client.run(exchange, std::nullopt));
   EXPECT_FALSE(result.handshake_ok);
   EXPECT_FALSE(result.alert.has_value());
+}
+
+/// Key shares no endpoint can use: short, long, and 8 bytes outside the
+/// DH group's range.
+std::vector<std::vector<uint8_t>> malformed_key_shares() {
+  return {std::vector<uint8_t>(4, 0x42), std::vector<uint8_t>(9, 0x42),
+          std::vector<uint8_t>(8, 0x00)};
+}
+
+/// An x25519 key_share carrying `share`, or none when nullopt.
+void add_key_share(std::vector<Extension>& extensions,
+                   const std::optional<std::vector<uint8_t>>& share) {
+  if (share)
+    extensions.push_back(KeyShareExtension{
+        {{static_cast<uint16_t>(NamedGroup::kX25519), *share}}});
+}
+
+TEST(TlsOverTcp, ClientTreatsAMalformedServerKeyShareAsMissing) {
+  // The share used to reach the DH decoder, whose exception escaped
+  // TlsClient::run and ended the scanner's whole campaign chunk.
+  auto run = [](const std::optional<std::vector<uint8_t>>& share) {
+    auto exchange = [&](std::span<const uint8_t>) {
+      ServerHello sh;
+      sh.extensions.push_back(SupportedVersionsExtension{{kVersion13}});
+      add_key_share(sh.extensions, share);
+      Record record;
+      record.payload = encode_handshake(sh);
+      return encode_record(record);
+    };
+    TlsClient client(crypto::Rng(1), "www.example.com", {"h2"});
+    return client.run(exchange, std::nullopt);
+  };
+  const TlsClientResult missing = run(std::nullopt);
+  EXPECT_FALSE(missing.handshake_ok);
+  EXPECT_FALSE(missing.alert.has_value());
+  for (const auto& share : malformed_key_shares()) {
+    SCOPED_TRACE(wire::to_hex(share));
+    TlsClientResult result;
+    ASSERT_NO_THROW(result = run(share));
+    EXPECT_EQ(result.handshake_ok, missing.handshake_ok);
+    EXPECT_EQ(result.alert, missing.alert);
+    EXPECT_EQ(result.details.key_exchange_group,
+              missing.details.key_exchange_group);
+  }
+}
+
+TEST(TlsOverTcp, ServerTreatsAMalformedClientKeyShareAsMissing) {
+  const auto config = tcp_server_config();
+  auto alert = [&](const std::optional<std::vector<uint8_t>>& share) {
+    ClientHello ch;
+    ch.cipher_suites = {CipherSuite::kAes128GcmSha256};
+    ch.extensions.push_back(SupportedVersionsExtension{{kVersion13}});
+    add_key_share(ch.extensions, share);
+    Record record;
+    record.payload = encode_handshake(ch);
+    TlsServerSession server(config, crypto::Rng(2));
+    const auto reply = decode_records(server.on_data(encode_record(record)));
+    EXPECT_EQ(reply.size(), 1u);
+    EXPECT_EQ(reply.at(0).type, ContentType::kAlert);
+    return reply.at(0).payload;
+  };
+  const std::vector<uint8_t> missing = alert(std::nullopt);
+  EXPECT_EQ(missing,
+            (std::vector<uint8_t>{
+                2, static_cast<uint8_t>(AlertDescription::kMissingExtension)}));
+  for (const auto& share : malformed_key_shares()) {
+    SCOPED_TRACE(wire::to_hex(share));
+    std::vector<uint8_t> answer;
+    ASSERT_NO_THROW(answer = alert(share));
+    EXPECT_EQ(answer, missing);
+  }
 }
 
 }  // namespace

@@ -36,10 +36,10 @@
 // report::ReportAccumulator (same hook as the CSV writer) and writes
 // DIR/report.{json,md} from the chunk-order fold -- byte-identical for
 // every --jobs N and to an offline qreport_cli replay of the CSV.
-// --crypto-backend forces the AES-GCM kernel backend (portable,
-// portable_batched, aesni, auto) for A/B timing runs; every backend
-// produces byte-identical output, so only wall-clock changes (see
-// DESIGN.md "Crypto backends").
+// --crypto-backend forces the AES-GCM kernel backend (portable, aesni,
+// auto; portable also pins scalar SHA-256) for A/B timing runs; every
+// backend produces byte-identical output, so only wall-clock changes
+// (see DESIGN.md "Crypto backends").
 #include <cstdio>
 #include <fstream>
 #include <span>

@@ -18,10 +18,9 @@
 # the busy-time straggler ratio; micro_engine itself enforces the
 # straggler <= 1.20 gate on multi-core hosts).
 # BENCH_hotpath.json additionally carries the per-crypto-backend
-# aead_seal_cached sweep ("backends": portable / portable_batched /
-# aesni); micro_hotpath enforces three crypto gates before it rewrites
-# the file -- portable_batched must beat portable, aesni must be >= 3x
-# portable where the ISA exists, and on AES-NI hosts aead_seal_cached
+# aead_seal_cached sweep ("backends": portable / aesni); micro_hotpath
+# enforces two crypto gates before it rewrites the file -- aesni must be
+# >= 3x portable where the ISA exists, and on AES-NI hosts aead_seal_cached
 # must not regress > 10% against the committed JSON it is replacing --
 # so a kernel regression fails this script instead of silently
 # refreshing the baseline it is measured against.

@@ -22,7 +22,7 @@
 #
 # On the plain tree the fast lane also runs a second pass with
 # QREPRO_CRYPTO_BACKEND=portable, forcing every AEAD context and every
-# SHA-256 object onto the reference scalar kernels: the default pass
+# SHA-256 object onto the scalar kernels: the default pass
 # exercises the fastest kernels the host offers (aesni and SHA-NI where
 # the ISA exists), so between the two passes both ends of the crypto
 # dispatch (DESIGN.md "Crypto backends") stay green, for AES-GCM and
