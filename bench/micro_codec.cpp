@@ -139,7 +139,7 @@ void BM_KeySchedule(benchmark::State& state, crypto::Backend backend) {
   auto hello = rng.bytes(400);         // ClientHello + ServerHello
   auto server_flight = rng.bytes(600);  // EE + Certificate + CV
   auto server_finished = rng.bytes(36);
-  auto quic_keys = [](std::span<const uint8_t> secret) {
+  auto quic_keys = [](const auto& secret) {
     return tls::derive_traffic_keys(secret, tls::KeyUsage::kQuic);
   };
   for (auto _ : state) {
@@ -150,17 +150,17 @@ void BM_KeySchedule(benchmark::State& state, crypto::Backend backend) {
       tls::KeySchedule ks;
       ks.add_message(hello);
       ks.derive_handshake_secrets(shared);
-      benchmark::DoNotOptimize(quic_keys(ks.client_handshake_secret()));
-      benchmark::DoNotOptimize(quic_keys(ks.server_handshake_secret()));
+      benchmark::DoNotOptimize(quic_keys(ks.client_handshake_key()));
+      benchmark::DoNotOptimize(quic_keys(ks.server_handshake_key()));
       ks.add_message(server_flight);
       benchmark::DoNotOptimize(
-          ks.finished_verify_data(ks.server_handshake_secret()));
+          ks.finished_verify_data(ks.server_handshake_key()));
       ks.add_message(server_finished);
       ks.derive_application_secrets();
       benchmark::DoNotOptimize(quic_keys(ks.client_application_secret()));
       benchmark::DoNotOptimize(quic_keys(ks.server_application_secret()));
       benchmark::DoNotOptimize(
-          ks.finished_verify_data(ks.client_handshake_secret()));
+          ks.finished_verify_data(ks.client_handshake_key()));
     }
   }
 }

@@ -6,9 +6,9 @@
 // labeled as group 0x001d (x25519) to mirror the paper's Client Hello.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace crypto {
 
@@ -16,8 +16,12 @@ namespace crypto {
 inline constexpr uint64_t kDhPrime = 0xffffffffffffffc5ull;
 inline constexpr uint64_t kDhGenerator = 5;
 
-uint64_t mod_mul(uint64_t a, uint64_t b, uint64_t m);
-uint64_t mod_pow(uint64_t base, uint64_t exp, uint64_t m);
+/// a * b mod kDhPrime without a 128-bit division: 2^64 = 59 (mod p),
+/// so the high word of the product folds into the low one twice and
+/// one conditional subtraction of p finishes the reduction.
+uint64_t mod_mul(uint64_t a, uint64_t b);
+/// base^exp mod kDhPrime by square-and-multiply over mod_mul.
+uint64_t mod_pow(uint64_t base, uint64_t exp);
 
 struct DhKeyPair {
   uint64_t secret = 0;
@@ -31,7 +35,7 @@ uint64_t dh_shared(uint64_t secret, uint64_t peer_public);
 bool dh_public_valid(uint64_t peer_public);
 
 /// Big-endian 8-byte encoding used in the key_share extension payload.
-std::vector<uint8_t> dh_encode(uint64_t v);
+std::array<uint8_t, 8> dh_encode(uint64_t v);
 uint64_t dh_decode(std::span<const uint8_t> bytes);
 
 }  // namespace crypto

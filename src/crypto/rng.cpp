@@ -76,12 +76,14 @@ void Rng::fill(std::span<uint8_t> out) {
 Rng Rng::fork(std::string_view label) {
   // Mix the parent state with the label through SHA-256 so sibling
   // streams are independent regardless of draw order.
-  std::vector<uint8_t> seed_material;
-  for (uint64_t w : s_)
-    for (int i = 0; i < 8; ++i)
-      seed_material.push_back(static_cast<uint8_t>(w >> (8 * i)));
-  seed_material.insert(seed_material.end(), label.begin(), label.end());
-  auto digest = Sha256::hash(seed_material);
+  std::array<uint8_t, 32> state_bytes;
+  for (size_t w = 0; w < s_.size(); ++w)
+    for (size_t i = 0; i < 8; ++i)
+      state_bytes[8 * w + i] = static_cast<uint8_t>(s_[w] >> (8 * i));
+  Sha256 hash;
+  hash.update(state_bytes);
+  hash.update({reinterpret_cast<const uint8_t*>(label.data()), label.size()});
+  const auto digest = hash.final();
   uint64_t seed = 0;
   for (int i = 0; i < 8; ++i) seed = seed << 8 | digest[static_cast<size_t>(i)];
   return Rng(seed);

@@ -1,23 +1,60 @@
 #include "http/h3.h"
 
 #include <charconv>
+#include <span>
+#include <string_view>
 
 namespace http::h3 {
 
 namespace {
 
-/// Literal field-line encoding (the QPACK substitution): count, then
-/// (name-length, name, value-length, value) tuples, all varints.
-void encode_fields(
-    wire::Writer& w,
-    const std::vector<std::pair<std::string, std::string>>& fields) {
-  w.varint(fields.size());
-  for (const auto& [name, value] : fields) {
-    w.varint(name.size());
-    w.str(name);
-    w.varint(value.size());
-    w.str(value);
+using PseudoHeader = std::pair<std::string_view, std::string_view>;
+
+size_t field_size(std::string_view name, std::string_view value) {
+  return wire::varint_size(name.size()) + name.size() +
+         wire::varint_size(value.size()) + value.size();
+}
+
+void encode_field(wire::Writer& w, std::string_view name,
+                  std::string_view value) {
+  w.varint(name.size());
+  w.str(name);
+  w.varint(value.size());
+  w.str(value);
+}
+
+/// One HEADERS frame carrying the pseudo-headers and then `headers` in
+/// the literal field-line encoding (the QPACK substitution: count, then
+/// (name-length, name, value-length, value) tuples, all varints),
+/// followed by a DATA frame carrying `body` when it is not empty. The
+/// buffer is sized once, from the lengths.
+std::vector<uint8_t> encode_message(std::span<const PseudoHeader> pseudo,
+                                    const Headers& headers,
+                                    std::string_view body) {
+  const size_t count = pseudo.size() + headers.size();
+  size_t block = wire::varint_size(count);
+  for (const auto& [name, value] : pseudo) block += field_size(name, value);
+  for (const auto& [name, value] : headers.entries())
+    block += field_size(name, value);
+  size_t total = wire::varint_size(kFrameHeaders) +
+                 wire::varint_size(block) + block;
+  if (!body.empty())
+    total += wire::varint_size(kFrameData) + wire::varint_size(body.size()) +
+             body.size();
+
+  wire::Writer w(total);
+  w.varint(kFrameHeaders);
+  w.varint(block);
+  w.varint(count);
+  for (const auto& [name, value] : pseudo) encode_field(w, name, value);
+  for (const auto& [name, value] : headers.entries())
+    encode_field(w, name, value);
+  if (!body.empty()) {
+    w.varint(kFrameData);
+    w.varint(body.size());
+    w.str(body);
   }
+  return w.take();
 }
 
 std::vector<std::pair<std::string, std::string>> decode_fields(
@@ -43,7 +80,11 @@ void encode_frame(wire::Writer& w, const Frame& frame) {
 }
 
 std::vector<uint8_t> encode_frames(const std::vector<Frame>& frames) {
-  wire::Writer w;
+  size_t total = 0;
+  for (const auto& frame : frames)
+    total += wire::varint_size(frame.type) +
+             wire::varint_size(frame.payload.size()) + frame.payload.size();
+  wire::Writer w(total);
   for (const auto& frame : frames) encode_frame(w, frame);
   return w.take();
 }
@@ -61,17 +102,13 @@ std::vector<Frame> decode_frames(std::span<const uint8_t> data) {
 }
 
 std::vector<uint8_t> encode_request(const Request& request) {
-  std::vector<std::pair<std::string, std::string>> fields{
+  const PseudoHeader pseudo[] = {
       {":method", request.method},
       {":scheme", request.scheme},
       {":authority", request.authority},
       {":path", request.path},
   };
-  for (const auto& [name, value] : request.headers.entries())
-    fields.emplace_back(name, value);
-  wire::Writer headers;
-  encode_fields(headers, fields);
-  return encode_frames({{kFrameHeaders, headers.take()}});
+  return encode_message(pseudo, request.headers, {});
 }
 
 std::optional<Request> decode_request(std::span<const uint8_t> stream) {
@@ -102,18 +139,9 @@ std::optional<Request> decode_request(std::span<const uint8_t> stream) {
 }
 
 std::vector<uint8_t> encode_response(const Response& response) {
-  std::vector<std::pair<std::string, std::string>> fields{
-      {":status", std::to_string(response.status)},
-  };
-  for (const auto& [name, value] : response.headers.entries())
-    fields.emplace_back(name, value);
-  wire::Writer headers;
-  encode_fields(headers, fields);
-  std::vector<Frame> frames{{kFrameHeaders, headers.take()}};
-  if (!response.body.empty())
-    frames.push_back(
-        {kFrameData, {response.body.begin(), response.body.end()}});
-  return encode_frames(frames);
+  const std::string status = std::to_string(response.status);
+  const PseudoHeader pseudo[] = {{":status", status}};
+  return encode_message(pseudo, response.headers, response.body);
 }
 
 std::optional<Response> decode_response(std::span<const uint8_t> stream) {

@@ -39,14 +39,30 @@ bool parse_header_lines(std::string_view head, Headers& headers) {
   return true;
 }
 
+/// The head's start line (three parts joined by spaces), its header
+/// lines and the blank line ending it, then `body`, in a string sized
+/// once.
+std::string serialize_message(std::string_view first, std::string_view second,
+                              std::string_view third, const Headers& headers,
+                              std::string_view body) {
+  size_t size = first.size() + second.size() + third.size() + 4 + 2 +
+                body.size();
+  for (const auto& [name, value] : headers.entries())
+    size += name.size() + 2 + value.size() + 2;
+  std::string out;
+  out.reserve(size);
+  out.append(first).append(" ").append(second).append(" ").append(third);
+  out.append("\r\n");
+  for (const auto& [name, value] : headers.entries())
+    out.append(name).append(": ").append(value).append("\r\n");
+  out.append("\r\n").append(body);
+  return out;
+}
+
 }  // namespace
 
 std::string Request::serialize() const {
-  std::string out = method + " " + target + " " + version + "\r\n";
-  for (const auto& [name, value] : headers.entries())
-    out += name + ": " + value + "\r\n";
-  out += "\r\n";
-  return out;
+  return serialize_message(method, target, version, headers, {});
 }
 
 std::optional<Request> Request::parse(std::string_view text) {
@@ -69,13 +85,8 @@ std::optional<Request> Request::parse(std::string_view text) {
 }
 
 std::string Response::serialize() const {
-  std::string out =
-      version + " " + std::to_string(status) + " " + reason + "\r\n";
-  for (const auto& [name, value] : headers.entries())
-    out += name + ": " + value + "\r\n";
-  out += "\r\n";
-  out += body;
-  return out;
+  return serialize_message(version, std::to_string(status), reason, headers,
+                           body);
 }
 
 std::optional<Response> Response::parse(std::string_view text) {

@@ -4,7 +4,6 @@
 #include "http/h3.h"
 #include "http/message.h"
 #include "quic/packet.h"
-#include "wire/buffer.h"
 
 namespace internet {
 
@@ -136,24 +135,30 @@ std::string ServerHost::http_response(const std::string& request,
   return response.serialize();
 }
 
+size_t ServerHost::SessionHash::operator()(const SessionKey& key) const {
+  const std::string_view dcid(reinterpret_cast<const char*>(key.dcid.data()),
+                              key.dcid.size());
+  return netsim::EndpointHash{}(key.from) * 31 +
+         static_cast<size_t>(crypto::fnv1a64(dcid));
+}
+
 void ServerHost::on_datagram(const netsim::Endpoint& from,
                              std::span<const uint8_t> payload,
                              const Transmit& transmit) {
   auto info = quic::peek_datagram(payload);
   if (!info) return;
-  std::string key = from.to_string() + "|" + wire::to_hex(info->dcid);
+  SessionKey key{from, std::move(info->dcid)};
   auto it = sessions_.find(key);
   if (it == sessions_.end()) {
     // New connections start with a long-header packet; stray short-
     // header datagrams for unknown connections are dropped.
     if (!info->long_header) return;
-    auto send = [transmit, from](std::vector<uint8_t> datagram) {
-      transmit(from, std::move(datagram));
-    };
     auto session = std::make_unique<quic::ServerConnection>(
         behavior_, rng_.fork("conn" + std::to_string(session_counter_++)),
-        std::move(send));
-    it = sessions_.emplace(key, std::move(session)).first;
+        [transmit, from](std::vector<uint8_t> datagram) {
+          transmit(from, std::move(datagram));
+        });
+    it = sessions_.emplace(std::move(key), std::move(session)).first;
   }
   if (profile_.broken_transport) {
     // Minimal conformance: a garbage CONNECTION_CLOSE-ish reply that the
@@ -164,17 +169,17 @@ void ServerHost::on_datagram(const netsim::Endpoint& from,
                   info->version) != profile_.handshake_versions.end()) {
       // Protected close with PROTOCOL_VIOLATION at the Initial level.
       auto protector = quic::PacketProtector::for_initial(
-          info->version, info->dcid, /*is_server=*/true);
+          info->version, it->first.dcid, /*is_server=*/true);
       quic::Packet packet;
       packet.type = quic::PacketType::kInitial;
       packet.version = info->version;
       packet.dcid = info->scid;
-      packet.scid = info->dcid;
+      packet.scid = it->first.dcid;
       packet.packet_number = 0;
       packet.payload = quic::encode_frames({quic::ConnectionCloseFrame{
           quic::kProtocolViolation, false, 0x06, "internal error"}});
       transmit(from, protector.protect(packet));
-      sessions_.erase(key);
+      sessions_.erase(it);
       return;
     }
   }

@@ -7,9 +7,9 @@
 // (Table 5) meaningful.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 
 #include "internet/population.h"
 #include "netsim/network.h"
@@ -69,8 +69,18 @@ class ServerHost : public netsim::UdpService, public netsim::TcpService {
   quic::DeploymentBehavior behavior_;
   tls::TlsServerConfig tls_config_;
 
-  // One QUIC connection per (client endpoint, original DCID).
-  std::map<std::string, std::unique_ptr<quic::ServerConnection>> sessions_;
+  // One QUIC connection per (client endpoint, DCID of its first packet).
+  struct SessionKey {
+    netsim::Endpoint from;
+    quic::ConnectionId dcid;
+    bool operator==(const SessionKey&) const = default;
+  };
+  struct SessionHash {
+    size_t operator()(const SessionKey& key) const;
+  };
+  std::unordered_map<SessionKey, std::unique_ptr<quic::ServerConnection>,
+                     SessionHash>
+      sessions_;
   uint64_t session_counter_ = 0;
 };
 

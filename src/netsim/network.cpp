@@ -248,11 +248,7 @@ void Network::deliver(const Endpoint& from, const Endpoint& to,
   }
   if (auto it = udp_services_.find(to); it != udp_services_.end()) {
     telemetry::add(metric_delivered_);
-    auto transmit = [this, to](const Endpoint& dest,
-                               std::vector<uint8_t> data) {
-      send_datagram(to, dest, std::move(data));
-    };
-    it->second->on_datagram(from, payload, transmit);
+    it->second->on_datagram(from, payload, DatagramSender(*this, to));
     return;
   }
   // No listener: datagram silently dropped, as on the real Internet
@@ -263,6 +259,11 @@ void Network::deliver(const Endpoint& from, const Endpoint& to,
     telemetry::add(metric_dropped_reorder_expired_);
   else
     telemetry::add(metric_dropped_unrouted_);
+}
+
+void DatagramSender::operator()(const Endpoint& to,
+                                std::vector<uint8_t> payload) const {
+  network_->send_datagram(from_, to, std::move(payload));
 }
 
 UdpSocket::UdpSocket(Network& net, const Endpoint& local)

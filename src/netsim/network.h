@@ -23,13 +23,29 @@
 
 namespace netsim {
 
+class Network;
+
+/// Sends datagrams into a network from one endpoint, the way a
+/// UdpService answers. A network pointer and an endpoint: the fabric
+/// hands one to every delivered datagram without allocating, and a
+/// service may keep a copy while the network lives.
+class DatagramSender {
+ public:
+  DatagramSender(Network& network, const Endpoint& from)
+      : network_(&network), from_(from) {}
+  void operator()(const Endpoint& to, std::vector<uint8_t> payload) const;
+
+ private:
+  Network* network_;
+  Endpoint from_;
+};
+
 /// Server-side UDP handler. `transmit` sends a datagram back into the
 /// network from this service's endpoint.
 class UdpService {
  public:
   virtual ~UdpService() = default;
-  using Transmit =
-      std::function<void(const Endpoint& to, std::vector<uint8_t> payload)>;
+  using Transmit = DatagramSender;
   virtual void on_datagram(const Endpoint& from,
                            std::span<const uint8_t> payload,
                            const Transmit& transmit) = 0;

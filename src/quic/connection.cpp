@@ -145,12 +145,13 @@ ClientConnection::ClientConnection(ClientConfig config, crypto::Rng rng,
       send_(std::move(send)),
       done_(std::move(done)) {}
 
-Packet ClientConnection::next_packet(PacketType type) {
-  Packet packet;
+Packet& ClientConnection::next_packet(PacketType type) {
+  Packet& packet = tx_header_;
   packet.type = type;
   packet.version = config_.version;
-  packet.dcid = dcid_;
-  packet.scid = scid_;
+  packet.dcid.assign(dcid_.begin(), dcid_.end());
+  packet.scid.assign(scid_.begin(), scid_.end());
+  packet.token.clear();
   packet.packet_number = type == PacketType::kInitial     ? pn_initial_++
                          : type == PacketType::kHandshake ? pn_handshake_++
                                                           : pn_app_++;
@@ -174,10 +175,11 @@ void ClientConnection::send_initial_flight() {
   handshake_crypto_.clear();
   pn_initial_ = pn_handshake_ = pn_app_ = 0;
 
-  initial_tx_ =
-      PacketProtector::for_initial(config_.version, dcid_, /*is_server=*/false);
-  initial_rx_ =
-      PacketProtector::for_initial(config_.version, dcid_, /*is_server=*/true);
+  const auto initial = derive_initial_secrets(config_.version, dcid_);
+  initial_tx_.emplace(
+      tls::derive_traffic_keys(initial.client, tls::KeyUsage::kQuic));
+  initial_rx_.emplace(
+      tls::derive_traffic_keys(initial.server, tls::KeyUsage::kQuic));
   initial_tx_->set_stats(&hotpath_stats_);
   initial_rx_->set_stats(&hotpath_stats_);
   handshake_tx_.reset();
@@ -186,8 +188,8 @@ void ClientConnection::send_initial_flight() {
   app_rx_.reset();
 
   const std::vector<uint8_t>& client_hello = handshake_->client_hello();
-  Packet packet = next_packet(PacketType::kInitial);
-  packet.token = retry_token_;
+  Packet& packet = next_packet(PacketType::kInitial);
+  packet.token.assign(retry_token_.begin(), retry_token_.end());
   const Frame ch_frame = CryptoFrame{0, client_hello};
   size_t overhead =
       initial_header_overhead(dcid_, scid_, client_hello.size() + 1100) +
@@ -451,17 +453,15 @@ void ClientConnection::process_initial(const Packet& packet) {
         {{"message", "server_hello"},
          {"size", static_cast<uint64_t>(crypto_frame->data.size())}});
   // The transcript hashes the whole CRYPTO data that carried the hello.
-  const bool tls13 = handshake_->on_server_hello(*sh, crypto_frame->data);
-  report_.tls = handshake_->details();
-  if (!tls13) {
+  if (!handshake_->on_server_hello(*sh, crypto_frame->data, report_.tls)) {
     finish(ConnectResult::kInternalError);
     return;
   }
   const tls::KeySchedule& secrets = handshake_->secrets();
-  handshake_tx_ = PacketProtector(tls::derive_traffic_keys(
-      secrets.client_handshake_secret(), tls::KeyUsage::kQuic));
-  handshake_rx_ = PacketProtector(tls::derive_traffic_keys(
-      secrets.server_handshake_secret(), tls::KeyUsage::kQuic));
+  handshake_tx_.emplace(tls::derive_traffic_keys(
+      secrets.client_handshake_key(), tls::KeyUsage::kQuic));
+  handshake_rx_.emplace(tls::derive_traffic_keys(
+      secrets.server_handshake_key(), tls::KeyUsage::kQuic));
   handshake_tx_->set_stats(&hotpath_stats_);
   handshake_rx_->set_stats(&hotpath_stats_);
   config_.tracer.emit(telemetry::EventType::kKeyUpdate,
@@ -537,26 +537,24 @@ void ClientConnection::process_handshake(const Packet& packet) {
     return;
 
   // The transport parameters are checked before the engine records the
-  // EncryptedExtensions that carried them.
-  for (const auto& [msg, encoded] : flight) {
+  // EncryptedExtensions that carried them into the report.
+  for (auto& [msg, encoded] : flight) {
     if (config_.tracer.active())
       config_.tracer.emit(telemetry::EventType::kTlsMessage,
                           {{"message", message_name(msg)},
                            {"size", static_cast<uint64_t>(encoded.size())}});
     const auto* ee = std::get_if<tls::EncryptedExtensions>(&msg);
     if (ee && !accept_transport_params(*ee)) return;
-    if (!handshake_->on_server_message(msg, encoded)) {
-      report_.tls = handshake_->details();
+    if (!handshake_->on_server_message(std::move(msg), encoded, report_.tls)) {
       finish(ConnectResult::kInternalError);
       return;
     }
   }
-  report_.tls = handshake_->details();
 
   const tls::KeySchedule& secrets = handshake_->secrets();
-  app_tx_ = PacketProtector(tls::derive_traffic_keys(
+  app_tx_.emplace(tls::derive_traffic_keys(
       secrets.client_application_secret(), tls::KeyUsage::kQuic));
-  app_rx_ = PacketProtector(tls::derive_traffic_keys(
+  app_rx_.emplace(tls::derive_traffic_keys(
       secrets.server_application_secret(), tls::KeyUsage::kQuic));
   app_tx_->set_stats(&hotpath_stats_);
   app_rx_->set_stats(&hotpath_stats_);
@@ -569,14 +567,15 @@ void ClientConnection::process_handshake(const Packet& packet) {
   const size_t scratch_cap = frame_scratch_.capacity();
   std::vector<uint8_t> datagram;
 
-  const Packet ack_packet = next_packet(PacketType::kInitial);
+  const Packet& ack_packet = next_packet(PacketType::kInitial);
+  const uint64_t ack_pn = ack_packet.packet_number;
   frame_scratch_.clear();
   const Frame initial_frames[] = {AckFrame{0, 0, 0, {}}, PingFrame{}};
   encode_frames_into(frame_scratch_, initial_frames);
   initial_tx_->protect_into(ack_packet, frame_scratch_.span(), datagram);
   size_t initial_size = datagram.size();
 
-  const Packet hs_packet = next_packet(PacketType::kHandshake);
+  const Packet& hs_packet = next_packet(PacketType::kHandshake);
   frame_scratch_.clear();
   const Frame hs_frames[] = {CryptoFrame{0, handshake_->client_finished()},
                              AckFrame{0, 0, 0, {}}};
@@ -588,7 +587,7 @@ void ClientConnection::process_handshake(const Packet& packet) {
                         {{"message", "finished"}, {"sent", true}});
     config_.tracer.emit(telemetry::EventType::kPacketSent,
                         {{"packet_type", "initial"},
-                         {"packet_number", ack_packet.packet_number},
+                         {"packet_number", ack_pn},
                          {"size", static_cast<uint64_t>(initial_size)}});
     config_.tracer.emit(telemetry::EventType::kPacketSent,
                         {{"packet_type", "handshake"},
@@ -597,7 +596,7 @@ void ClientConnection::process_handshake(const Packet& packet) {
   }
 
   if (config_.http_request) {
-    const Packet req = next_packet(PacketType::kOneRtt);
+    const Packet& req = next_packet(PacketType::kOneRtt);
     StreamFrame stream;
     stream.stream_id = 0;
     stream.fin = true;
@@ -644,16 +643,25 @@ ServerConnection::ServerConnection(const DeploymentBehavior& behavior,
                                    crypto::Rng rng, SendFn send)
     : behavior_(behavior), rng_(std::move(rng)), send_(std::move(send)) {}
 
-Packet ServerConnection::next_packet(PacketType type) {
-  Packet packet;
+Packet& ServerConnection::next_packet(PacketType type) {
+  Packet& packet = tx_header_;
   packet.type = type;
   packet.version = version_;
-  packet.dcid = client_scid_;
-  packet.scid = scid_;
+  packet.dcid.assign(client_scid_.begin(), client_scid_.end());
+  packet.scid.assign(scid_.begin(), scid_.end());
+  packet.token.clear();
   packet.packet_number = type == PacketType::kInitial     ? pn_initial_++
                          : type == PacketType::kHandshake ? pn_handshake_++
                                                           : pn_app_++;
   return packet;
+}
+
+std::vector<uint8_t> ServerConnection::seal_datagram(
+    const PacketProtector& protector, const Packet& header) {
+  std::vector<uint8_t> datagram;
+  datagram.reserve(max_protected_size(header, frame_scratch_.size()));
+  protector.protect_into(header, frame_scratch_.span(), datagram);
+  return datagram;
 }
 
 std::optional<std::vector<Frame>> ServerConnection::read_frames(
@@ -687,7 +695,7 @@ void ServerConnection::respond_version_negotiation(const DatagramInfo& info) {
 void ServerConnection::send_close(uint64_t error_code,
                                   const std::string& reason) {
   if (initial_tx_) {
-    const Packet packet = next_packet(PacketType::kInitial);
+    const Packet& packet = next_packet(PacketType::kInitial);
     ConnectionCloseFrame close;
     close.error_code = error_code;
     close.reason_phrase = reason;
@@ -697,9 +705,7 @@ void ServerConnection::send_close(uint64_t error_code,
     frame_scratch_.clear();
     pad_initial_payload_into({&close_frame, 1}, overhead,
                              kMinInitialDatagramSize, frame_scratch_);
-    std::vector<uint8_t> datagram;
-    initial_tx_->protect_into(packet, frame_scratch_.span(), datagram);
-    send_(std::move(datagram));
+    send_(seal_datagram(*initial_tx_, packet));
   }
   state_ = State::kClosed;
 }
@@ -749,17 +755,15 @@ void ServerConnection::on_datagram(std::span<const uint8_t> datagram) {
     version_ = info->version;
     client_dcid_ = info->dcid;
     client_scid_ = info->scid;
-    initial_rx_ = PacketProtector::for_initial(version_, client_dcid_,
-                                               /*is_server=*/false);
-    initial_tx_ = PacketProtector::for_initial(version_, client_dcid_,
-                                               /*is_server=*/true);
-    initial_rx_->set_stats(&hotpath_stats_);
-    initial_tx_->set_stats(&hotpath_stats_);
+    const auto initial = derive_initial_secrets(version_, client_dcid_);
+    initial_rx_.emplace(
+        tls::derive_traffic_keys(initial.client, tls::KeyUsage::kQuic));
+    initial_tx_.emplace(
+        tls::derive_traffic_keys(initial.server, tls::KeyUsage::kQuic));
     size_t offset = 0;
     if (!initial_rx_->unprotect_into(datagram, offset, rx_packet_)) {
       // Corrupted-in-flight ClientHello: close this (stateless) session;
       // the owner erases it, so a client retransmission starts fresh.
-      ++hotpath_stats_.undecryptable;
       state_ = State::kClosed;
       return;
     }
@@ -824,10 +828,7 @@ void ServerConnection::on_datagram(std::span<const uint8_t> datagram) {
       opened = app_rx_->unprotect_into(datagram, offset, rx_packet_);
       if (opened) process_client_one_rtt(rx_packet_);
     }
-    if (!opened) {
-      ++hotpath_stats_.undecryptable;
-      return;
-    }
+    if (!opened) return;
   }
 }
 
@@ -897,12 +898,10 @@ void ServerConnection::process_client_initial(const Packet& packet) {
   // The transcript hashes the whole CRYPTO data that carried the hello.
   handshake_.emplace(*ch, crypto_frame->data, *share, rng_);
   const tls::KeySchedule& secrets = handshake_->secrets();
-  handshake_tx_ = PacketProtector(tls::derive_traffic_keys(
-      secrets.server_handshake_secret(), tls::KeyUsage::kQuic));
-  handshake_rx_ = PacketProtector(tls::derive_traffic_keys(
-      secrets.client_handshake_secret(), tls::KeyUsage::kQuic));
-  handshake_tx_->set_stats(&hotpath_stats_);
-  handshake_rx_->set_stats(&hotpath_stats_);
+  handshake_tx_.emplace(tls::derive_traffic_keys(
+      secrets.server_handshake_key(), tls::KeyUsage::kQuic));
+  handshake_rx_.emplace(tls::derive_traffic_keys(
+      secrets.client_handshake_key(), tls::KeyUsage::kQuic));
 
   // EncryptedExtensions with server transport parameters.
   TransportParameters tp = behavior_.transport_params;
@@ -954,21 +953,19 @@ void ServerConnection::process_client_initial(const Packet& packet) {
                                                  std::move(tp_bytes)});
   if (selected_alpn) ee.push_back(tls::AlpnExtension{{*selected_alpn}});
   if (sni && behavior_.echo_sni) ee.push_back(tls::SniExtension{});
-  const auto messages = handshake_->flight(std::move(ee), *cert);
-  app_tx_ = PacketProtector(tls::derive_traffic_keys(
+  std::vector<uint8_t> flight =
+      handshake_->flight(std::move(ee), std::move(*cert)).bytes;
+  app_tx_.emplace(tls::derive_traffic_keys(
       secrets.server_application_secret(), tls::KeyUsage::kQuic));
-  app_rx_ = PacketProtector(tls::derive_traffic_keys(
+  app_rx_.emplace(tls::derive_traffic_keys(
       secrets.client_application_secret(), tls::KeyUsage::kQuic));
-  app_tx_->set_stats(&hotpath_stats_);
-  app_rx_->set_stats(&hotpath_stats_);
 
   // Transmit: Initial(ACK + SH), then EE..Fin as CRYPTO chunks of at
   // most max_crypto_chunk bytes (the whole flight when 0), one Handshake
   // packet each. An unsplit flight's packet rides in the Initial's
   // datagram; otherwise every packet is its own datagram, so the fault
   // fabric can reorder or drop them independently.
-  std::vector<uint8_t> datagram;
-  const Packet init = next_packet(PacketType::kInitial);
+  const Packet& init = next_packet(PacketType::kInitial);
   frame_scratch_.clear();
   // Bad-ACK mutation: acknowledge a range reaching past packet number
   // zero (first_ack_range > largest), which no honest peer can produce.
@@ -988,6 +985,15 @@ void ServerConnection::process_client_initial(const Packet& packet) {
     encode_frame(frame_scratch_, Frame{std::move(rogue)});
   }
   if (plan.frame_unknown) frame_scratch_.varint(0x21);
+  // An unsplit flight's Handshake packet rides in this datagram: size
+  // it for both.
+  const bool flight_rides = behavior_.max_crypto_chunk == 0 &&
+                            !plan.crypto_overlap_conflict &&
+                            !plan.stall_after_hello;
+  std::vector<uint8_t> datagram;
+  datagram.reserve(
+      max_protected_size(init, frame_scratch_.size()) +
+      (flight_rides ? max_protected_size(init, flight.size() + 16) : 0));
   initial_tx_->protect_into(init, frame_scratch_.span(), datagram);
 
   if (plan.stall_after_hello) {
@@ -999,9 +1005,6 @@ void ServerConnection::process_client_initial(const Packet& packet) {
     return;
   }
 
-  std::vector<uint8_t> flight;
-  for (const auto& bytes : messages)
-    flight.insert(flight.end(), bytes.begin(), bytes.end());
   if (plan.crypto_truncate > 0 && flight.size() > 1) {
     // Truncated flight: withhold the tail so the TLS flight can never
     // complete. PTO retransmissions resend the same truncated bytes.
@@ -1017,11 +1020,10 @@ void ServerConnection::process_client_initial(const Packet& packet) {
     // delivers them, the two copies disagree about a byte they both
     // cover and the client's reassembler flags the conflict.
     const size_t prefix_len = std::min<size_t>(64, flight.size() - 1);
-    CryptoFrame lie;
-    lie.data.assign(flight.begin(),
-                    flight.begin() + static_cast<ptrdiff_t>(prefix_len));
-    lie.data.back() ^= 0x01;
-    append_handshake_packet(std::move(lie), datagram);
+    std::vector<uint8_t> lie(
+        flight.begin(), flight.begin() + static_cast<ptrdiff_t>(prefix_len));
+    lie.back() ^= 0x01;
+    append_handshake_packet(0, lie, datagram);
     send_flight(std::exchange(datagram, {}));
   }
   const size_t chunk_limit = behavior_.max_crypto_chunk > 0
@@ -1029,23 +1031,21 @@ void ServerConnection::process_client_initial(const Packet& packet) {
                                  : flight.size();
   for (size_t offset = 0; offset < flight.size();) {
     const size_t len = std::min(chunk_limit, flight.size() - offset);
-    CryptoFrame chunk;
-    chunk.offset = offset;
-    chunk.data.assign(
-        flight.begin() + static_cast<ptrdiff_t>(offset),
-        flight.begin() + static_cast<ptrdiff_t>(offset + len));
-    append_handshake_packet(std::move(chunk), datagram);
+    append_handshake_packet(offset, std::span(flight).subspan(offset, len),
+                            datagram);
     send_flight(std::exchange(datagram, {}));
     offset += len;
   }
 }
 
 void ServerConnection::append_handshake_packet(
-    CryptoFrame crypto, std::vector<uint8_t>& datagram) {
-  const Packet packet = next_packet(PacketType::kHandshake);
+    uint64_t offset, std::span<const uint8_t> crypto,
+    std::vector<uint8_t>& datagram) {
+  const Packet& packet = next_packet(PacketType::kHandshake);
   frame_scratch_.clear();
-  const Frame frame = std::move(crypto);
-  encode_frames_into(frame_scratch_, {&frame, 1});
+  encode_crypto_frame(frame_scratch_, offset, crypto);
+  datagram.reserve(datagram.size() +
+                   max_protected_size(packet, frame_scratch_.size()));
   handshake_tx_->protect_into(packet, frame_scratch_.span(), datagram);
 }
 
@@ -1079,9 +1079,10 @@ void ServerConnection::process_client_handshake(const Packet& packet) {
   state_ = State::kEstablished;  // before send_: request may nest
 
   // Handshake confirmed: HANDSHAKE_DONE in 1-RTT.
-  Packet done = next_packet(PacketType::kOneRtt);
-  done.payload = encode_frames({HandshakeDoneFrame{}});
-  send_(app_tx_->protect(done));
+  const Packet& done = next_packet(PacketType::kOneRtt);
+  frame_scratch_.clear();
+  encode_frame(frame_scratch_, HandshakeDoneFrame{});
+  send_(seal_datagram(*app_tx_, done));
 
   const AdversaryPlan& plan = behavior_.adversary;
   if (plan.garbage_datagrams > 0) {
@@ -1109,13 +1110,16 @@ void ServerConnection::process_client_one_rtt(const Packet& packet) {
   std::string request(stream->data.begin(), stream->data.end());
   std::string response = behavior_.http_responder(request);
 
-  Packet resp = next_packet(PacketType::kOneRtt);
-  StreamFrame out;
+  const Packet& resp = next_packet(PacketType::kOneRtt);
+  Frame reply(std::in_place_type<StreamFrame>);
+  auto& out = std::get<StreamFrame>(reply);
   out.stream_id = stream->stream_id;
   out.fin = true;
   out.data.assign(response.begin(), response.end());
-  resp.payload = encode_frames({HandshakeDoneFrame{}, std::move(out)});
-  send_(app_tx_->protect(resp));
+  frame_scratch_.clear();
+  encode_frame(frame_scratch_, HandshakeDoneFrame{});
+  encode_frame(frame_scratch_, reply);
+  send_(seal_datagram(*app_tx_, resp));
 }
 
 }  // namespace quic

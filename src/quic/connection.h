@@ -120,6 +120,8 @@ class ClientConnection {
 
   bool finished() const { return report_.result != ConnectResult::kPending; }
   const ClientReport& report() const { return report_; }
+  /// Moves the report out; the connection takes no datagram after it.
+  ClientReport take_report() { return std::move(report_); }
 
   /// Per-attempt hot-path accounting: scratch-buffer growth and AEAD
   /// context reuse across this connection's packets. Scanners fold this
@@ -128,8 +130,10 @@ class ClientConnection {
 
  private:
   void send_initial_flight();
-  /// A header for the next packet of `type`, numbered in its space.
-  Packet next_packet(PacketType type);
+  /// The header for the next packet of `type`, numbered in its space,
+  /// without a token. It is one reused Packet whose CID buffers keep
+  /// their capacity, so the next call overwrites it.
+  Packet& next_packet(PacketType type);
   void process_version_negotiation(const VersionNegotiationPacket& vn);
   void process_initial(const Packet& packet);
   void process_handshake(const Packet& packet);
@@ -159,6 +163,7 @@ class ClientConnection {
   std::vector<uint8_t> retry_token_;
   std::vector<uint8_t> last_initial_datagram_;  // for PTO retransmission
   std::optional<tls::ClientHandshake> handshake_;
+  Packet tx_header_;  // see next_packet()
 
   std::optional<PacketProtector> initial_tx_, initial_rx_;
   std::optional<PacketProtector> handshake_tx_, handshake_rx_;
@@ -309,14 +314,20 @@ class ServerConnection {
   bool closed() const { return state_ == State::kClosed; }
 
  private:
-  /// A header for the next packet of `type`, numbered in its space.
-  Packet next_packet(PacketType type);
+  /// The header for the next packet of `type` (see ClientConnection's).
+  Packet& next_packet(PacketType type);
+  /// Protects the frames in frame_scratch_ as one packet with `header`
+  /// into a datagram buffer sized once.
+  std::vector<uint8_t> seal_datagram(const PacketProtector& protector,
+                                     const Packet& header);
   /// Decodes a client packet's frames; a malformed payload closes the
   /// session (nullopt).
   std::optional<std::vector<Frame>> read_frames(const Packet& packet);
   void process_client_initial(const Packet& packet);
-  /// Appends to `datagram` one Handshake packet carrying `crypto`.
-  void append_handshake_packet(CryptoFrame crypto,
+  /// Appends to `datagram` one Handshake packet carrying `crypto` as a
+  /// CRYPTO frame at `offset`.
+  void append_handshake_packet(uint64_t offset,
+                               std::span<const uint8_t> crypto,
                                std::vector<uint8_t>& datagram);
   /// Records `datagram` as part of the flight and sends it.
   void send_flight(std::vector<uint8_t> datagram);
@@ -336,6 +347,7 @@ class ServerConnection {
   ConnectionId retry_scid_;     // CID our Retry instructed the client to use
   Version version_ = 0;
   std::optional<tls::ServerHandshake> handshake_;
+  Packet tx_header_;  // see next_packet()
   std::optional<PacketProtector> initial_tx_, initial_rx_;
   std::optional<PacketProtector> handshake_tx_, handshake_rx_;
   std::optional<PacketProtector> app_tx_, app_rx_;
@@ -347,8 +359,7 @@ class ServerConnection {
   std::vector<std::vector<uint8_t>> last_flight_;
   uint64_t pn_initial_ = 0, pn_handshake_ = 0, pn_app_ = 0;
 
-  // Hot-path scratch mirroring ClientConnection's (see there).
-  HotpathStats hotpath_stats_;
+  // Reused across every packet of the session, like the client's.
   wire::Writer frame_scratch_;
   Packet rx_packet_;
 };

@@ -34,10 +34,7 @@ void encode_frame(wire::Writer& w, const Frame& frame) {
             w.varint(range.length);
           }
         } else if constexpr (std::is_same_v<T, CryptoFrame>) {
-          w.varint(kTypeCrypto);
-          w.varint(f.offset);
-          w.varint(f.data.size());
-          w.bytes(f.data);
+          encode_crypto_frame(w, f.offset, f.data);
         } else if constexpr (std::is_same_v<T, StreamFrame>) {
           // Always emit OFF and LEN bits for unambiguous framing.
           uint64_t type = kTypeStreamBase | 0x04 | 0x02 | (f.fin ? 0x01 : 0);
@@ -60,18 +57,27 @@ void encode_frame(wire::Writer& w, const Frame& frame) {
       frame);
 }
 
+void encode_crypto_frame(wire::Writer& w, uint64_t offset,
+                         std::span<const uint8_t> data) {
+  w.varint(kTypeCrypto);
+  w.varint(offset);
+  w.varint(data.size());
+  w.bytes(data);
+}
+
 void encode_frames_into(wire::Writer& w, std::span<const Frame> frames) {
   for (const auto& f : frames) encode_frame(w, f);
 }
 
 std::vector<uint8_t> encode_frames(const std::vector<Frame>& frames) {
-  wire::Writer w;
+  wire::Writer& w = wire::scratch_writer();
   encode_frames_into(w, frames);
-  return w.take();
+  return w.data();
 }
 
 std::vector<Frame> decode_frames(std::span<const uint8_t> payload) {
   std::vector<Frame> frames;
+  frames.reserve(4);  // a handshake packet carries one to three frames
   wire::Reader r(payload);
   while (!r.done()) {
     if (r.peek_u8() == 0x00) {

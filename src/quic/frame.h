@@ -99,6 +99,10 @@ class FrameDecodeError : public wire::DecodeError {
 };
 
 void encode_frame(wire::Writer& w, const Frame& frame);
+/// Appends a CRYPTO frame carrying `data` at `offset`, the encoding
+/// encode_frame gives a CryptoFrame, without copying `data` into one.
+void encode_crypto_frame(wire::Writer& w, uint64_t offset,
+                         std::span<const uint8_t> data);
 std::vector<uint8_t> encode_frames(const std::vector<Frame>& frames);
 
 /// Appends the frames' encoding to `w` without clearing it. Hot paths

@@ -1,5 +1,6 @@
 #include "quic/packet.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -141,19 +142,24 @@ InitialSecrets derive_initial_secrets(Version version,
                                       std::span<const uint8_t> client_dcid) {
   const auto initial = initial_secret_key(version, client_dcid);
   InitialSecrets secrets;
-  secrets.client.resize(crypto::kSha256DigestSize);
   crypto::hkdf_expand_label(initial, "client in", {}, secrets.client);
-  secrets.server.resize(crypto::kSha256DigestSize);
   crypto::hkdf_expand_label(initial, "server in", {}, secrets.server);
   return secrets;
 }
 
-PacketProtector::PacketProtector(const tls::TrafficKeys& keys)
-    : aead_(keys.key), hp_(keys.hp), iv_(keys.iv) {
-  if (keys.hp.empty())
+namespace {
+
+const tls::AeadKey& require_hp(const tls::TrafficKeys& keys) {
+  if (!keys.hp)
     throw std::invalid_argument(
         "PacketProtector requires QUIC keys (hp missing)");
+  return *keys.hp;
 }
+
+}  // namespace
+
+PacketProtector::PacketProtector(const tls::TrafficKeys& keys)
+    : aead_(keys.key), hp_(require_hp(keys)), iv_(keys.iv) {}
 
 PacketProtector PacketProtector::for_initial(
     Version version, std::span<const uint8_t> client_dcid, bool is_server) {
@@ -166,8 +172,7 @@ PacketProtector PacketProtector::for_initial(
 
 std::array<uint8_t, crypto::kGcmIvSize> PacketProtector::nonce_for(
     uint64_t pn) const {
-  std::array<uint8_t, crypto::kGcmIvSize> nonce;
-  std::memcpy(nonce.data(), iv_.data(), crypto::kGcmIvSize);
+  std::array<uint8_t, crypto::kGcmIvSize> nonce = iv_;
   for (int i = 0; i < 8; ++i)
     nonce[nonce.size() - 1 - static_cast<size_t>(i)] ^=
         static_cast<uint8_t>(pn >> (8 * i));
@@ -244,8 +249,18 @@ void PacketProtector::protect_into(const Packet& packet,
     stats_->alloc_bytes += out.capacity() - cap_before;
 }
 
+size_t max_protected_size(const Packet& packet, size_t payload_size) {
+  // first byte, version, both CID lengths and CIDs, the token with an
+  // 8-byte length, an 8-byte Length, the packet number, the padded
+  // payload and the tag: never less than protect_into writes.
+  return 1 + 4 + 1 + packet.dcid.size() + 1 + packet.scid.size() + 8 +
+         packet.token.size() + 8 + kPnLen + std::max<size_t>(payload_size, 4) +
+         crypto::kGcmTagSize;
+}
+
 std::vector<uint8_t> PacketProtector::protect(const Packet& packet) const {
   std::vector<uint8_t> out;
+  out.reserve(max_protected_size(packet, packet.payload.size()));
   protect_into(packet, packet.payload, out);
   return out;
 }

@@ -77,10 +77,12 @@ std::optional<VersionNegotiationPacket> decode_version_negotiation(
 std::span<const uint8_t> initial_salt(Version version);
 
 struct InitialSecrets {
-  std::vector<uint8_t> client;
-  std::vector<uint8_t> server;
+  crypto::Sha256Digest client{};
+  crypto::Sha256Digest server{};
 };
 
+/// Both directions' Initial secrets from one HKDF-Extract of the
+/// client's DCID.
 InitialSecrets derive_initial_secrets(Version version,
                                       std::span<const uint8_t> client_dcid);
 
@@ -111,7 +113,8 @@ class PacketProtector {
  public:
   explicit PacketProtector(const tls::TrafficKeys& keys);
 
-  /// Convenience: Initial-level protector.
+  /// Convenience: one direction's Initial-level protector. An endpoint
+  /// that needs both builds them from derive_initial_secrets().
   static PacketProtector for_initial(Version version,
                                      std::span<const uint8_t> client_dcid,
                                      bool is_server);
@@ -151,12 +154,16 @@ class PacketProtector {
 
   crypto::Aes128Gcm aead_;
   crypto::Aes128 hp_;
-  std::vector<uint8_t> iv_;
+  tls::AeadIv iv_;
   HotpathStats* stats_ = nullptr;
   mutable bool aead_used_ = false;
   // Unmasked-header copy reused across unprotect calls (the AEAD's AAD).
   mutable std::vector<uint8_t> scratch_header_;
 };
+
+/// An upper bound on the bytes protect_into appends for `packet` with a
+/// payload of `payload_size` bytes, for sizing a datagram buffer once.
+size_t max_protected_size(const Packet& packet, size_t payload_size);
 
 inline constexpr size_t kMinInitialDatagramSize = 1200;  // RFC 9000 s. 14.1
 

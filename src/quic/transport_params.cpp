@@ -1,6 +1,6 @@
 #include "quic/transport_params.h"
 
-#include <set>
+#include <algorithm>
 #include <sstream>
 
 namespace quic {
@@ -24,7 +24,7 @@ void put_bytes_param(wire::Writer& w, TransportParamId id,
 
 std::vector<uint8_t> encode_transport_parameters(
     const TransportParameters& tp) {
-  wire::Writer w;
+  wire::Writer& w = wire::scratch_writer();
   if (tp.original_destination_connection_id)
     put_bytes_param(w, TransportParamId::kOriginalDestinationConnectionId,
                     *tp.original_destination_connection_id);
@@ -87,19 +87,29 @@ std::vector<uint8_t> encode_transport_parameters(
     w.varint(value.size());
     w.bytes(value);
   }
-  return w.take();
+  return w.data();
 }
 
 TransportParameters decode_transport_parameters(
     std::span<const uint8_t> data) {
   TransportParameters tp;
   wire::Reader r(data);
-  std::set<uint64_t> seen;
+  // Ids seen so far: a bit each below 64, where every known id lies;
+  // the rest all land in tp.unknown, which is searched instead.
+  uint64_t seen_below_64 = 0;
   while (!r.done()) {
     uint64_t id = r.varint();
     uint64_t len = r.varint();
     auto body = r.bytes(len);
-    if (!seen.insert(id).second)
+    bool duplicate = false;
+    if (id < 64) {
+      duplicate = seen_below_64 & uint64_t{1} << id;
+      seen_below_64 |= uint64_t{1} << id;
+    } else {
+      duplicate = std::ranges::any_of(
+          tp.unknown, [id](const auto& param) { return param.first == id; });
+    }
+    if (duplicate)
       throw TpDecodeError(TpDecodeError::Kind::kDuplicate, id,
                           "duplicate transport parameter 0x" +
                               std::to_string(id));
@@ -190,6 +200,7 @@ TransportParameters decode_transport_parameters(
       case TransportParamId::kVersionInformation: {
         TransportParameters::VersionInformation info;
         info.chosen = value.u32();
+        info.available.reserve(value.remaining() / 4);
         while (!value.done()) info.available.push_back(value.u32());
         if (info.available.empty())
           throw wire::DecodeError("version_information without versions");

@@ -152,7 +152,8 @@ QscanResult QScanner::attempt_once(const QscanTarget& target) {
   config.tracer = tracer;
   uint64_t finish_us = 0;
   quic::ClientConnection connection(
-      config, crypto::Rng(options_.seed ^ attempt * 0x9e3779b97f4a7c15ull),
+      std::move(config),
+      crypto::Rng(options_.seed ^ attempt * 0x9e3779b97f4a7c15ull),
       [&](std::vector<uint8_t> datagram) {
         socket->send(server, std::move(datagram));
       },
@@ -195,9 +196,10 @@ QscanResult QScanner::attempt_once(const QscanTarget& target) {
   // run_until; cancel the stragglers before `connection` goes out of
   // scope or they would fire into a dead frame during a later scan.
   for (netsim::TimerId id : probe_timers) loop.cancel(id);
-  result.report = connection.report();
+  const bool finished = connection.finished();
+  result.report = connection.take_report();
 
-  if (!connection.finished() && tracer.active()) {
+  if (!finished && tracer.active()) {
     tracer.emit(telemetry::EventType::kTimeout,
                 {{"elapsed_us", loop.now_us() - start_us},
                  {"retransmits", options_.max_retransmits}});

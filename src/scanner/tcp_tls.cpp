@@ -80,11 +80,11 @@ TcpTlsResult TcpTlsScanner::attempt_once(const TcpTarget& target) {
   if (outcome.http_response) {
     if (auto response = http::Response::parse(*outcome.http_response)) {
       result.http_ok = response->status >= 200 && response->status < 400;
-      result.response_headers = response->headers;
       if (auto header = response->headers.get("alt-svc")) {
         if (auto entries = http::parse_alt_svc(*header))
           result.alt_svc = std::move(*entries);
       }
+      result.response_headers = std::move(response->headers);
     }
   }
   if (result.http_ok) telemetry::add(metric_http_ok_);

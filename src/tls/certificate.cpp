@@ -1,5 +1,7 @@
 #include "tls/certificate.h"
 
+#include <algorithm>
+
 #include "crypto/sha256.h"
 
 namespace tls {
@@ -43,12 +45,16 @@ void encode_tbs(wire::Writer& w, const Certificate& cert) {
 
 }  // namespace
 
-std::vector<uint8_t> Certificate::encode() const {
-  wire::Writer w;
+void Certificate::encode(wire::Writer& w) const {
   encode_tbs(w, *this);
   w.u16(static_cast<uint16_t>(signature.size()));
   w.bytes(signature);
-  return w.take();
+}
+
+std::vector<uint8_t> Certificate::encode() const {
+  wire::Writer& w = wire::scratch_writer();
+  encode(w);
+  return w.data();
 }
 
 Certificate Certificate::decode(std::span<const uint8_t> data) {
@@ -68,23 +74,30 @@ Certificate Certificate::decode(std::span<const uint8_t> data) {
 }
 
 std::string Certificate::fingerprint() const {
-  auto digest = crypto::Sha256::hash(encode());
-  return wire::to_hex(digest);
+  wire::Writer& w = wire::scratch_writer();
+  encode(w);
+  return wire::to_hex(crypto::Sha256::hash(w.span()));
 }
 
-void sign_certificate(Certificate& cert, std::span<const uint8_t> issuer_key) {
-  wire::Writer w;
+namespace {
+
+crypto::Sha256Digest tbs_mac(const Certificate& cert,
+                             std::span<const uint8_t> issuer_key) {
+  wire::Writer& w = wire::scratch_writer();
   encode_tbs(w, cert);
-  auto mac = crypto::hmac_sha256(issuer_key, w.span());
+  return crypto::hmac_sha256(issuer_key, w.span());
+}
+
+}  // namespace
+
+void sign_certificate(Certificate& cert, std::span<const uint8_t> issuer_key) {
+  const auto mac = tbs_mac(cert, issuer_key);
   cert.signature.assign(mac.begin(), mac.end());
 }
 
 bool verify_certificate(const Certificate& cert,
                         std::span<const uint8_t> issuer_key) {
-  wire::Writer w;
-  encode_tbs(w, cert);
-  auto mac = crypto::hmac_sha256(issuer_key, w.span());
-  return cert.signature == std::vector<uint8_t>(mac.begin(), mac.end());
+  return std::ranges::equal(cert.signature, tbs_mac(cert, issuer_key));
 }
 
 }  // namespace tls

@@ -35,6 +35,8 @@ struct Certificate {
   bool matches_host(std::string_view host) const;
 
   std::vector<uint8_t> encode() const;
+  /// Appends the same encoding to `w`.
+  void encode(wire::Writer& w) const;
   static Certificate decode(std::span<const uint8_t> data);
 
   /// Stable fingerprint over the full encoding (SHA-256, hex).

@@ -144,25 +144,30 @@ std::vector<uint8_t> TlsServerSession::handle_client_hello(
   std::vector<Extension> ee;
   if (selected_alpn) ee.push_back(AlpnExtension{{*selected_alpn}});
   if (sni && config_.echo_sni) ee.push_back(SniExtension{});
-  const auto messages = handshake.flight(std::move(ee), *cert);
+  const auto flight = handshake.flight(std::move(ee), std::move(*cert));
   const KeySchedule& secrets = handshake.secrets();
   tx_ = std::make_unique<RecordCrypter>(
-      derive_traffic_keys(secrets.server_handshake_secret(), KeyUsage::kTls));
+      derive_traffic_keys(secrets.server_handshake_key(), KeyUsage::kTls));
   rx_ = std::make_unique<RecordCrypter>(
-      derive_traffic_keys(secrets.client_handshake_secret(), KeyUsage::kTls));
+      derive_traffic_keys(secrets.client_handshake_key(), KeyUsage::kTls));
   app_tx_ = std::make_unique<RecordCrypter>(derive_traffic_keys(
       secrets.server_application_secret(), KeyUsage::kTls));
   app_rx_ = std::make_unique<RecordCrypter>(derive_traffic_keys(
       secrets.client_application_secret(), KeyUsage::kTls));
 
-  // Flight: plaintext SH record + one encrypted record per message.
+  // Flight: plaintext SH record + one encrypted record per message,
+  // each a 5-byte header, the message, its content type and the tag.
+  const std::span<const uint8_t> server_hello = handshake.server_hello();
   std::vector<uint8_t> out;
-  Record sh_rec;
-  sh_rec.type = ContentType::kHandshake;
-  sh_rec.payload = handshake.server_hello();
-  encode_record_into(sh_rec, out);
-  for (const auto& bytes : messages)
-    tx_->seal_into(ContentType::kHandshake, bytes, out);
+  out.reserve(5 + server_hello.size() + flight.bytes.size() +
+              flight.ends.size() * (5 + 1 + crypto::kGcmTagSize));
+  encode_record_into(ContentType::kHandshake, server_hello, out);
+  size_t begin = 0;
+  for (size_t end : flight.ends) {
+    tx_->seal_into(ContentType::kHandshake,
+                   std::span(flight.bytes).subspan(begin, end - begin), out);
+    begin = end;
+  }
   state_ = State::kAwaitFinished;
   return out;
 }
@@ -179,10 +184,11 @@ TlsClientResult TlsClient::run(
   TlsClientResult result;
   ClientHandshake handshake(rng_, sni_, alpn_, {kVersion13, kVersion12});
 
-  Record ch_rec;
-  ch_rec.type = ContentType::kHandshake;
-  ch_rec.payload = handshake.client_hello();
-  auto reply = exchange(encode_record(ch_rec));
+  std::vector<uint8_t> hello_record;
+  hello_record.reserve(5 + handshake.client_hello().size());
+  encode_record_into(ContentType::kHandshake, handshake.client_hello(),
+                     hello_record);
+  auto reply = exchange(hello_record);
   std::vector<Record> records;
   try {
     records = decode_records(reply);
@@ -202,7 +208,7 @@ TlsClientResult TlsClient::run(
       wire::Reader r(rec.payload);
       auto msg = decode_handshake(r);
       if (auto* sh = std::get_if<ServerHello>(&msg)) {
-        tls13 = handshake.on_server_hello(*sh, rec.payload);
+        tls13 = handshake.on_server_hello(*sh, rec.payload, result.details);
         break;
       }
     } catch (const wire::DecodeError&) {
@@ -210,7 +216,6 @@ TlsClientResult TlsClient::run(
     }
   }
   if (!tls13) return result;
-  result.details = handshake.details();
 
   if (!*tls13) {
     // A 1.3 answer without a usable key share fails. Below 1.3 (the legacy
@@ -222,7 +227,7 @@ TlsClientResult TlsClient::run(
         wire::Reader r(rec.payload);
         auto msg = decode_handshake(r);
         if (auto* cm = std::get_if<CertificateMessage>(&msg))
-          result.details.certificate_chain = cm->chain;
+          result.details.certificate_chain = std::move(cm->chain);
       } catch (const wire::DecodeError&) {
       }
     }
@@ -234,10 +239,10 @@ TlsClientResult TlsClient::run(
   // message that fails to decode ends the attempt as a failed
   // handshake, without an alert.
   const KeySchedule& secrets = handshake.secrets();
-  RecordCrypter rx(derive_traffic_keys(secrets.server_handshake_secret(),
-                                       KeyUsage::kTls));
-  RecordCrypter tx(derive_traffic_keys(secrets.client_handshake_secret(),
-                                       KeyUsage::kTls));
+  RecordCrypter rx(
+      derive_traffic_keys(secrets.server_handshake_key(), KeyUsage::kTls));
+  RecordCrypter tx(
+      derive_traffic_keys(secrets.client_handshake_key(), KeyUsage::kTls));
   auto read_flight = [&] {
     for (const auto& rec : records) {
       if (rec.type != ContentType::kApplicationData) continue;
@@ -246,7 +251,7 @@ TlsClientResult TlsClient::run(
       try {
         wire::Reader r(opened->payload);
         if (!handshake.on_server_message(decode_handshake(r),
-                                         opened->payload))
+                                         opened->payload, result.details))
           return false;
       } catch (const wire::DecodeError&) {
         return false;
@@ -254,9 +259,7 @@ TlsClientResult TlsClient::run(
     }
     return handshake.complete();
   };
-  const bool flight_ok = read_flight();
-  result.details = handshake.details();
-  if (!flight_ok) return result;
+  if (!read_flight()) return result;
 
   RecordCrypter app_tx(derive_traffic_keys(
       secrets.client_application_secret(), KeyUsage::kTls));

@@ -65,9 +65,9 @@ void encode_body(wire::Writer& w, const CertificateMessage& cm) {
   w.u8(0);  // certificate_request_context
   size_t at = w.begin_length(3);
   for (const auto& cert : cm.chain) {
-    auto bytes = cert.encode();
-    w.u24(static_cast<uint32_t>(bytes.size()));
-    w.bytes(bytes);
+    const size_t cert_at = w.begin_length(3);
+    cert.encode(w);
+    w.fill_length(cert_at, 3);
     w.u16(0);  // per-certificate extensions
   }
   w.fill_length(at, 3);
@@ -130,13 +130,17 @@ CertificateMessage decode_certificate(wire::Reader& r) {
 
 }  // namespace
 
-std::vector<uint8_t> encode_handshake(const HandshakeMessage& msg) {
-  wire::Writer w;
+void encode_handshake(wire::Writer& w, const HandshakeMessage& msg) {
   w.u8(static_cast<uint8_t>(handshake_type(msg)));
   size_t at = w.begin_length(3);
   std::visit([&](const auto& m) { encode_body(w, m); }, msg);
   w.fill_length(at, 3);
-  return w.take();
+}
+
+std::vector<uint8_t> encode_handshake(const HandshakeMessage& msg) {
+  wire::Writer& w = wire::scratch_writer();
+  encode_handshake(w, msg);
+  return w.data();
 }
 
 HandshakeMessage decode_handshake(wire::Reader& r) {

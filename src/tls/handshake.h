@@ -65,7 +65,11 @@ using HandshakeMessage =
 
 HandshakeType handshake_type(const HandshakeMessage& msg);
 
-/// Encodes with the 4-byte handshake header.
+/// Appends the encoding, 4-byte handshake header included, to `w`.
+void encode_handshake(wire::Writer& w, const HandshakeMessage& msg);
+
+/// Encodes with the 4-byte handshake header into a buffer allocated
+/// once, at the encoding's size.
 std::vector<uint8_t> encode_handshake(const HandshakeMessage& msg);
 
 /// Decodes exactly one handshake message, advancing the reader.

@@ -26,12 +26,10 @@ const crypto::HmacKey& derived_early_key() {
   return kKey;
 }
 
-// Derive-Secret(secret, label, transcript hash) into `out`, reusing
-// its capacity.
+// Derive-Secret(secret, label, transcript hash) (RFC 8446 section 7.1).
 void derive_secret(const crypto::HmacKey& secret, std::string_view label,
                    const crypto::Sha256Digest& transcript_hash,
-                   std::vector<uint8_t>& out) {
-  out.resize(crypto::kSha256DigestSize);
+                   crypto::Sha256Digest& out) {
   crypto::hkdf_expand_label(secret, label, transcript_hash, out);
 }
 
@@ -39,20 +37,19 @@ void derive_secret(const crypto::HmacKey& secret, std::string_view label,
 
 TrafficKeys derive_traffic_keys(std::span<const uint8_t> secret,
                                 KeyUsage usage) {
-  const crypto::HmacKey key(secret);
-  auto expand = [&](std::string_view label, size_t length) {
-    std::vector<uint8_t> out(length);
-    crypto::hkdf_expand_label(key, label, {}, out);
-    return out;
-  };
+  return derive_traffic_keys(crypto::HmacKey(secret), usage);
+}
+
+TrafficKeys derive_traffic_keys(const crypto::HmacKey& secret,
+                                KeyUsage usage) {
   TrafficKeys keys;
   if (usage == KeyUsage::kQuic) {
-    keys.key = expand("quic key", 16);
-    keys.iv = expand("quic iv", 12);
-    keys.hp = expand("quic hp", 16);
+    crypto::hkdf_expand_label(secret, "quic key", {}, keys.key);
+    crypto::hkdf_expand_label(secret, "quic iv", {}, keys.iv);
+    crypto::hkdf_expand_label(secret, "quic hp", {}, keys.hp.emplace());
   } else {
-    keys.key = expand("key", 16);
-    keys.iv = expand("iv", 12);
+    crypto::hkdf_expand_label(secret, "key", {}, keys.key);
+    crypto::hkdf_expand_label(secret, "iv", {}, keys.iv);
   }
   return keys;
 }
@@ -77,6 +74,22 @@ void KeySchedule::derive_handshake_secrets(
   auto th = snapshot();
   derive_secret(*handshake_secret_, "c hs traffic", th, client_hs_);
   derive_secret(*handshake_secret_, "s hs traffic", th, server_hs_);
+  client_hs_key_.emplace(client_hs_);
+  server_hs_key_.emplace(server_hs_);
+}
+
+const crypto::HmacKey& KeySchedule::client_handshake_key() const {
+  if (!client_hs_key_)
+    throw std::logic_error(
+        "client_handshake_key before derive_handshake_secrets");
+  return *client_hs_key_;
+}
+
+const crypto::HmacKey& KeySchedule::server_handshake_key() const {
+  if (!server_hs_key_)
+    throw std::logic_error(
+        "server_handshake_key before derive_handshake_secrets");
+  return *server_hs_key_;
 }
 
 void KeySchedule::derive_application_secrets() {
@@ -95,10 +108,9 @@ void KeySchedule::derive_application_secrets() {
 }
 
 crypto::Sha256Digest KeySchedule::finished_verify_data(
-    std::span<const uint8_t> traffic_secret) const {
+    const crypto::HmacKey& traffic_secret) const {
   crypto::Sha256Digest finished_key{};
-  crypto::hkdf_expand_label(crypto::HmacKey(traffic_secret), "finished", {},
-                            finished_key);
+  crypto::hkdf_expand_label(traffic_secret, "finished", {}, finished_key);
   return crypto::HmacKey(finished_key).mac(snapshot());
 }
 

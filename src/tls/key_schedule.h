@@ -4,19 +4,24 @@
 // derivable from the same traffic secrets.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
+#include "crypto/aes.h"
 #include "crypto/sha256.h"
 
 namespace tls {
 
+using AeadKey = std::array<uint8_t, crypto::kAes128KeySize>;
+using AeadIv = std::array<uint8_t, crypto::kGcmIvSize>;
+
 struct TrafficKeys {
-  std::vector<uint8_t> key;  // 16 bytes (AES-128-GCM)
-  std::vector<uint8_t> iv;   // 12 bytes
-  std::vector<uint8_t> hp;   // 16 bytes, only set for QUIC derivation
+  AeadKey key{};  // AES-128-GCM
+  AeadIv iv{};
+  /// The header-protection key: QUIC derivation only, never TLS.
+  std::optional<AeadKey> hp;
 };
 
 enum class KeyUsage { kTls, kQuic };
@@ -24,6 +29,8 @@ enum class KeyUsage { kTls, kQuic };
 /// Derives key/iv (and hp for QUIC) from a traffic secret.
 TrafficKeys derive_traffic_keys(std::span<const uint8_t> secret,
                                 KeyUsage usage);
+/// The same, from a secret whose HMAC key is already built.
+TrafficKeys derive_traffic_keys(const crypto::HmacKey& secret, KeyUsage usage);
 
 /// Tracks the handshake transcript and derives the secret hierarchy.
 /// Usage: add_message() for each handshake message in order; call
@@ -45,23 +52,29 @@ class KeySchedule {
   /// Must run with the transcript at ClientHello..server Finished.
   void derive_application_secrets();
 
-  const std::vector<uint8_t>& client_handshake_secret() const {
+  const crypto::Sha256Digest& client_handshake_secret() const {
     return client_hs_;
   }
-  const std::vector<uint8_t>& server_handshake_secret() const {
+  const crypto::Sha256Digest& server_handshake_secret() const {
     return server_hs_;
   }
-  const std::vector<uint8_t>& client_application_secret() const {
+  const crypto::Sha256Digest& client_application_secret() const {
     return client_app_;
   }
-  const std::vector<uint8_t>& server_application_secret() const {
+  const crypto::Sha256Digest& server_application_secret() const {
     return server_app_;
   }
 
-  /// Finished verify_data for the given traffic secret over the current
-  /// transcript (RFC 8446 section 4.4.4).
+  /// The handshake traffic secrets as HMAC keys, built once by
+  /// derive_handshake_secrets() for both their traffic keys and their
+  /// Finished messages. Throw std::logic_error before it ran.
+  const crypto::HmacKey& client_handshake_key() const;
+  const crypto::HmacKey& server_handshake_key() const;
+
+  /// Finished verify_data for the given handshake traffic secret's key
+  /// over the current transcript (RFC 8446 section 4.4.4).
   crypto::Sha256Digest finished_verify_data(
-      std::span<const uint8_t> traffic_secret) const;
+      const crypto::HmacKey& traffic_secret) const;
 
  private:
   crypto::Sha256 transcript_;
@@ -70,8 +83,9 @@ class KeySchedule {
   // Keyed by the handshake secret; derive_application_secrets() expands
   // its "derived" label.
   std::optional<crypto::HmacKey> handshake_secret_;
-  std::vector<uint8_t> client_hs_, server_hs_;
-  std::vector<uint8_t> client_app_, server_app_;
+  std::optional<crypto::HmacKey> client_hs_key_, server_hs_key_;
+  crypto::Sha256Digest client_hs_{}, server_hs_{};
+  crypto::Sha256Digest client_app_{}, server_app_{};
 };
 
 }  // namespace tls

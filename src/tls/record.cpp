@@ -1,27 +1,32 @@
 #include "tls/record.h"
 
-#include <cstring>
-
 #include "crypto/aes.h"
 
 namespace tls {
 
-void encode_record_into(const Record& record, std::vector<uint8_t>& out) {
-  wire::append_u8(out, static_cast<uint8_t>(record.type));
-  wire::append_u16(out, record.legacy_version);
-  wire::append_u16(out, static_cast<uint16_t>(record.payload.size()));
-  wire::append_bytes(out, record.payload);
+void encode_record_into(ContentType type, std::span<const uint8_t> payload,
+                        std::vector<uint8_t>& out, uint16_t legacy_version) {
+  wire::append_u8(out, static_cast<uint8_t>(type));
+  wire::append_u16(out, legacy_version);
+  wire::append_u16(out, static_cast<uint16_t>(payload.size()));
+  wire::append_bytes(out, payload);
 }
 
 std::vector<uint8_t> encode_record(const Record& record) {
   std::vector<uint8_t> out;
   out.reserve(5 + record.payload.size());
-  encode_record_into(record, out);
+  encode_record_into(record.type, record.payload, out, record.legacy_version);
   return out;
 }
 
 std::vector<Record> decode_records(std::span<const uint8_t> stream) {
+  // Count the records first (their headers give the lengths), so the
+  // vector is sized once; a truncated stream throws below.
+  size_t count = 0;
+  for (size_t at = 0; at + 5 <= stream.size(); ++count)
+    at += 5 + wire::load_u16be(stream.data() + at + 3);
   std::vector<Record> out;
+  out.reserve(count);
   wire::Reader r(stream);
   while (!r.done()) {
     Record rec;
@@ -38,8 +43,7 @@ RecordCrypter::RecordCrypter(const TrafficKeys& keys)
 
 std::array<uint8_t, crypto::kGcmIvSize> RecordCrypter::nonce_for(
     uint64_t seq) const {
-  std::array<uint8_t, crypto::kGcmIvSize> nonce;
-  std::memcpy(nonce.data(), iv_.data(), crypto::kGcmIvSize);
+  std::array<uint8_t, crypto::kGcmIvSize> nonce = iv_;
   for (int i = 0; i < 8; ++i)
     nonce[nonce.size() - 1 - static_cast<size_t>(i)] ^=
         static_cast<uint8_t>(seq >> (8 * i));
@@ -49,6 +53,7 @@ std::array<uint8_t, crypto::kGcmIvSize> RecordCrypter::nonce_for(
 void RecordCrypter::seal_into(ContentType inner_type,
                               std::span<const uint8_t> payload,
                               std::vector<uint8_t>& out) {
+  scratch_inner_.reserve(payload.size() + 1);
   scratch_inner_.assign(payload.begin(), payload.end());
   scratch_inner_.push_back(static_cast<uint8_t>(inner_type));
   // Additional data is the record header with the ciphertext length,

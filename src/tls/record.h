@@ -11,6 +11,7 @@
 
 #include "crypto/aes.h"
 #include "tls/key_schedule.h"
+#include "tls/types.h"
 #include "wire/buffer.h"
 
 namespace tls {
@@ -29,9 +30,12 @@ struct Record {
 
 std::vector<uint8_t> encode_record(const Record& record);
 
-/// Appends the record's encoding to `out` (append-into-buffer variant
-/// used by the hot path to build multi-record flights in one buffer).
-void encode_record_into(const Record& record, std::vector<uint8_t>& out);
+/// Appends a plaintext record of `type` carrying `payload` to `out`
+/// without building a Record (the hot path builds multi-record flights
+/// in one buffer this way).
+void encode_record_into(ContentType type, std::span<const uint8_t> payload,
+                        std::vector<uint8_t>& out,
+                        uint16_t legacy_version = kVersion12);
 
 /// Splits a byte stream into records; throws wire::DecodeError on a
 /// truncated stream.
@@ -64,7 +68,7 @@ class RecordCrypter {
  private:
   std::array<uint8_t, crypto::kGcmIvSize> nonce_for(uint64_t seq) const;
   crypto::Aes128Gcm gcm_;
-  std::vector<uint8_t> iv_;
+  AeadIv iv_;
   uint64_t seal_seq_ = 0;
   uint64_t open_seq_ = 0;
   // TLSInnerPlaintext scratch (payload || content type), reused across

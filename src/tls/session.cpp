@@ -8,20 +8,29 @@ namespace tls {
 
 namespace {
 
-std::vector<uint8_t> shared_secret(uint64_t secret,
-                                   std::span<const uint8_t> peer_public) {
+std::array<uint8_t, 8> shared_secret(uint64_t secret,
+                                     std::span<const uint8_t> peer_public) {
   return crypto::dh_encode(
       crypto::dh_shared(secret, crypto::dh_decode(peer_public)));
 }
 
+// A key_share carrying one entry. Pushed, not brace-initialised: an
+// initializer list would copy the entry and its bytes.
+KeyShareExtension key_share(uint16_t group, uint64_t public_value) {
+  const auto bytes = crypto::dh_encode(public_value);
+  KeyShareExtension ks;
+  ks.entries.push_back({group, {bytes.begin(), bytes.end()}});
+  return ks;
+}
+
 Finished finished_for(const KeySchedule& schedule,
-                      std::span<const uint8_t> traffic_secret) {
+                      const crypto::HmacKey& traffic_secret) {
   const auto verify_data = schedule.finished_verify_data(traffic_secret);
   return Finished{{verify_data.begin(), verify_data.end()}};
 }
 
 bool finished_verifies(const Finished& fin, const KeySchedule& schedule,
-                       std::span<const uint8_t> traffic_secret) {
+                       const crypto::HmacKey& traffic_secret) {
   return std::ranges::equal(fin.verify_data,
                             schedule.finished_verify_data(traffic_secret));
 }
@@ -57,11 +66,15 @@ ClientHandshake::ClientHandshake(crypto::Rng& rng,
                                  std::optional<Extension> trailing) {
   const auto key_pair = crypto::dh_generate(rng.next());
   dh_secret_ = key_pair.secret;
-  ClientHello ch;
+  // Built in place in the variant encode_handshake takes: a ClientHello
+  // converted to it would be copied, extensions and all.
+  HandshakeMessage hello(std::in_place_type<ClientHello>);
+  auto& ch = std::get<ClientHello>(hello);
   rng.fill(ch.random);
   ch.cipher_suites = {CipherSuite::kAes128GcmSha256,
                       CipherSuite::kAes256GcmSha384,
                       CipherSuite::kChaCha20Poly1305Sha256};
+  ch.extensions.reserve(7);
   if (sni) ch.extensions.push_back(SniExtension{*sni});
   if (!alpn.empty()) ch.extensions.push_back(AlpnExtension{alpn});
   ch.extensions.push_back(SupportedGroupsExtension{
@@ -71,47 +84,48 @@ ClientHandshake::ClientHandshake(crypto::Rng& rng,
   ch.extensions.push_back(
       SignatureAlgorithmsExtension{{kSigAlgRsaPssSha256, 0x0403}});
   ch.extensions.push_back(SupportedVersionsExtension{std::move(versions)});
-  ch.extensions.push_back(KeyShareExtension{
-      {{static_cast<uint16_t>(NamedGroup::kX25519),
-        crypto::dh_encode(key_pair.public_value)}}});
+  ch.extensions.push_back(key_share(
+      static_cast<uint16_t>(NamedGroup::kX25519), key_pair.public_value));
   if (trailing) ch.extensions.push_back(std::move(*trailing));
-  client_hello_ = encode_handshake(ch);
+  client_hello_ = encode_handshake(hello);
   schedule_.add_message(client_hello_);
 }
 
 bool ClientHandshake::on_server_hello(const ServerHello& sh,
-                                      std::span<const uint8_t> encoded) {
+                                      std::span<const uint8_t> encoded,
+                                      TlsDetails& details) {
   schedule_.add_message(encoded);
-  details_.negotiated_version = sh.negotiated_version();
-  details_.cipher_suite = sh.cipher_suite;
+  details = TlsDetails{};
+  details.negotiated_version = sh.negotiated_version();
+  details.cipher_suite = sh.cipher_suite;
   for (const auto& ext : sh.extensions)
-    details_.server_extensions.push_back(extension_type(ext));
-  if (details_.negotiated_version < kVersion13) return false;
+    details.server_extensions.push_back(extension_type(ext));
+  if (details.negotiated_version < kVersion13) return false;
   const KeyShareEntry* share = usable_key_share(sh.extensions);
   if (!share) return false;
-  details_.key_exchange_group = share->group;
+  details.key_exchange_group = share->group;
   schedule_.derive_handshake_secrets(
       shared_secret(dh_secret_, share->key_exchange));
   return true;
 }
 
-bool ClientHandshake::on_server_message(const HandshakeMessage& msg,
-                                        std::span<const uint8_t> encoded) {
+bool ClientHandshake::on_server_message(HandshakeMessage&& msg,
+                                        std::span<const uint8_t> encoded,
+                                        TlsDetails& details) {
   if (const auto* ee = std::get_if<EncryptedExtensions>(&msg)) {
     if (const auto* alpn = find_alpn(ee->extensions);
         alpn && !alpn->protocols.empty())
-      details_.selected_alpn = alpn->protocols[0];
-    details_.sni_echoed = find_sni(ee->extensions) != nullptr;
+      details.selected_alpn = alpn->protocols[0];
+    details.sni_echoed = find_sni(ee->extensions) != nullptr;
     for (const auto& ext : ee->extensions)
-      details_.server_extensions.push_back(extension_type(ext));
-  } else if (const auto* cm = std::get_if<CertificateMessage>(&msg)) {
-    details_.certificate_chain = cm->chain;
+      details.server_extensions.push_back(extension_type(ext));
+  } else if (auto* cm = std::get_if<CertificateMessage>(&msg)) {
+    details.certificate_chain = std::move(cm->chain);
   } else if (const auto* fin = std::get_if<Finished>(&msg)) {
-    if (!finished_verifies(*fin, schedule_,
-                           schedule_.server_handshake_secret()))
+    if (!finished_verifies(*fin, schedule_, schedule_.server_handshake_key()))
       return false;
     schedule_.add_message(encoded);
-    std::ranges::sort(details_.server_extensions);
+    std::ranges::sort(details.server_extensions);
     schedule_.derive_application_secrets();
     complete_ = true;
     return true;
@@ -122,7 +136,7 @@ bool ClientHandshake::on_server_message(const HandshakeMessage& msg,
 
 std::vector<uint8_t> ClientHandshake::client_finished() const {
   return encode_handshake(
-      finished_for(schedule_, schedule_.client_handshake_secret()));
+      finished_for(schedule_, schedule_.client_handshake_key()));
 }
 
 /// --- Server ----------------------------------------------------------
@@ -133,41 +147,52 @@ ServerHandshake::ServerHandshake(const ClientHello& ch,
                                  crypto::Rng& rng) {
   schedule_.add_message(encoded);
   const auto key_pair = crypto::dh_generate(rng.next());
-  ServerHello sh;
+  HandshakeMessage hello(std::in_place_type<ServerHello>);
+  auto& sh = std::get<ServerHello>(hello);
   rng.fill(sh.random);
   sh.legacy_session_id_echo = ch.legacy_session_id;
   sh.cipher_suite = CipherSuite::kAes128GcmSha256;
+  sh.extensions.reserve(2);
   sh.extensions.push_back(SupportedVersionsExtension{{kVersion13}});
-  sh.extensions.push_back(KeyShareExtension{
-      {{client_share.group, crypto::dh_encode(key_pair.public_value)}}});
-  server_hello_ = encode_handshake(sh);
+  sh.extensions.push_back(
+      key_share(client_share.group, key_pair.public_value));
+  server_hello_ = encode_handshake(hello);
   schedule_.add_message(server_hello_);
   schedule_.derive_handshake_secrets(
       shared_secret(key_pair.secret, client_share.key_exchange));
 }
 
-std::array<std::vector<uint8_t>, 4> ServerHandshake::flight(
-    std::vector<Extension> ee_extensions, const Certificate& cert) {
-  std::array<std::vector<uint8_t>, 4> out;
+ServerFlight ServerHandshake::flight(std::vector<Extension> ee_extensions,
+                                     Certificate cert) {
+  // Encoded back to back into the scratch writer, then copied out once.
+  wire::Writer& w = wire::scratch_writer();
+  ServerFlight out;
   size_t next = 0;
   auto add = [&](const HandshakeMessage& msg) {
-    out[next] = encode_handshake(msg);
-    schedule_.add_message(out[next++]);
+    const size_t begin = w.size();
+    encode_handshake(w, msg);
+    schedule_.add_message(w.span().subspan(begin));
+    out.ends[next++] = w.size();
   };
   add(EncryptedExtensions{std::move(ee_extensions)});
-  add(CertificateMessage{{cert}});
-  const auto signature = crypto::hmac_sha256(
-      crypto::dh_encode(cert.public_key_id), schedule_.transcript_hash());
+  const auto key_id = crypto::dh_encode(cert.public_key_id);
+  {
+    HandshakeMessage certificate(std::in_place_type<CertificateMessage>);
+    std::get<CertificateMessage>(certificate).chain.push_back(std::move(cert));
+    add(certificate);
+  }
+  const auto signature =
+      crypto::hmac_sha256(key_id, schedule_.transcript_hash());
   add(CertificateVerify{kSigAlgRsaPssSha256,
                         {signature.begin(), signature.end()}});
-  add(finished_for(schedule_, schedule_.server_handshake_secret()));
+  add(finished_for(schedule_, schedule_.server_handshake_key()));
   schedule_.derive_application_secrets();
+  out.bytes = w.data();
   return out;
 }
 
 bool ServerHandshake::client_finished_ok(const Finished& fin) const {
-  return finished_verifies(fin, schedule_,
-                           schedule_.client_handshake_secret());
+  return finished_verifies(fin, schedule_, schedule_.client_handshake_key());
 }
 
 }  // namespace tls

@@ -49,19 +49,23 @@ class ClientHandshake {
   const std::vector<uint8_t>& client_hello() const { return client_hello_; }
 
   /// Adds `encoded` (the bytes that carried `sh`) to the transcript and
-  /// records the version, suite and codepoints. Returns false on an
-  /// answer below TLS 1.3 or without a usable key share; otherwise
-  /// records the group and derives the handshake secrets.
-  bool on_server_hello(const ServerHello& sh,
-                       std::span<const uint8_t> encoded);
+  /// records the version, suite and codepoints into `details`, which it
+  /// first resets; the carrier passes the TlsDetails it reports, so
+  /// nothing is copied. Returns false on an answer below TLS 1.3 or
+  /// without a usable key share; otherwise records the group and
+  /// derives the handshake secrets.
+  bool on_server_hello(const ServerHello& sh, std::span<const uint8_t> encoded,
+                       TlsDetails& details);
 
   /// One message of the encrypted server flight with its encoding.
-  /// EncryptedExtensions and Certificate are recorded. A Finished is
-  /// verified, joins the transcript, sorts the codepoints and derives
-  /// the application secrets; returns false when it fails to verify.
-  /// Any other message only joins the transcript.
-  bool on_server_message(const HandshakeMessage& msg,
-                         std::span<const uint8_t> encoded);
+  /// EncryptedExtensions and Certificate are recorded into `details`
+  /// (the certificate chain is moved there). A Finished is verified,
+  /// joins the transcript, sorts the codepoints and derives the
+  /// application secrets; returns false when it fails to verify. Any
+  /// other message only joins the transcript.
+  bool on_server_message(HandshakeMessage&& msg,
+                         std::span<const uint8_t> encoded,
+                         TlsDetails& details);
 
   /// True once the server Finished verified.
   bool complete() const { return complete_; }
@@ -70,14 +74,20 @@ class ClientHandshake {
   std::vector<uint8_t> client_finished() const;
 
   const KeySchedule& secrets() const { return schedule_; }
-  const TlsDetails& details() const { return details_; }
 
  private:
   uint64_t dh_secret_ = 0;
   KeySchedule schedule_;
   std::vector<uint8_t> client_hello_;
-  TlsDetails details_;
   bool complete_ = false;
+};
+
+/// The server's encrypted flight: EncryptedExtensions, Certificate,
+/// CertificateVerify and Finished, encoded back to back.
+struct ServerFlight {
+  std::vector<uint8_t> bytes;
+  /// Where each of the four messages ends in `bytes`.
+  std::array<size_t, 4> ends{};
 };
 
 class ServerHandshake {
@@ -95,10 +105,9 @@ class ServerHandshake {
 
   /// The encoded EncryptedExtensions, Certificate, CertificateVerify
   /// (an HMAC over the transcript, DESIGN.md section 7) and Finished,
-  /// each added to the transcript; then derives the application
-  /// secrets.
-  std::array<std::vector<uint8_t>, 4> flight(
-      std::vector<Extension> ee_extensions, const Certificate& cert);
+  /// concatenated in one buffer and each added to the transcript; then
+  /// derives the application secrets.
+  ServerFlight flight(std::vector<Extension> ee_extensions, Certificate cert);
 
   /// Checks the client Finished against the transcript through the
   /// server Finished.

@@ -2,6 +2,12 @@
 
 namespace wire {
 
+Writer& scratch_writer() {
+  thread_local Writer scratch;
+  scratch.clear();
+  return scratch;
+}
+
 void Writer::varint(uint64_t v) {
   if (v <= 63) {
     u8(static_cast<uint8_t>(v));

@@ -160,6 +160,14 @@ class Writer {
   std::vector<uint8_t> buf_;
 };
 
+/// A per-thread scratch Writer for encoders that learn their output's
+/// size only by producing it: encode into it, then copy the bytes out
+/// once at their exact size. Returned empty, with the capacity earlier
+/// uses on this thread left, so steady-state encoding allocates only
+/// the copy. Not reentrant: an encoder that holds it must not call
+/// another encoder that takes it.
+Writer& scratch_writer();
+
 /// Non-owning forward cursor with big-endian integer primitives.
 class Reader {
  public:

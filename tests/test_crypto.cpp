@@ -338,6 +338,40 @@ TEST(Dh, RejectsDegeneratePublicValues) {
                std::invalid_argument);
 }
 
+// The folded reduction against the 128-bit remainder it replaced, on
+// the fold's edge values (products near multiples of 2^64 and p) and
+// on seeded random operands.
+TEST(Dh, FoldedMulMatchesInt128Remainder) {
+  using u128 = unsigned __int128;
+  auto reference = [](uint64_t a, uint64_t b) {
+    return static_cast<uint64_t>(static_cast<u128>(a) * b % crypto::kDhPrime);
+  };
+  const uint64_t edges[] = {0,  1,  2, 58, 59, 60, uint64_t{1} << 63,
+                            (uint64_t{1} << 63) + 1, crypto::kDhPrime - 1};
+  for (uint64_t a : edges)
+    for (uint64_t b : edges)
+      ASSERT_EQ(crypto::mod_mul(a, b), reference(a, b)) << a << " * " << b;
+  crypto::Rng rng(0xd1f01d);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const uint64_t a = rng.below(crypto::kDhPrime);
+    const uint64_t b = rng.below(crypto::kDhPrime);
+    ASSERT_EQ(crypto::mod_mul(a, b), reference(a, b)) << a << " * " << b;
+  }
+}
+
+// Public values computed with the 128-bit remainder reduction.
+TEST(Dh, GeneratedPublicValuesArePinned) {
+  const std::pair<uint64_t, uint64_t> pins[] = {
+      {42, 0xf52e487b4bdadce0ull},
+      {0x5ca9, 0x849c1550475f3603ull},
+      {0x0123456789abcdefull, 0xad5de56be45ec6fbull},
+      {0x9e3779b97f4a7c15ull, 0xd2baea79d9c49388ull},
+      {0xffffffffffffffffull, 0x3ccb1b5dafb74fbaull},
+  };
+  for (const auto& [seed, public_value] : pins)
+    EXPECT_EQ(crypto::dh_generate(seed).public_value, public_value) << seed;
+}
+
 TEST(Dh, EncodeDecodeRoundTrip) {
   for (uint64_t v : {uint64_t{0}, uint64_t{1}, uint64_t{0xdeadbeefcafebabe},
                      crypto::kDhPrime - 1}) {

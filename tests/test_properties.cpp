@@ -860,8 +860,8 @@ TEST_P(AppendApiSweep, WireAppendPrimitivesMatchWriter) {
 TEST_P(AppendApiSweep, RecordSealIntoMatchesSeal) {
   crypto::Rng rng(static_cast<uint64_t>(GetParam()) * 2654435761u + 17);
   tls::TrafficKeys keys;
-  keys.key = rng.bytes(16);
-  keys.iv = rng.bytes(12);
+  rng.fill(keys.key);
+  rng.fill(keys.iv);
   // Two crypters with the same keys advance their sequence numbers in
   // lockstep, one per API under test.
   tls::RecordCrypter by_value(keys);

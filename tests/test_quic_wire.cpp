@@ -267,12 +267,12 @@ TEST(InitialSecrets, BothSidesMatchRfc9001AppendixA1OnEveryKernel) {
         tls::derive_traffic_keys(secrets.client, tls::KeyUsage::kQuic);
     EXPECT_EQ(wire::to_hex(client.key), "1f369613dd76d5467730efcbe3b1a22d");
     EXPECT_EQ(wire::to_hex(client.iv), "fa044b2f42a3fd3b46fb255c");
-    EXPECT_EQ(wire::to_hex(client.hp), "9f50449e04a0e810283a1e9933adedd2");
+    EXPECT_EQ(wire::to_hex(*client.hp), "9f50449e04a0e810283a1e9933adedd2");
     auto server =
         tls::derive_traffic_keys(secrets.server, tls::KeyUsage::kQuic);
     EXPECT_EQ(wire::to_hex(server.key), "cf3a5331653c364c88f0f379b6067e37");
     EXPECT_EQ(wire::to_hex(server.iv), "0ac1493ca1905853b0bba03e");
-    EXPECT_EQ(wire::to_hex(server.hp), "c206b8d9b9f0f37644430b490eeaa314");
+    EXPECT_EQ(wire::to_hex(*server.hp), "c206b8d9b9f0f37644430b490eeaa314");
 
     // for_initial derives one direction only; each side's protector
     // must open what the keys above seal.

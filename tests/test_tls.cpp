@@ -243,8 +243,9 @@ TEST(KeySchedule, QuicAndTlsKeysDiffer) {
   EXPECT_NE(quic_keys.key, tls_keys.key);
   EXPECT_EQ(quic_keys.key.size(), 16u);
   EXPECT_EQ(quic_keys.iv.size(), 12u);
-  EXPECT_EQ(quic_keys.hp.size(), 16u);
-  EXPECT_TRUE(tls_keys.hp.empty());
+  ASSERT_TRUE(quic_keys.hp.has_value());
+  EXPECT_EQ(quic_keys.hp->size(), 16u);
+  EXPECT_FALSE(tls_keys.hp.has_value());  // TLS keys carry no hp
 }
 
 TEST(KeySchedule, Rfc8448SimpleHandshakeSecrets) {
@@ -299,11 +300,11 @@ TEST(KeySchedule, MatchesSpanWrapperReferenceOnRandomHandshakes) {
       ks.derive_handshake_secrets(shared);
       ks.add_message(server_flight);
       const auto server_finished =
-          ks.finished_verify_data(ks.server_handshake_secret());
+          ks.finished_verify_data(ks.server_handshake_key());
       ks.add_message(server_fin);
       ks.derive_application_secrets();
       const auto client_finished =
-          ks.finished_verify_data(ks.client_handshake_secret());
+          ks.finished_verify_data(ks.client_handshake_key());
 
       std::vector<uint8_t> transcript = hello;
       const auto th_hello = crypto::Sha256::hash(transcript);
@@ -321,11 +322,14 @@ TEST(KeySchedule, MatchesSpanWrapperReferenceOnRandomHandshakes) {
       const auto server_hs = label(hs, "s hs traffic", th_hello);
       const auto master = crypto::hkdf_extract(
           label(hs, "derived", empty_hash), zeros);
-      EXPECT_EQ(ks.client_handshake_secret(), client_hs);
-      EXPECT_EQ(ks.server_handshake_secret(), server_hs);
-      EXPECT_EQ(ks.client_application_secret(),
+      auto bytes = [](const crypto::Sha256Digest& secret) {
+        return std::vector<uint8_t>(secret.begin(), secret.end());
+      };
+      EXPECT_EQ(bytes(ks.client_handshake_secret()), client_hs);
+      EXPECT_EQ(bytes(ks.server_handshake_secret()), server_hs);
+      EXPECT_EQ(bytes(ks.client_application_secret()),
                 label(master, "c ap traffic", th_fin));
-      EXPECT_EQ(ks.server_application_secret(),
+      EXPECT_EQ(bytes(ks.server_application_secret()),
                 label(master, "s ap traffic", th_fin));
       EXPECT_EQ(server_finished, finished(server_hs, th_flight));
       EXPECT_EQ(client_finished, finished(client_hs, th_fin));
@@ -360,8 +364,8 @@ TEST(Record, StreamOfRecords) {
 TEST(Record, CrypterSealOpen) {
   crypto::Rng rng(3);
   TrafficKeys keys;
-  keys.key = rng.bytes(16);
-  keys.iv = rng.bytes(12);
+  rng.fill(keys.key);
+  rng.fill(keys.iv);
   RecordCrypter tx(keys), rx(keys);
   for (int i = 0; i < 5; ++i) {  // sequence numbers advance in step
     auto payload = rng.bytes(50);
@@ -379,8 +383,8 @@ TEST(Record, CrypterSealOpen) {
 TEST(Record, CrypterRejectsTampering) {
   crypto::Rng rng(4);
   TrafficKeys keys;
-  keys.key = rng.bytes(16);
-  keys.iv = rng.bytes(12);
+  rng.fill(keys.key);
+  rng.fill(keys.iv);
   RecordCrypter tx(keys), rx(keys);
   auto bytes = tx.seal(ContentType::kApplicationData, rng.bytes(20));
   bytes[bytes.size() - 1] ^= 1;
@@ -391,10 +395,10 @@ TEST(Record, CrypterRejectsTampering) {
 TEST(Record, WrongKeysCannotOpen) {
   crypto::Rng rng(5);
   TrafficKeys keys1, keys2;
-  keys1.key = rng.bytes(16);
-  keys1.iv = rng.bytes(12);
-  keys2.key = rng.bytes(16);
-  keys2.iv = rng.bytes(12);
+  rng.fill(keys1.key);
+  rng.fill(keys1.iv);
+  rng.fill(keys2.key);
+  rng.fill(keys2.iv);
   RecordCrypter tx(keys1), rx(keys2);
   auto bytes = tx.seal(ContentType::kApplicationData, rng.bytes(20));
   EXPECT_FALSE(rx.open(decode_records(bytes)[0]).has_value());
@@ -412,8 +416,8 @@ TEST(Types, AlertAndCipherNames) {
 TEST(Record, OutOfOrderSequenceFailsToOpen) {
   crypto::Rng rng(6);
   TrafficKeys keys;
-  keys.key = rng.bytes(16);
-  keys.iv = rng.bytes(12);
+  rng.fill(keys.key);
+  rng.fill(keys.iv);
   RecordCrypter tx(keys), rx(keys);
   auto first = tx.seal(ContentType::kApplicationData, rng.bytes(10));
   auto second = tx.seal(ContentType::kApplicationData, rng.bytes(10));
@@ -540,14 +544,15 @@ TEST(TlsOverTcp, MalformedEncryptedMessageFailsTheHandshake) {
     auto pair = crypto::dh_generate(42);
     ServerHello sh;
     sh.extensions.push_back(SupportedVersionsExtension{{kVersion13}});
+    const auto public_bytes = crypto::dh_encode(pair.public_value);
     sh.extensions.push_back(KeyShareExtension{
-        {{share.group, crypto::dh_encode(pair.public_value)}}});
+        {{share.group, {public_bytes.begin(), public_bytes.end()}}}});
     Record sh_record;
     sh_record.payload = encode_handshake(sh);
     schedule.add_message(sh_record.payload);
     schedule.derive_handshake_secrets(crypto::dh_encode(crypto::dh_shared(
         pair.secret, crypto::dh_decode(share.key_exchange))));
-    RecordCrypter tx(derive_traffic_keys(schedule.server_handshake_secret(),
+    RecordCrypter tx(derive_traffic_keys(schedule.server_handshake_key(),
                                          KeyUsage::kTls));
     std::vector<uint8_t> flight = encode_record(sh_record);
     const uint8_t truncated_ee[] = {0x08, 0x00, 0x00, 0x05, 0x00};
