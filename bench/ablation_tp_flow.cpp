@@ -11,7 +11,7 @@
 
 #include "common.h"
 #include "internet/tp_catalog.h"
-#include "quic/flow_control.h"
+#include "quic/transport_params.h"
 
 namespace {
 
@@ -20,8 +20,7 @@ namespace {
 /// the first-flight budget.
 uint64_t rtts_for_transfer(const quic::TransportParameters& params,
                            uint64_t total, uint64_t streams) {
-  uint64_t per_rtt =
-      quic::ConnectionFlowController::first_flight_budget(params, streams);
+  uint64_t per_rtt = quic::first_flight_budget(params, streams);
   if (per_rtt == 0) return UINT64_MAX;
   return (total + per_rtt - 1) / per_rtt;
 }
@@ -46,10 +45,8 @@ int main() {
     Row row;
     row.id = entry.id;
     row.owner = entry.owner_hint;
-    row.budget1 =
-        quic::ConnectionFlowController::first_flight_budget(entry.params, 1);
-    row.budget =
-        quic::ConnectionFlowController::first_flight_budget(entry.params, 100);
+    row.budget1 = quic::first_flight_budget(entry.params, 1);
+    row.budget = quic::first_flight_budget(entry.params, 100);
     quic::TransportParameters one = entry.params;
     row.rtts_1mib = rtts_for_transfer(one, 1 << 20, 1);
     rows.push_back(std::move(row));

@@ -24,8 +24,6 @@ enum class RRType : uint16_t {
   kHttps = 65,
 };
 
-std::string rrtype_name(RRType type);
-
 enum class RCode : uint8_t {
   kNoError = 0,
   kFormErr = 1,

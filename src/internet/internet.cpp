@@ -132,14 +132,14 @@ ServerHost* Internet::host_for(const netsim::IpAddress& addr) {
 void Internet::impair(ServerHost& host) {
   const auto& addr = host.profile().address;
   netsim::LinkProperties props = network_.link(addr);
-  impairment_->apply(props);
+  props.impairment = impairment_->impairment;
   network_.set_link(addr, props);
   host.set_max_crypto_chunk(impairment_->max_crypto_chunk);
 }
 
 void Internet::apply_impairment(const netsim::ImpairmentProfile& profile) {
   if (profile.is_clean()) return;  // exact no-op: no link entries created
-  // apply() sets every fabric field, so the latest profile is the
+  // impair() assigns every fabric knob, so the latest profile is the
   // whole overlay.
   impairment_ = profile;
   for (auto& [addr, host] : hosts_) impair(*host);

@@ -264,10 +264,6 @@ uint64_t Prefix::host_count() const {
   return uint64_t{1} << host_bits;
 }
 
-std::string Prefix::to_string() const {
-  return base_.to_string() + "/" + std::to_string(length_);
-}
-
 std::string Endpoint::to_string() const {
   if (addr.is_v6()) return "[" + addr.to_string() + "]:" + std::to_string(port);
   return addr.to_string() + ":" + std::to_string(port);

@@ -88,8 +88,6 @@ class Prefix {
   /// Number of host addresses in the prefix, capped at 2^63.
   uint64_t host_count() const;
 
-  std::string to_string() const;
-
   auto operator<=>(const Prefix&) const = default;
 
  private:

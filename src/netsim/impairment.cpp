@@ -2,30 +2,7 @@
 
 #include <array>
 
-#include "netsim/network.h"
-
 namespace netsim {
-
-bool ImpairmentProfile::is_clean() const {
-  return ge_loss_good == 0 && ge_loss_bad == 0 && ge_p_good_bad == 0 &&
-         ge_p_bad_good == 0 && reorder == 0 && duplicate == 0 &&
-         corrupt == 0 && jitter_us == 0 && rate_limit_pps == 0 &&
-         max_crypto_chunk == 0;
-}
-
-void ImpairmentProfile::apply(LinkProperties& props) const {
-  props.ge_loss_good = ge_loss_good;
-  props.ge_loss_bad = ge_loss_bad;
-  props.ge_p_good_bad = ge_p_good_bad;
-  props.ge_p_bad_good = ge_p_bad_good;
-  props.reorder = reorder;
-  props.reorder_extra_us = reorder_extra_us;
-  props.duplicate = duplicate;
-  props.corrupt = corrupt;
-  props.jitter_us = jitter_us;
-  props.rate_limit_pps = rate_limit_pps;
-  props.rate_burst = rate_burst;
-}
 
 namespace {
 
@@ -39,24 +16,26 @@ namespace {
 // flight reliably lands over budget).
 const std::array<ImpairmentProfile, 5> kProfiles = {{
     {.name = "clean"},
-    {.name = "lossy", .ge_loss_good = 0.05, .ge_loss_bad = 0.05},
+    {.name = "lossy",
+     .impairment = {.ge_loss_good = 0.05, .ge_loss_bad = 0.05}},
     {.name = "bursty",
-     .ge_loss_good = 0.01,
-     .ge_loss_bad = 0.6,
-     .ge_p_good_bad = 0.05,
-     .ge_p_bad_good = 0.25},
+     .impairment = {.ge_loss_good = 0.01,
+                    .ge_loss_bad = 0.6,
+                    .ge_p_good_bad = 0.05,
+                    .ge_p_bad_good = 0.25}},
     {.name = "hostile",
-     .ge_loss_good = 0.01,
-     .ge_loss_bad = 0.6,
-     .ge_p_good_bad = 0.05,
-     .ge_p_bad_good = 0.25,
-     .reorder = 0.15,
-     .reorder_extra_us = 30'000,
-     .duplicate = 0.05,
-     .corrupt = 0.05,
-     .jitter_us = 5'000,
+     .impairment = {.ge_loss_good = 0.01,
+                    .ge_loss_bad = 0.6,
+                    .ge_p_good_bad = 0.05,
+                    .ge_p_bad_good = 0.25,
+                    .reorder = 0.15,
+                    .reorder_extra_us = 30'000,
+                    .duplicate = 0.05,
+                    .corrupt = 0.05,
+                    .jitter_us = 5'000},
      .max_crypto_chunk = 600},
-    {.name = "throttled", .rate_limit_pps = 10.0, .rate_burst = 1.0},
+    {.name = "throttled",
+     .impairment = {.rate_limit_pps = 10.0, .rate_burst = 1.0}},
 }};
 
 const std::array<std::string_view, 5> kProfileNames = {

@@ -1,5 +1,5 @@
-// Named impairment profiles for the fault-injection fabric: composable
-// overlays on LinkProperties that model the operational hazards real
+// Named impairment profiles for the fault-injection fabric: overlays on
+// a link's Impairment that model the operational hazards real
 // scanning campaigns meet (bursty loss, reordering, duplication,
 // corruption, jitter, provider-side rate limiting). Profiles are pure
 // data; the Network draws every impairment decision from counter-based
@@ -15,13 +15,10 @@
 
 namespace netsim {
 
-struct LinkProperties;
-
-/// One named impairment mix. Every field defaults to "off" so a
-/// default-constructed profile (== `clean`) is a no-op overlay.
-struct ImpairmentProfile {
-  std::string name;
-
+/// The fault-injection fabric's per-link knobs. Every field defaults to
+/// "off"; LinkProperties carries one per link and each named profile
+/// carries the one it overlays.
+struct Impairment {
   // Gilbert-Elliott two-state loss. The link starts in the good state;
   // per datagram it drops with the state's loss rate, then transitions
   // with the state's switch probability. Setting both loss rates equal
@@ -53,17 +50,33 @@ struct ImpairmentProfile {
   double rate_limit_pps = 0.0;
   double rate_burst = 0.0;
 
+  /// True when some knob makes the fabric touch a datagram.
+  bool active() const {
+    return ge_loss_good > 0 || ge_loss_bad > 0 || ge_p_good_bad > 0 ||
+           reorder > 0 || duplicate > 0 || corrupt > 0 || jitter_us > 0 ||
+           rate_limit_pps > 0;
+  }
+
+  bool operator==(const Impairment&) const = default;
+};
+
+/// One named impairment mix. A default-constructed profile (== `clean`)
+/// is a no-op overlay.
+struct ImpairmentProfile {
+  std::string name;
+  Impairment impairment{};
+
   // Server-side flight splitting: when > 0, impaired QUIC deployments
   // send each handshake CRYPTO chunk of at most this many bytes in its
   // own datagram, so reordering can actually produce out-of-order
   // CRYPTO at the client. 0 keeps the single coalesced flight.
   size_t max_crypto_chunk = 0;
 
-  /// True when every knob is off (the `clean` profile).
-  bool is_clean() const;
-
-  /// Overlays this profile onto `props` (latency/loss/silent untouched).
-  void apply(LinkProperties& props) const;
+  /// True when the profile impairs nothing: no active knob and no
+  /// flight split (the `clean` profile).
+  bool is_clean() const {
+    return !impairment.active() && max_crypto_chunk == 0;
+  }
 };
 
 /// Looks up a built-in profile (`clean`, `lossy`, `bursty`, `hostile`,

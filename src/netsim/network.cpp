@@ -37,12 +37,11 @@ double unit_draw(uint64_t bits) {
 
 }  // namespace
 
-Network::Network(EventLoop& loop, uint64_t loss_seed)
+Network::Network(EventLoop& loop, uint64_t seed)
     : loop_(loop),
-      loss_state_(loss_seed),
-      // Distinct derivation so fabric draws never perturb (or depend
-      // on) the legacy shared-stream loss RNG.
-      impair_seed_(loss_seed * 0x2545f4914f6cdd1dull ^ 0x0fab51cull) {}
+      // Every fabric draw depends on this derivation: changing it
+      // changes every impaired campaign's output.
+      impair_seed_(seed * 0x2545f4914f6cdd1dull ^ 0x0fab51cull) {}
 
 void Network::set_metrics(telemetry::MetricsRegistry* metrics) {
   metric_datagrams_ = telemetry::maybe_counter(metrics, "net.datagrams_sent");
@@ -65,11 +64,6 @@ void Network::set_metrics(telemetry::MetricsRegistry* metrics) {
 void Network::add_udp_service(const Endpoint& at, UdpService* service) {
   resolve(at.addr);
   udp_services_[at] = service;
-}
-
-void Network::remove_udp_service(const Endpoint& at) {
-  resolve(at.addr);
-  udp_services_.erase(at);
 }
 
 void Network::add_tcp_service(const Endpoint& at, TcpService* service) {
@@ -131,14 +125,6 @@ void Network::send_datagram(const Endpoint& from, const Endpoint& to,
     telemetry::add(metric_dropped_silent_);
     return;
   }
-  if (props.loss > 0) {
-    double draw = static_cast<double>(crypto::splitmix64(loss_state_) >> 11) *
-                  0x1.0p-53;
-    if (draw < props.loss) {
-      telemetry::add(metric_dropped_loss_);
-      return;
-    }
-  }
 
   // Fault-injection fabric. Impairments configured on either endpoint
   // apply (a profile set on a server host impairs both directions, so
@@ -146,14 +132,14 @@ void Network::send_datagram(const Endpoint& from, const Endpoint& to,
   // from counter-based RNG keyed on (impair seed, impaired link,
   // per-link seq), making the n-th datagram's fate on a link identical
   // at any --jobs K and replayable.
-  const LinkProperties* imp = nullptr;
+  const Impairment* imp = nullptr;
   IpAddress imp_addr;
-  if (props.impaired()) {
-    imp = &props;
+  if (props.impairment.active()) {
+    imp = &props.impairment;
     imp_addr = to.addr;
   } else if (auto it = links_.find(from.addr);
-             it != links_.end() && it->second.impaired()) {
-    imp = &it->second;
+             it != links_.end() && it->second.impairment.active()) {
+    imp = &it->second.impairment;
     imp_addr = from.addr;
   }
   uint64_t delay_us = props.latency_us;

@@ -1,5 +1,5 @@
 // Simulated Internet data plane: UDP datagram delivery with per-host
-// link properties (latency, loss, silent drop) and a minimal
+// link properties (latency, silent drop, impairments) and a minimal
 // synchronous TCP abstraction for the TLS-over-TCP scanner.
 //
 // Hosts register services on (address, port), either up front or
@@ -20,6 +20,7 @@
 
 #include "netsim/address.h"
 #include "netsim/event_loop.h"
+#include "netsim/impairment.h"
 
 namespace netsim {
 
@@ -65,39 +66,13 @@ class TcpService {
   virtual std::unique_ptr<TcpSession> accept(const Endpoint& client) = 0;
 };
 
-/// Per-host link behavior knobs. The fields after `silent` form the
-/// fault-injection fabric (see impairment.h for the named profiles);
-/// they all default to off, and the legacy latency/loss/silent path is
-/// byte-for-byte unchanged when they stay off.
+/// Per-host link behavior: latency, a silent-drop switch (the paper's
+/// timeouts) and the fault-injection fabric's knobs (see impairment.h
+/// for the named profiles), which all default to off.
 struct LinkProperties {
   uint64_t latency_us = 10'000;  // one-way
-  double loss = 0.0;             // uniform datagram loss probability
   bool silent = false;           // swallow everything (paper's timeouts)
-
-  // Gilbert-Elliott bursty loss (two-state Markov; starts good).
-  double ge_loss_good = 0.0;
-  double ge_loss_bad = 0.0;
-  double ge_p_good_bad = 0.0;
-  double ge_p_bad_good = 0.0;
-  // Bounded reordering: hold a datagram back `reorder_extra_us` extra.
-  double reorder = 0.0;
-  uint64_t reorder_extra_us = 0;
-  // Datagram duplication probability.
-  double duplicate = 0.0;
-  // One-bit payload corruption probability (caught by the AEAD tag).
-  double corrupt = 0.0;
-  // Uniform extra latency in [0, jitter_us] per datagram.
-  uint64_t jitter_us = 0;
-  // Token-bucket policer; over-budget datagrams vanish silently.
-  double rate_limit_pps = 0.0;
-  double rate_burst = 0.0;
-
-  /// True when any fabric impairment is active on this link.
-  bool impaired() const {
-    return ge_loss_good > 0 || ge_loss_bad > 0 || ge_p_good_bad > 0 ||
-           reorder > 0 || duplicate > 0 || corrupt > 0 || jitter_us > 0 ||
-           rate_limit_pps > 0;
-  }
+  Impairment impairment{};
 
   bool operator==(const LinkProperties&) const = default;
 };
@@ -108,7 +83,7 @@ class UdpSocket;
 /// borrowed (callers keep them alive while the loop runs).
 class Network {
  public:
-  explicit Network(EventLoop& loop, uint64_t loss_seed = 0x5eed);
+  explicit Network(EventLoop& loop, uint64_t seed = 0x5eed);
 
   EventLoop& loop() { return loop_; }
 
@@ -116,7 +91,7 @@ class Network {
   /// register services on the address and set its link. The fabric
   /// offers each address to the resolver at most once, the first time
   /// it routes to it (send_datagram, tcp_connect, tcp_port_open) or
-  /// registers state on it (the add/remove/set calls below), always
+  /// registers state on it (the add/set calls below), always
   /// before reading that address's link or services. An address the
   /// resolver leaves alone (a sweep dud, a client socket) costs one set
   /// lookup per later use. Until first contact, link() reports the
@@ -128,7 +103,6 @@ class Network {
   /// on top of whatever the resolver supplies, as if it had run up
   /// front.
   void add_udp_service(const Endpoint& at, UdpService* service);
-  void remove_udp_service(const Endpoint& at);
   void add_tcp_service(const Endpoint& at, TcpService* service);
 
   void set_link(const IpAddress& host, const LinkProperties& props);
@@ -207,7 +181,6 @@ class Network {
   Resolver resolver_;
   std::unordered_set<IpAddress, IpAddressHash> resolved_;
   Tap tap_;
-  uint64_t loss_state_;
   uint64_t impair_seed_;
   uint64_t datagrams_sent_ = 0;
   uint64_t bytes_sent_ = 0;

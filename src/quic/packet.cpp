@@ -99,6 +99,18 @@ std::optional<VersionNegotiationPacket> decode_version_negotiation(
 
 namespace {
 
+// The three version families that differ in their Initial salt and
+// Retry integrity key: v1 and draft-33 or later, drafts 29-32, and
+// draft 28 or earlier. Each table below is indexed by this.
+size_t version_family(Version version) {
+  // v1 and any non-draft version in the simulation use the RFC values.
+  if (!is_ietf_draft(version)) return 0;
+  int n = static_cast<int>(version & 0xff);
+  if (n >= 33) return 0;
+  if (n >= 29) return 1;
+  return 2;
+}
+
 // RFC 9001 section 5.2 (v1 / draft-33+), draft-ietf-quic-tls-29..32 and
 // draft-ietf-quic-tls-23..28, in that order.
 constexpr uint8_t kInitialSalts[3][20] = {
@@ -110,17 +122,6 @@ constexpr uint8_t kInitialSalts[3][20] = {
      0xd2, 0x43, 0x2b, 0xb4, 0x63, 0x65, 0xbe, 0xf9, 0xf5, 0x02},
 };
 
-size_t salt_index(Version version) {
-  if (is_ietf_draft(version)) {
-    int n = static_cast<int>(version & 0xff);
-    if (n >= 33) return 0;
-    if (n >= 29) return 1;
-    return 2;
-  }
-  // v1 and any non-draft version in the simulation use the RFC salt.
-  return 0;
-}
-
 // initial_secret = HKDF-Extract(salt, client_dcid), as a key for the
 // "client in" / "server in" expansions. The salts are constants, so
 // their HMAC keys are built once per process.
@@ -129,13 +130,13 @@ crypto::HmacKey initial_secret_key(Version version,
   static const crypto::HmacKey kSaltKeys[3] = {
       crypto::HmacKey(kInitialSalts[0]), crypto::HmacKey(kInitialSalts[1]),
       crypto::HmacKey(kInitialSalts[2])};
-  return crypto::HmacKey(kSaltKeys[salt_index(version)].mac(client_dcid));
+  return crypto::HmacKey(kSaltKeys[version_family(version)].mac(client_dcid));
 }
 
 }  // namespace
 
 std::span<const uint8_t> initial_salt(Version version) {
-  return kInitialSalts[salt_index(version)];
+  return kInitialSalts[version_family(version)];
 }
 
 InitialSecrets derive_initial_secrets(Version version,
@@ -356,64 +357,33 @@ std::optional<Packet> PacketProtector::unprotect(
 
 namespace {
 
-/// RFC 9001 section 5.8 retry integrity keys (and draft equivalents).
-struct RetryKeys {
-  const uint8_t* key;
-  const uint8_t* nonce;
+// RFC 9001 section 5.8 Retry integrity keys and nonces (v1 /
+// draft-33+), and the draft-29..32 and draft-25..28 equivalents,
+// indexed by version_family.
+constexpr uint8_t kRetryKeys[3][16] = {
+    {0xbe, 0x0c, 0x69, 0x0b, 0x9f, 0x66, 0x57, 0x5a, 0x1d, 0x76, 0x6b, 0x54,
+     0xe3, 0x68, 0xc8, 0x4e},
+    {0xcc, 0xce, 0x18, 0x7e, 0xd0, 0x9a, 0x09, 0xd0, 0x57, 0x28, 0x15, 0x5a,
+     0x6c, 0xb9, 0x6b, 0xe1},
+    {0x4d, 0x32, 0xec, 0xdb, 0x2a, 0x21, 0x33, 0xc8, 0x41, 0xe4, 0x04, 0x3d,
+     0xf2, 0x7d, 0x44, 0x30},
+};
+constexpr uint8_t kRetryNonces[3][12] = {
+    {0x46, 0x15, 0x99, 0xd3, 0x5d, 0x63, 0x2b, 0xf2, 0x23, 0x98, 0x25, 0xbb},
+    {0xe5, 0x49, 0x30, 0xf9, 0x7f, 0x21, 0x36, 0xf0, 0x53, 0x0a, 0x8c, 0x1c},
+    {0x4d, 0x16, 0x11, 0xd0, 0x55, 0x13, 0xa5, 0x52, 0xc5, 0x87, 0xd5, 0x75},
 };
 
-RetryKeys retry_keys(Version version) {
-  // v1 / draft-33+.
-  static const uint8_t kKeyV1[16] = {0xbe, 0x0c, 0x69, 0x0b, 0x9f, 0x66,
-                                     0x57, 0x5a, 0x1d, 0x76, 0x6b, 0x54,
-                                     0xe3, 0x68, 0xc8, 0x4e};
-  static const uint8_t kNonceV1[12] = {0x46, 0x15, 0x99, 0xd3, 0x5d, 0x63,
-                                       0x2b, 0xf2, 0x23, 0x98, 0x25, 0xbb};
-  // draft-29..32.
-  static const uint8_t kKeyD29[16] = {0xcc, 0xce, 0x18, 0x7e, 0xd0, 0x9a,
-                                      0x09, 0xd0, 0x57, 0x28, 0x15, 0x5a,
-                                      0x6c, 0xb9, 0x6b, 0xe1};
-  static const uint8_t kNonceD29[12] = {0xe5, 0x49, 0x30, 0xf9, 0x7f, 0x21,
-                                        0x36, 0xf0, 0x53, 0x0a, 0x8c, 0x1c};
-  // draft-25..28.
-  static const uint8_t kKeyD25[16] = {0x4d, 0x32, 0xec, 0xdb, 0x2a, 0x21,
-                                      0x33, 0xc8, 0x41, 0xe4, 0x04, 0x3d,
-                                      0xf2, 0x7d, 0x44, 0x30};
-  static const uint8_t kNonceD25[12] = {0x4d, 0x16, 0x11, 0xd0, 0x55, 0x13,
-                                        0xa5, 0x52, 0xc5, 0x87, 0xd5, 0x75};
-  if (is_ietf_draft(version)) {
-    int n = static_cast<int>(version & 0xff);
-    if (n >= 33) return {kKeyV1, kNonceV1};
-    if (n >= 29) return {kKeyD29, kNonceD29};
-    return {kKeyD25, kNonceD25};
-  }
-  return {kKeyV1, kNonceV1};
-}
-
-/// Long-lived AEAD context for the version family's Retry integrity
-/// key. The keys are protocol constants, so the key schedule and GHASH
-/// table are built exactly once per family per process instead of per
-/// Retry packet (the old code rebuilt both on every tag). Magic statics
-/// make initialization thread-safe; the contexts are immutable
-/// afterwards, so shard threads share them freely.
-const crypto::Aes128Gcm& retry_aead(Version version) {
-  auto make = [](Version v) {
-    return crypto::Aes128Gcm(
-        std::span<const uint8_t>(retry_keys(v).key, 16));
-  };
-  if (is_ietf_draft(version)) {
-    int n = static_cast<int>(version & 0xff);
-    if (n < 29) {
-      static const crypto::Aes128Gcm kGcmD25 = make(draft_version(25));
-      return kGcmD25;
-    }
-    if (n < 33) {
-      static const crypto::Aes128Gcm kGcmD29 = make(draft_version(29));
-      return kGcmD29;
-    }
-  }
-  static const crypto::Aes128Gcm kGcmV1 = make(kVersion1);
-  return kGcmV1;
+/// Long-lived AEAD context for a version family's Retry integrity key.
+/// The keys are protocol constants, so the key schedules are built once
+/// per process instead of per Retry packet. A magic static makes
+/// initialization thread-safe; the contexts are immutable afterwards,
+/// so shard threads share them freely.
+const crypto::Aes128Gcm& retry_aead(size_t family) {
+  static const crypto::Aes128Gcm kGcm[3] = {
+      crypto::Aes128Gcm(kRetryKeys[0]), crypto::Aes128Gcm(kRetryKeys[1]),
+      crypto::Aes128Gcm(kRetryKeys[2])};
+  return kGcm[family];
 }
 
 /// Retry packet bytes without the tag, given the header fields.
@@ -438,9 +408,9 @@ std::array<uint8_t, 16> retry_tag(std::span<const uint8_t> header,
   pseudo.u8(static_cast<uint8_t>(odcid.size()));
   pseudo.bytes(odcid);
   pseudo.bytes(header);
-  auto keys = retry_keys(version);
-  auto sealed = retry_aead(version).seal(
-      std::span<const uint8_t>(keys.nonce, 12), pseudo.span(), {});
+  const size_t family = version_family(version);
+  auto sealed =
+      retry_aead(family).seal(kRetryNonces[family], pseudo.span(), {});
   std::array<uint8_t, 16> tag{};
   std::copy(sealed.begin(), sealed.end(), tag.begin());
   return tag;

@@ -215,6 +215,20 @@ TransportParameters decode_transport_parameters(
   return tp;
 }
 
+uint64_t first_flight_budget(const TransportParameters& peer_params,
+                             uint64_t streams) {
+  const uint64_t n =
+      std::min(streams, peer_params.initial_max_streams_bidi.value_or(0));
+  // Client-opened bidi streams are bounded by the peer's "remote" limit
+  // (RFC 9000 section 18.2 names it from the peer's side). The product
+  // saturates: a 2^62 - 1 window on 100 streams would wrap.
+  const uint64_t window =
+      peer_params.initial_max_stream_data_bidi_remote.value_or(0);
+  const uint64_t streams_total =
+      window != 0 && n > UINT64_MAX / window ? UINT64_MAX : n * window;
+  return std::min(peer_params.initial_max_data.value_or(0), streams_total);
+}
+
 std::string TransportParameters::config_key() const {
   // Deterministic, human-readable serialization of the
   // configuration-specific parameters only.

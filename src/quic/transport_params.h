@@ -125,4 +125,13 @@ std::vector<uint8_t> encode_transport_parameters(
 /// parameter id (forbidden by RFC 9000 section 7.4).
 TransportParameters decode_transport_parameters(std::span<const uint8_t> data);
 
+/// Bytes a client can send before any MAX_DATA or MAX_STREAM_DATA
+/// update arrives (RFC 9000 section 4), spread over up to `streams`
+/// bidirectional streams: the connection window (initial_max_data)
+/// against n client-opened streams of initial_max_stream_data_bidi_remote
+/// each, where n is `streams` capped by initial_max_streams_bidi. An
+/// absent parameter counts as 0.
+uint64_t first_flight_budget(const TransportParameters& peer_params,
+                             uint64_t streams);
+
 }  // namespace quic

@@ -21,6 +21,12 @@ namespace report {
 
 namespace {
 
+// ranked_with_other threshold for the figure series (the paper folds
+// below 1 %).
+constexpr double kOtherThreshold = 0.01;
+// Rows per ranked table (Table 2/6 style top-N).
+constexpr size_t kTopN = 10;
+
 std::string u64(uint64_t v) { return std::to_string(v); }
 
 /// Fixed-precision share (0..100 with 2 decimals) so the JSON is
@@ -231,14 +237,11 @@ uint64_t ReportAccumulator::successes() const {
 // time, from the merged integers.
 struct ReportRenderer {
   const ReportAccumulator& acc;
-  const RenderOptions& options;
   const internet::AsRegistry& registry;
 
   explicit ReportRenderer(const ReportAccumulator& acc_in,
-                          const RenderOptions& options_in)
-      : acc(acc_in),
-        options(options_in),
-        registry(registry_or_default(options_in)) {}
+                          const RenderOptions& options)
+      : acc(acc_in), registry(registry_or_default(options)) {}
 
   analysis::AsDistribution as_distribution(
       const std::map<uint32_t, uint64_t>& counts) const {
@@ -306,7 +309,7 @@ struct ReportRenderer {
                 if (a.count != b.count) return a.count > b.count;
                 return a.server < b.server;
               });
-    if (rows.size() > options.top_n) rows.resize(options.top_n);
+    if (rows.size() > kTopN) rows.resize(kTopN);
     return rows;
   }
 };
@@ -365,7 +368,7 @@ void write_report_json(std::ostream& out, const ReportAccumulator& acc,
   out << "  \"table2_top_as\": [";
   {
     auto ranked = rows_dist.ranked();
-    size_t n = std::min(ranked.size(), options.top_n);
+    size_t n = std::min(ranked.size(), kTopN);
     for (size_t i = 0; i < n; ++i) {
       if (i) out << ",";
       uint64_t success = 0;
@@ -533,7 +536,7 @@ void write_report_markdown(std::ostream& out, const ReportAccumulator& acc,
     out << "\n## Table 2 — top providers\n\n";
     analysis::Table table({"AS", "Name", "Rows", "Success"});
     auto ranked = rows_dist.ranked();
-    for (size_t i = 0; i < std::min(ranked.size(), options.top_n); ++i) {
+    for (size_t i = 0; i < std::min(ranked.size(), kTopN); ++i) {
       uint64_t success = 0;
       if (auto it = acc.as_success().find(ranked[i].asn);
           it != acc.as_success().end())
@@ -624,7 +627,7 @@ void write_report_markdown(std::ostream& out, const ReportAccumulator& acc,
     analysis::Table table({"Key", "Count", "Share"});
     auto counter = r.counter_of(counts);
     for (const auto& entry :
-         counter.ranked_with_other(options.other_threshold))
+         counter.ranked_with_other(kOtherThreshold))
       table.row({entry.key, analysis::num(entry.count),
                  pct_str(entry.count, counter.total()) + " %"});
     out << table.markdown();

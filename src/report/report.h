@@ -195,11 +195,6 @@ struct RenderOptions {
   /// process-wide internet::AsRegistry::standard(240) (the default
   /// synthetic population's registry).
   const internet::AsRegistry* as_registry = nullptr;
-  /// ranked_with_other threshold for the figure series (the paper folds
-  /// below 1 %).
-  double other_threshold = 0.01;
-  /// Rows per ranked table (Table 2/6 style top-N).
-  size_t top_n = 10;
 };
 
 /// Deterministic JSON artifact (fixed section order, integer counters,

@@ -16,6 +16,14 @@ namespace {
 // max_ack_delay, i.e. 333 + 666 + 25 ms.
 constexpr uint64_t kInitialPtoUs = 1'024'000;
 
+// How long one attempt waits for its handshake to conclude.
+constexpr uint64_t kHandshakeTimeoutUs = 3'000'000;
+
+// Scanner source addresses (RFC 5737 / RFC 3849 documentation space).
+const netsim::IpAddress kSourceV4 = netsim::IpAddress::v4(0xc0000202);
+const netsim::IpAddress kSourceV6 =
+    netsim::IpAddress::v6(0x20010db800005ca0ull, 2);
+
 }  // namespace
 
 std::string to_string(QscanOutcome outcome) {
@@ -108,8 +116,7 @@ QscanResult QScanner::attempt_once(const QscanTarget& target) {
   result.target = target;
 
   auto& loop = network_.loop();
-  const auto& source =
-      target.address.is_v4() ? options_.source_v4 : options_.source_v6;
+  const auto& source = target.address.is_v4() ? kSourceV4 : kSourceV6;
   uint16_t port = static_cast<uint16_t>(20000 + attempt % 40000);
   auto socket = network_.open_udp({source, port});
 
@@ -191,7 +198,7 @@ QscanResult QScanner::attempt_once(const QscanTarget& target) {
     pto *= 2;
     next_probe += pto;
   }
-  loop.run_until(loop.now_us() + options_.handshake_timeout_us);
+  loop.run_until(loop.now_us() + kHandshakeTimeoutUs);
   // A probe landing exactly on the deadline stays queued past
   // run_until; cancel the stragglers before `connection` goes out of
   // scope or they would fire into a dead frame during a later scan.

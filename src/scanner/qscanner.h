@@ -85,7 +85,6 @@ struct QscanOptions {
   /// added v1.
   std::vector<quic::Version> supported_versions{
       quic::kDraft29, quic::kDraft32, quic::kDraft34};
-  uint64_t handshake_timeout_us = 3'000'000;
   /// Per-attempt watchdog: after this many received datagrams the
   /// attempt stops processing input (remaining traffic is dropped) and,
   /// if the handshake has not concluded, classifies as kWatchdog. A
@@ -97,9 +96,6 @@ struct QscanOptions {
   /// PTO schedule); 0 disables.
   int max_retransmits = 2;
   bool send_http_head = true;
-  netsim::IpAddress source_v4 = netsim::IpAddress::v4(0xc0000202);
-  netsim::IpAddress source_v6 =
-      netsim::IpAddress::v6(0x20010db800005ca0ull, 2);
   uint64_t seed = 0x5ca9;
   /// Optional telemetry: counters/histograms are registered at
   /// construction; when null every hot-path hook is one pointer check.
@@ -113,7 +109,7 @@ struct QscanOptions {
   /// Per-AS circuit breaker (disabled by default). Needs `asn_of` to
   /// attribute targets; with no mapping every target lands in AS 0 and
   /// the breaker degrades the whole campaign at once.
-  AsCircuitBreaker::Options breaker;
+  bool breaker = false;
   std::function<uint32_t(const netsim::IpAddress&)> asn_of;
 };
 
@@ -129,7 +125,6 @@ class QScanner {
   std::vector<QscanResult> scan(std::span<const QscanTarget> targets);
 
   uint64_t attempts() const { return attempts_; }
-  const AsCircuitBreaker& breaker() const { return breaker_; }
 
  private:
   quic::Version pick_version(const QscanTarget& target) const;

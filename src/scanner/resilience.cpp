@@ -6,14 +6,30 @@
 
 namespace scanner {
 
+namespace {
+
+// The first retry's nominal backoff, and the cap on its doubling.
+constexpr uint64_t kBaseBackoffUs = 50'000;
+constexpr uint64_t kMaxBackoffUs = 1'000'000;
+// Jitter stream seed; deliberately NOT the campaign/shard seed so a
+// target's backoff is a pure function of (target, attempt).
+constexpr uint64_t kJitterSeed = 0x7e57;
+
+// Consecutive failures in one AS that open its breaker.
+constexpr int kFailureThreshold = 8;
+// While open, every this-many-th target in the AS probes it again.
+constexpr int kHalfOpenEvery = 16;
+
+}  // namespace
+
 uint64_t RetryPolicy::backoff_us(const netsim::IpAddress& target,
                                  int attempt) const {
-  uint64_t cap = base_backoff_us;
-  for (int i = 1; i < attempt && cap < max_backoff_us; ++i) cap *= 2;
-  cap = std::min(std::max<uint64_t>(cap, 2), max_backoff_us);
+  uint64_t cap = kBaseBackoffUs;
+  for (int i = 1; i < attempt && cap < kMaxBackoffUs; ++i) cap *= 2;
+  cap = std::min(cap, kMaxBackoffUs);
   // Decorrelated jitter in [cap/2, cap], counter-based over
-  // (jitter_seed, target, attempt): identical at any shard count.
-  uint64_t state = jitter_seed ^ netsim::address_key64(target) ^
+  // (jitter seed, target, attempt): identical at any shard count.
+  uint64_t state = kJitterSeed ^ netsim::address_key64(target) ^
                    static_cast<uint64_t>(attempt) * 0x9e3779b97f4a7c15ull;
   crypto::splitmix64(state);
   const uint64_t jitter = crypto::splitmix64(state) % (cap / 2 + 1);
@@ -21,27 +37,23 @@ uint64_t RetryPolicy::backoff_us(const netsim::IpAddress& target,
 }
 
 bool AsCircuitBreaker::is_open(uint32_t asn) const {
-  if (!options_.enabled) return false;
+  if (!enabled_) return false;
   auto it = state_.find(asn);
   return it != state_.end() && it->second.open;
 }
 
 bool AsCircuitBreaker::allow(uint32_t asn) {
-  if (!options_.enabled) return true;
+  if (!enabled_) return true;
   auto& as_state = state_[asn];
   if (!as_state.open) return true;
   // Half-open cadence: the first target after the trip is skipped; the
-  // half_open_every-th probes the AS again.
+  // kHalfOpenEvery-th probes the AS again.
   ++as_state.since_open;
-  if (options_.half_open_every > 0 &&
-      as_state.since_open % options_.half_open_every == 0)
-    return true;
-  ++skipped_;
-  return false;
+  return as_state.since_open % kHalfOpenEvery == 0;
 }
 
 bool AsCircuitBreaker::record(uint32_t asn, bool success) {
-  if (!options_.enabled) return false;
+  if (!enabled_) return false;
   auto& as_state = state_[asn];
   if (success) {
     as_state.consecutive_failures = 0;
@@ -50,11 +62,9 @@ bool AsCircuitBreaker::record(uint32_t asn, bool success) {
     return false;
   }
   ++as_state.consecutive_failures;
-  if (!as_state.open &&
-      as_state.consecutive_failures >= options_.failure_threshold) {
+  if (!as_state.open && as_state.consecutive_failures >= kFailureThreshold) {
     as_state.open = true;
     as_state.since_open = 0;
-    ++trips_;
     return true;
   }
   return false;

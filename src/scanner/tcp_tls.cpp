@@ -4,6 +4,15 @@
 
 namespace scanner {
 
+namespace {
+
+// Scanner source addresses (RFC 5737 / RFC 3849 documentation space).
+const netsim::IpAddress kSourceV4 = netsim::IpAddress::v4(0xc0000203);
+const netsim::IpAddress kSourceV6 =
+    netsim::IpAddress::v6(0x20010db800005ca0ull, 3);
+
+}  // namespace
+
 TcpTlsScanner::TcpTlsScanner(netsim::Network& network, TcpTlsOptions options)
     : network_(network), options_(std::move(options)) {
   auto* metrics = options_.metrics;
@@ -30,8 +39,7 @@ TcpTlsResult TcpTlsScanner::attempt_once(const TcpTarget& target) {
   telemetry::add(metric_attempts_);
   TcpTlsResult result;
   result.target = target;
-  const auto& source =
-      target.address.is_v4() ? options_.source_v4 : options_.source_v6;
+  const auto& source = target.address.is_v4() ? kSourceV4 : kSourceV6;
   uint16_t port = static_cast<uint16_t>(30000 + attempts_ % 30000);
 
   std::unique_ptr<telemetry::TraceSink> trace_sink;
@@ -63,15 +71,11 @@ TcpTlsResult TcpTlsScanner::attempt_once(const TcpTarget& target) {
   tls::TlsClient client(
       crypto::Rng(options_.seed ^ attempts_ * 0x9e3779b97f4a7c15ull),
       target.sni, {"h2", "http/1.1"});
-  std::optional<std::string> http_request;
-  if (options_.send_http) {
-    auto request = http::head_request(target.sni.value_or(""));
-    request.method = "GET";  // the group's regular scans send GET
-    http_request = request.serialize();
-  }
+  auto request = http::head_request(target.sni.value_or(""));
+  request.method = "GET";  // the group's regular scans send GET
   auto outcome = client.run(
       [&](std::span<const uint8_t> data) { return connection->exchange(data); },
-      http_request);
+      request.serialize());
   result.handshake_ok = outcome.handshake_ok;
   result.alert = outcome.alert;
   result.details = std::move(outcome.details);
@@ -118,14 +122,6 @@ TcpTlsResult TcpTlsScanner::scan_one(const TcpTarget& target) {
     result = attempt_once(target);
   }
   return result;
-}
-
-std::vector<TcpTlsResult> TcpTlsScanner::scan(
-    std::span<const TcpTarget> targets) {
-  std::vector<TcpTlsResult> out;
-  out.reserve(targets.size());
-  for (const auto& target : targets) out.push_back(scan_one(target));
-  return out;
 }
 
 }  // namespace scanner

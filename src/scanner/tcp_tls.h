@@ -38,11 +38,7 @@ struct TcpTlsResult {
 };
 
 struct TcpTlsOptions {
-  netsim::IpAddress source_v4 = netsim::IpAddress::v4(0xc0000203);
-  netsim::IpAddress source_v6 =
-      netsim::IpAddress::v6(0x20010db800005ca0ull, 3);
   uint64_t seed = 0x7c9;
-  bool send_http = true;
   /// Optional telemetry; null/empty disables with one check per hook.
   telemetry::MetricsRegistry* metrics = nullptr;
   telemetry::TraceSinkFactory trace_factory;
@@ -61,7 +57,6 @@ class TcpTlsScanner {
       std::span<const netsim::IpAddress> targets);
 
   TcpTlsResult scan_one(const TcpTarget& target);
-  std::vector<TcpTlsResult> scan(std::span<const TcpTarget> targets);
 
  private:
   TcpTlsResult attempt_once(const TcpTarget& target);

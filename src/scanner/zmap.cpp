@@ -15,6 +15,9 @@ constexpr size_t kCidLength = 8;
 constexpr size_t kDcidOffset = 1 + 4 + 1;
 constexpr size_t kScidOffset = kDcidOffset + kCidLength + 1;
 
+// Virtual time each sweep round waits for late responses.
+constexpr uint64_t kResponseWindowUs = 2'000'000;
+
 }  // namespace
 
 ZmapQuicScanner::ZmapQuicScanner(netsim::Network& network, ZmapOptions options)
@@ -136,7 +139,7 @@ std::vector<ZmapHit> ZmapQuicScanner::scan(
     }
     loop.run();
     // Allow the response window to elapse (virtual time).
-    loop.run_until(loop.now_us() + options_.response_window_us);
+    loop.run_until(loop.now_us() + kResponseWindowUs);
   }
 
   std::vector<ZmapHit> out;

@@ -24,12 +24,11 @@ struct ZmapOptions {
   /// off and observes the response rate collapse).
   bool pad_to_1200 = true;
   uint64_t packets_per_second = 15'000;
-  uint64_t response_window_us = 2'000'000;
   netsim::IpAddress source = netsim::IpAddress::v4(0xc0000201);  // 192.0.2.1
   Blocklist blocklist;
   /// Seed for probe connection-ID entropy (previously hard-coded).
   uint64_t seed = 0x2a9a;
-  /// Sweep rounds: after the response window, non-responders are
+  /// Sweep rounds: after the 2 s response window, non-responders are
   /// re-probed up to probe_rounds - 1 more times (ZMap's classic
   /// loss-recovery move for stateless scans). 1 = the seed behavior.
   int probe_rounds = 1;

@@ -23,18 +23,6 @@ double SchedulerStats::straggler_ratio() const {
   return static_cast<double>(max) / mean;
 }
 
-uint64_t SchedulerStats::total_busy_us() const {
-  uint64_t sum = 0;
-  for (const auto& sample : samples_) sum += sample.busy_us;
-  return sum;
-}
-
-uint64_t SchedulerStats::total_chunks() const {
-  uint64_t sum = 0;
-  for (const auto& sample : samples_) sum += sample.chunks_run;
-  return sum;
-}
-
 void SchedulerStats::write_to(MetricsRegistry& registry) const {
   registry.gauge("engine.workers").set(workers());
   // Exponential wall-microsecond buckets: chunk bodies span ~1 ms (tiny

@@ -59,9 +59,6 @@ class SchedulerStats {
   /// the straggler symptom). Returns 1.0 when no worker did any work.
   double straggler_ratio() const;
 
-  uint64_t total_busy_us() const;
-  uint64_t total_chunks() const;
-
   /// Renders the account into `registry`:
   ///   engine.workers                      gauge
   ///   engine.chunks_run.workerNN          counter (per worker)

@@ -8,31 +8,12 @@ Writer& scratch_writer() {
   return scratch;
 }
 
-void Writer::varint(uint64_t v) {
-  if (v <= 63) {
-    u8(static_cast<uint8_t>(v));
-  } else if (v <= 16383) {
-    u16(static_cast<uint16_t>(v | 0x4000));
-  } else if (v <= 1073741823) {
-    u32(static_cast<uint32_t>(v | 0x80000000u));
-  } else if (v <= kVarintMax) {
-    u64(v | (uint64_t{3} << 62));
-  } else {
-    throw std::invalid_argument("varint value out of range");
-  }
-}
-
 void append_varint(std::vector<uint8_t>& out, uint64_t v) {
-  if (v <= 63) {
-    append_u8(out, static_cast<uint8_t>(v));
-  } else if (v <= 16383) {
-    append_u16(out, static_cast<uint16_t>(v | 0x4000));
-  } else if (v <= 1073741823) {
-    append_u32(out, static_cast<uint32_t>(v | 0x80000000u));
-  } else if (v <= kVarintMax) {
-    append_u64(out, v | (uint64_t{3} << 62));
-  } else {
-    throw std::invalid_argument("varint value out of range");
+  switch (varint_size(v)) {
+    case 1: append_u8(out, static_cast<uint8_t>(v)); break;
+    case 2: append_u16(out, static_cast<uint16_t>(v | 0x4000)); break;
+    case 4: append_u32(out, static_cast<uint32_t>(v | 0x80000000u)); break;
+    default: append_u64(out, v | (uint64_t{3} << 62)); break;
   }
 }
 

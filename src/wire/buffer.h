@@ -86,6 +86,38 @@ inline void store_u64be(uint8_t* p, uint64_t v) {
   std::memcpy(p, &v, sizeof v);
 }
 
+/// Append-style primitives writing directly into a caller-owned vector.
+/// Hot paths (packet protection, frame encoding) build coalesced
+/// datagrams by appending into one reusable buffer instead of
+/// round-tripping through a fresh Writer per packet; the Writer member
+/// functions of the same name call these on their own buffer.
+inline void append_u8(std::vector<uint8_t>& out, uint8_t v) {
+  out.push_back(v);
+}
+inline void append_u16(std::vector<uint8_t>& out, uint16_t v) {
+  out.push_back(static_cast<uint8_t>(v >> 8));
+  out.push_back(static_cast<uint8_t>(v));
+}
+inline void append_u32(std::vector<uint8_t>& out, uint32_t v) {
+  append_u16(out, static_cast<uint16_t>(v >> 16));
+  append_u16(out, static_cast<uint16_t>(v));
+}
+inline void append_u64(std::vector<uint8_t>& out, uint64_t v) {
+  append_u32(out, static_cast<uint32_t>(v >> 32));
+  append_u32(out, static_cast<uint32_t>(v));
+}
+inline void append_bytes(std::vector<uint8_t>& out,
+                         std::span<const uint8_t> b) {
+  out.insert(out.end(), b.begin(), b.end());
+}
+
+/// QUIC variable-length integer (RFC 9000 section 16). Throws
+/// std::invalid_argument for values >= 2^62.
+void append_varint(std::vector<uint8_t>& out, uint64_t v);
+
+/// Number of bytes a QUIC varint encoding of `v` occupies (1, 2, 4 or 8).
+size_t varint_size(uint64_t v);
+
 /// Error thrown by Reader when a read runs past the end of input or a
 /// decoded value violates the wire grammar.
 class DecodeError : public std::runtime_error {
@@ -99,26 +131,17 @@ class Writer {
   Writer() = default;
   explicit Writer(size_t reserve) { buf_.reserve(reserve); }
 
-  void u8(uint8_t v) { buf_.push_back(v); }
-  void u16(uint16_t v) {
-    buf_.push_back(static_cast<uint8_t>(v >> 8));
-    buf_.push_back(static_cast<uint8_t>(v));
-  }
+  void u8(uint8_t v) { append_u8(buf_, v); }
+  void u16(uint16_t v) { append_u16(buf_, v); }
   void u24(uint32_t v) {
     buf_.push_back(static_cast<uint8_t>(v >> 16));
     buf_.push_back(static_cast<uint8_t>(v >> 8));
     buf_.push_back(static_cast<uint8_t>(v));
   }
-  void u32(uint32_t v) {
-    u16(static_cast<uint16_t>(v >> 16));
-    u16(static_cast<uint16_t>(v));
-  }
-  void u64(uint64_t v) {
-    u32(static_cast<uint32_t>(v >> 32));
-    u32(static_cast<uint32_t>(v));
-  }
+  void u32(uint32_t v) { append_u32(buf_, v); }
+  void u64(uint64_t v) { append_u64(buf_, v); }
 
-  void bytes(std::span<const uint8_t> b) { buf_.insert(buf_.end(), b.begin(), b.end()); }
+  void bytes(std::span<const uint8_t> b) { append_bytes(buf_, b); }
   void bytes(const uint8_t* p, size_t n) { buf_.insert(buf_.end(), p, p + n); }
   void str(std::string_view s) {
     bytes(reinterpret_cast<const uint8_t*>(s.data()), s.size());
@@ -127,7 +150,7 @@ class Writer {
 
   /// QUIC variable-length integer (RFC 9000 section 16). Throws
   /// std::invalid_argument for values >= 2^62.
-  void varint(uint64_t v);
+  void varint(uint64_t v) { append_varint(buf_, v); }
 
   /// Reserve a big-endian length field of `width` bytes and return its
   /// offset; call fill_length() after writing the framed content.
@@ -247,38 +270,6 @@ class Reader {
   std::span<const uint8_t> data_;
   size_t pos_ = 0;
 };
-
-/// Append-style primitives writing directly into a caller-owned vector.
-/// Hot paths (packet protection, frame encoding) build coalesced
-/// datagrams by appending into one reusable buffer instead of
-/// round-tripping through a fresh Writer per packet; the encodings are
-/// bit-identical to the Writer member functions of the same name.
-inline void append_u8(std::vector<uint8_t>& out, uint8_t v) {
-  out.push_back(v);
-}
-inline void append_u16(std::vector<uint8_t>& out, uint16_t v) {
-  out.push_back(static_cast<uint8_t>(v >> 8));
-  out.push_back(static_cast<uint8_t>(v));
-}
-inline void append_u32(std::vector<uint8_t>& out, uint32_t v) {
-  append_u16(out, static_cast<uint16_t>(v >> 16));
-  append_u16(out, static_cast<uint16_t>(v));
-}
-inline void append_u64(std::vector<uint8_t>& out, uint64_t v) {
-  append_u32(out, static_cast<uint32_t>(v >> 32));
-  append_u32(out, static_cast<uint32_t>(v));
-}
-inline void append_bytes(std::vector<uint8_t>& out,
-                         std::span<const uint8_t> b) {
-  out.insert(out.end(), b.begin(), b.end());
-}
-
-/// QUIC variable-length integer (RFC 9000 section 16). Throws
-/// std::invalid_argument for values >= 2^62.
-void append_varint(std::vector<uint8_t>& out, uint64_t v);
-
-/// Number of bytes a QUIC varint encoding of `v` occupies (1, 2, 4 or 8).
-size_t varint_size(uint64_t v);
 
 /// Maximum value representable as a QUIC varint (2^62 - 1).
 inline constexpr uint64_t kVarintMax = (uint64_t{1} << 62) - 1;

@@ -109,7 +109,7 @@ ChaosRun run_campaign(const std::vector<scanner::QscanTarget>& targets,
     qopt.seed = env.seed;
     qopt.metrics = env.metrics;
     qopt.retry.max_attempts = 1 + retries;
-    qopt.breaker.enabled = breaker;
+    qopt.breaker = breaker;
     if (breaker) {
       const auto* population = &env.internet->population();
       qopt.asn_of = [population](const netsim::IpAddress& addr) {

@@ -468,7 +468,8 @@ TEST(LazyWorld, OverlaysBeforeOrAfterFirstContactAgree) {
   for (const auto* host : targets) {
     EXPECT_EQ(before.internet.network().link(host->address),
               after.internet.network().link(host->address));
-    EXPECT_TRUE(after.internet.network().link(host->address).impaired());
+    EXPECT_TRUE(
+        after.internet.network().link(host->address).impairment.active());
   }
 
   size_t protocol_errors = 0;

@@ -191,7 +191,7 @@ TEST(Network, SilentLinkSwallowsDatagrams) {
   EchoService echo;
   Endpoint server{*IpAddress::parse("10.0.0.1"), 443};
   net.add_udp_service(server, &echo);
-  net.set_link(server.addr, {.latency_us = 10, .loss = 0, .silent = true});
+  net.set_link(server.addr, {.latency_us = 10, .silent = true});
 
   auto sock = net.open_udp({*IpAddress::parse("192.0.2.1"), 5000});
   bool received = false;
@@ -220,7 +220,9 @@ TEST(Network, FullLossDropsEverything) {
   EchoService echo;
   Endpoint server{*IpAddress::parse("10.0.0.1"), 443};
   net.add_udp_service(server, &echo);
-  net.set_link(server.addr, {.latency_us = 10, .loss = 1.0, .silent = false});
+  net.set_link(server.addr,
+               {.latency_us = 10,
+                .impairment = {.ge_loss_good = 1.0, .ge_loss_bad = 1.0}});
   auto sock = net.open_udp({*IpAddress::parse("192.0.2.1"), 5000});
   bool received = false;
   sock->set_receiver(
@@ -278,7 +280,9 @@ TEST(Network, LossRateIsApproximatelyHonored) {
   EchoService echo;
   Endpoint server{*IpAddress::parse("10.0.0.7"), 443};
   net.add_udp_service(server, &echo);
-  net.set_link(server.addr, {.latency_us = 10, .loss = 0.5, .silent = false});
+  net.set_link(server.addr,
+               {.latency_us = 10,
+                .impairment = {.ge_loss_good = 0.5, .ge_loss_bad = 0.5}});
   auto sock = net.open_udp({*IpAddress::parse("192.0.2.9"), 5001});
   int received = 0;
   sock->set_receiver(
@@ -297,7 +301,7 @@ TEST(Network, TapSeesEveryDatagramIncludingDropped) {
   EchoService echo;
   Endpoint server{*IpAddress::parse("10.0.0.8"), 443};
   net.add_udp_service(server, &echo);
-  net.set_link(server.addr, {.latency_us = 10, .loss = 0, .silent = true});
+  net.set_link(server.addr, {.latency_us = 10, .silent = true});
   size_t tapped = 0;
   net.set_tap([&](const Endpoint&, const Endpoint&,
                   std::span<const uint8_t>) { ++tapped; });
@@ -504,8 +508,7 @@ TEST(EventLoopDifferential, RandomizedScheduleCancelRunMatchesReference) {
 }
 
 // ---------------------------------------------------------------------
-// Fault-injection fabric (impairment.h / the post-`silent` half of
-// LinkProperties).
+// Fault-injection fabric (impairment.h / LinkProperties::impairment).
 
 uint64_t counter_value(const telemetry::MetricsRegistry& metrics,
                        const std::string& name) {
@@ -530,16 +533,13 @@ TEST(Impairment, NamedProfileLookup) {
 TEST(Impairment, ApplyPreservesLatencyAndLegacyLoss) {
   netsim::LinkProperties props;
   props.latency_us = 1234;
-  props.loss = 0.25;
-  props.silent = false;
-  netsim::find_impairment_profile("hostile")->apply(props);
+  props.impairment = netsim::find_impairment_profile("hostile")->impairment;
   EXPECT_EQ(props.latency_us, 1234u);
-  EXPECT_DOUBLE_EQ(props.loss, 0.25);
-  EXPECT_TRUE(props.impaired());
+  EXPECT_TRUE(props.impairment.active());
   // A clean overlay turns the fabric back off without touching the
-  // legacy fields either.
-  netsim::find_impairment_profile("clean")->apply(props);
-  EXPECT_FALSE(props.impaired());
+  // latency.
+  props.impairment = netsim::find_impairment_profile("clean")->impairment;
+  EXPECT_FALSE(props.impairment.active());
   EXPECT_EQ(props.latency_us, 1234u);
 }
 
@@ -552,11 +552,12 @@ TEST(Network, DropCauseAccountingCoversSilentLossUnrouted) {
   Endpoint silent_server{*IpAddress::parse("10.1.0.1"), 443};
   net.add_udp_service(silent_server, &echo);
   net.set_link(silent_server.addr,
-               {.latency_us = 10, .loss = 0, .silent = true});
+               {.latency_us = 10, .silent = true});
   Endpoint lossy_server{*IpAddress::parse("10.1.0.2"), 443};
   net.add_udp_service(lossy_server, &echo);
   net.set_link(lossy_server.addr,
-               {.latency_us = 10, .loss = 1.0, .silent = false});
+               {.latency_us = 10,
+                .impairment = {.ge_loss_good = 1.0, .ge_loss_bad = 1.0}});
 
   auto sock = net.open_udp({*IpAddress::parse("192.0.2.30"), 6000});
   sock->set_receiver([](const Endpoint&, std::span<const uint8_t>) {});
@@ -581,8 +582,8 @@ TEST(Network, TokenBucketRateLimiterDropsOverBudget) {
   net.add_udp_service(server, &echo);
   netsim::LinkProperties props;
   props.latency_us = 10;
-  props.rate_limit_pps = 100.0;  // one token per 10ms
-  props.rate_burst = 2.0;
+  props.impairment.rate_limit_pps = 100.0;  // one token per 10ms
+  props.impairment.rate_burst = 2.0;
   net.set_link(server.addr, props);
 
   auto sock = net.open_udp({*IpAddress::parse("192.0.2.31"), 6001});
@@ -621,10 +622,10 @@ TEST(Network, GilbertElliottLossTracksConfiguredRates) {
   net.add_udp_service(server, &sink);
   netsim::LinkProperties props;
   props.latency_us = 10;
-  props.ge_loss_good = 0.01;
-  props.ge_loss_bad = 0.6;
-  props.ge_p_good_bad = 0.05;
-  props.ge_p_bad_good = 0.25;
+  props.impairment.ge_loss_good = 0.01;
+  props.impairment.ge_loss_bad = 0.6;
+  props.impairment.ge_p_good_bad = 0.05;
+  props.impairment.ge_p_bad_good = 0.25;
   net.set_link(server.addr, props);
 
   auto sock = net.open_udp({*IpAddress::parse("192.0.2.32"), 6002});
@@ -657,7 +658,7 @@ TEST(Network, CorruptionFlipsExactlyOneBit) {
   net.add_udp_service(server, &capture);
   netsim::LinkProperties props;
   props.latency_us = 10;
-  props.corrupt = 1.0;
+  props.impairment.corrupt = 1.0;
   net.set_link(server.addr, props);
 
   auto sock = net.open_udp({*IpAddress::parse("192.0.2.33"), 6003});
@@ -692,7 +693,7 @@ TEST(Network, DuplicationDeliversTwice) {
   net.add_udp_service(server, &count);
   netsim::LinkProperties props;
   props.latency_us = 10;
-  props.duplicate = 1.0;
+  props.impairment.duplicate = 1.0;
   net.set_link(server.addr, props);
 
   auto sock = net.open_udp({*IpAddress::parse("192.0.2.34"), 6004});
@@ -713,8 +714,8 @@ TEST(Network, ReorderExpiredDropHasItsOwnCause) {
   net.add_udp_service(server, &echo);
   netsim::LinkProperties props;
   props.latency_us = 10;
-  props.reorder = 1.0;
-  props.reorder_extra_us = 50'000;  // held back 50ms
+  props.impairment.reorder = 1.0;
+  props.impairment.reorder_extra_us = 50'000;  // held back 50ms
   net.set_link(server.addr, props);
 
   auto sock = net.open_udp({*IpAddress::parse("192.0.2.35"), 6005});
@@ -747,7 +748,7 @@ TEST(Network, ImpairmentAppliesToBothDirections) {
   net.add_udp_service(server, &echo);
   netsim::LinkProperties props;
   props.latency_us = 10;
-  props.corrupt = 1.0;
+  props.impairment.corrupt = 1.0;
   net.set_link(server.addr, props);
 
   auto sock = net.open_udp({*IpAddress::parse("192.0.2.36"), 6006});
@@ -767,7 +768,7 @@ TEST(Network, ImpairmentIsDeterministicAcrossRuns) {
     net.add_udp_service(server, &echo);
     netsim::LinkProperties props;
     props.latency_us = 10;
-    netsim::find_impairment_profile("hostile")->apply(props);
+    props.impairment = netsim::find_impairment_profile("hostile")->impairment;
     net.set_link(server.addr, props);
 
     auto sock = net.open_udp({*IpAddress::parse("192.0.2.37"), 6007});
@@ -788,11 +789,10 @@ TEST(Network, ImpairmentIsDeterministicAcrossRuns) {
   EXPECT_EQ(first, second);
 }
 
-TEST(Network, LegacyLossStreamUntouchedByFabricDraws) {
-  // The shared-stream legacy loss RNG must see the same draw sequence
-  // whether or not impaired links exist elsewhere in the fabric --
-  // otherwise enabling a profile on one host would perturb clean
-  // hosts' loss patterns and break --impair clean == no flag.
+TEST(Network, LossyLinkUntouchedByImpairedNeighborTraffic) {
+  // A lossy link's draws must not depend on traffic over impaired links
+  // elsewhere in the fabric -- otherwise enabling a profile on one host
+  // would perturb another host's loss pattern.
   auto run = [](bool with_impaired_neighbor) {
     netsim::EventLoop loop;
     netsim::Network net(loop, 0xfeed);
@@ -800,12 +800,14 @@ TEST(Network, LegacyLossStreamUntouchedByFabricDraws) {
     Endpoint lossy{*IpAddress::parse("10.2.0.8"), 443};
     net.add_udp_service(lossy, &echo);
     net.set_link(lossy.addr,
-                 {.latency_us = 10, .loss = 0.5, .silent = false});
+                 {.latency_us = 10,
+                  .impairment = {.ge_loss_good = 0.5, .ge_loss_bad = 0.5}});
     Endpoint neighbor{*IpAddress::parse("10.2.0.9"), 443};
     if (with_impaired_neighbor) {
       netsim::LinkProperties props;
       props.latency_us = 10;
-      netsim::find_impairment_profile("hostile")->apply(props);
+      props.impairment =
+          netsim::find_impairment_profile("hostile")->impairment;
       net.set_link(neighbor.addr, props);
     }
     auto sock = net.open_udp({*IpAddress::parse("192.0.2.38"), 6008});
@@ -816,8 +818,7 @@ TEST(Network, LegacyLossStreamUntouchedByFabricDraws) {
     for (int i = 0; i < 200; ++i) {
       sock->send(lossy, {1});
       // Interleaved traffic across the (possibly) impaired link: its
-      // fabric draws must come from the counter-based stream, never
-      // from the legacy shared loss stream.
+      // draws are keyed on its own link, never on the lossy one's.
       if (with_impaired_neighbor) sock->send(neighbor, {2});
     }
     loop.run();

@@ -49,9 +49,10 @@ TEST(Robustness, LossyLinkYieldsTimeoutsNotCrashes) {
   std::map<scanner::QscanOutcome, int> outcomes;
   for (const auto& host : net.population().hosts()) {
     if (host.group != "cloudflare" || !host.address.is_v4()) continue;
-    net.network().set_link(host.address,
-                           {.latency_us = 10'000, .loss = 0.6,
-                            .silent = false});
+    net.network().set_link(
+        host.address,
+        {.latency_us = 10'000,
+         .impairment = {.ge_loss_good = 0.6, .ge_loss_bad = 0.6}});
     const internet::DomainInfo* domain = nullptr;
     for (uint32_t id : host.domain_ids) {
       domain = &net.population().domains()[id];
@@ -246,9 +247,10 @@ TEST(Robustness, PtoRetransmissionRecoversLossyHandshakes) {
     int ok = 0, total = 0;
     for (const auto& host : net.population().hosts()) {
       if (host.group != "google" || !host.address.is_v4()) continue;
-      net.network().set_link(host.address,
-                             {.latency_us = 10'000, .loss = 0.4,
-                              .silent = false});
+      net.network().set_link(
+          host.address,
+          {.latency_us = 10'000,
+           .impairment = {.ge_loss_good = 0.4, .ge_loss_bad = 0.4}});
       auto result = qscanner.scan_one(
           {host.address, std::nullopt, host.advertised_versions});
       ++total;

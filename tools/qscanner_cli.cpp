@@ -73,7 +73,7 @@ scanner::QscanOptions scan_options(const engine::ShardEnv& env,
   options.metrics = env.metrics;
   options.trace_factory = env.trace_factory;
   options.retry.max_attempts = 1 + retries;
-  options.breaker.enabled = breaker;
+  options.breaker = breaker;
   if (breaker) {
     // Attribute each target to its AS via the shared population
     // snapshot (no server host is built for it); unknown addresses
