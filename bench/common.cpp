@@ -2,11 +2,44 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <unordered_set>
 
 #include "http/alpn.h"
 #include "scanner/ethics.h"
 
 namespace bench {
+
+void DnsJoin::add(const dns::BulkRecord& record) {
+  for (const auto& addr : record.a) {
+    by_address_[addr].push_back(record.domain);
+    ++total_pairs_;
+  }
+  for (const auto& addr : record.aaaa) {
+    by_address_[addr].push_back(record.domain);
+    ++total_pairs_;
+  }
+}
+
+const std::vector<std::string>* DnsJoin::domains_for(
+    const netsim::IpAddress& addr) const {
+  auto it = by_address_.find(addr);
+  return it == by_address_.end() ? nullptr : &it->second;
+}
+
+size_t DnsJoin::domain_count(const netsim::IpAddress& addr) const {
+  const auto* domains = domains_for(addr);
+  return domains ? domains->size() : 0;
+}
+
+size_t DnsJoin::distinct_domains(
+    const std::vector<netsim::IpAddress>& addrs) const {
+  std::unordered_set<std::string> seen;
+  for (const auto& addr : addrs) {
+    if (const auto* domains = domains_for(addr))
+      seen.insert(domains->begin(), domains->end());
+  }
+  return seen.size();
+}
 
 std::set<netsim::IpAddress> Discovery::zmap_addrs(bool v6) const {
   std::set<netsim::IpAddress> out;

@@ -8,6 +8,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/stats.h"
@@ -19,6 +20,28 @@
 #include "scanner/zmap.h"
 
 namespace bench {
+
+/// Join of DNS resolutions: address -> resolved domains (the paper's
+/// "Join with DNS scan" columns in Table 1/2).
+class DnsJoin {
+ public:
+  void add(const dns::BulkRecord& record);
+
+  const std::vector<std::string>* domains_for(
+      const netsim::IpAddress& addr) const;
+  size_t domain_count(const netsim::IpAddress& addr) const;
+  size_t total_pairs() const { return total_pairs_; }
+
+  /// Distinct domains across a set of addresses.
+  size_t distinct_domains(
+      const std::vector<netsim::IpAddress>& addrs) const;
+
+ private:
+  std::unordered_map<netsim::IpAddress, std::vector<std::string>,
+                     netsim::IpAddressHash>
+      by_address_;
+  size_t total_pairs_ = 0;
+};
 
 /// One QUIC deployment sighting from the Alt-Svc channel.
 struct AltSvcFinding {
@@ -46,7 +69,7 @@ struct Discovery {
 
   // DNS scans per input list, and the global address<->domain join.
   std::vector<scanner::DnsListScan> list_scans;
-  analysis::DnsJoin join;
+  DnsJoin join;
 
   // Alt-Svc channel (from TLS-over-TCP scans with SNI).
   std::vector<AltSvcFinding> alt_svc;

@@ -19,6 +19,7 @@ int main() {
   const auto& registry = discovery.net->population().as_registry();
 
   struct ConfigStats {
+    int catalog_id = -1;
     size_t targets = 0;
     std::set<uint32_t> ases;
   };
@@ -28,9 +29,11 @@ int main() {
   auto ingest = [&](const std::vector<scanner::QscanResult>& results) {
     for (const auto& result : results) {
       if (result.outcome != scanner::QscanOutcome::kSuccess) continue;
-      auto key = result.report.server_transport_params.config_key();
+      const auto& params = result.report.server_transport_params;
+      auto key = params.config_key();
       uint32_t asn = registry.asn_for(result.target.address);
       auto& stats = by_config[key];
+      stats.catalog_id = internet::tp_config_id_for(params);
       ++stats.targets;
       stats.ases.insert(asn);
       configs_per_as[asn].insert(key);
@@ -59,8 +62,7 @@ int main() {
               ranked.size());
   analysis::Table table({"Rank", "Catalog id", "#Targets", "#ASes"});
   for (size_t i = 0; i < ranked.size(); ++i) {
-    int catalog_id = internet::tp_config_id_for_key(ranked[i].first);
-    table.row({std::to_string(i), std::to_string(catalog_id),
+    table.row({std::to_string(i), std::to_string(ranked[i].second.catalog_id),
                analysis::num(ranked[i].second.targets),
                analysis::num(ranked[i].second.ases.size())});
   }

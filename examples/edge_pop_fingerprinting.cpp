@@ -34,8 +34,8 @@ int main() {
     if (!result.server_header) continue;
     std::string key =
         *result.server_header + " | tp-config " +
-        std::to_string(internet::tp_config_id_for_key(
-            result.report.server_transport_params.config_key()));
+        std::to_string(internet::tp_config_id_for(
+            result.report.server_transport_params));
     ++sightings[key][registry.asn_for(hit.address)];
   }
 

@@ -1,7 +1,8 @@
-// Analysis primitives shared by the benches: address<->domain joins,
+// Analysis primitives shared by the benches and the report renderer:
 // per-AS distributions with rank CDFs (Figures 4/8), set counters with
 // "Other" folding (Figures 5/6/7/9), and the QUIC vs TLS-over-TCP
-// property comparison (Table 5).
+// property comparison (Table 5). The DNS join lives with its users:
+// the report's in report.cpp, the benches' in bench/common.h.
 #pragma once
 
 #include <cstdint>
@@ -9,38 +10,13 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "dns/resolver.h"
 #include "internet/as_registry.h"
 #include "netsim/address.h"
 #include "tls/handshake.h"
 
 namespace analysis {
-
-/// Join of DNS resolutions: address -> resolved domains (the paper's
-/// "Join with DNS scan" columns in Table 1/2).
-class DnsJoin {
- public:
-  void add(const dns::BulkRecord& record);
-
-  const std::vector<std::string>* domains_for(
-      const netsim::IpAddress& addr) const;
-  size_t domain_count(const netsim::IpAddress& addr) const;
-  size_t total_pairs() const { return total_pairs_; }
-
-  /// Distinct domains across a set of addresses.
-  size_t distinct_domains(
-      const std::vector<netsim::IpAddress>& addrs) const;
-
- private:
-  std::unordered_map<netsim::IpAddress, std::vector<std::string>,
-                     netsim::IpAddressHash>
-      by_address_;
-  size_t total_pairs_ = 0;
-};
 
 /// Address counts per AS with the rank-CDF the paper plots.
 class AsDistribution {

@@ -138,16 +138,17 @@ const std::vector<TpConfigEntry>& tp_catalog() {
   return catalog;
 }
 
-int tp_config_id_for_key(const std::string& config_key) {
-  static const std::map<std::string, int> index = [] {
-    std::map<std::string, int> map;
+int tp_config_id_for(const quic::TransportParameters& params) {
+  using Fields = quic::TransportParameters::ConfigFields;
+  static const std::map<Fields, int> index = [] {
+    std::map<Fields, int> map;
     for (const auto& entry : tp_catalog())
-      map.emplace(entry.params.config_key(), entry.id);
+      map.emplace(entry.params.config_fields(), entry.id);
     if (map.size() != tp_catalog().size())
-      throw std::logic_error("tp_catalog config keys must be unique");
+      throw std::logic_error("tp_catalog configurations must be unique");
     return map;
   }();
-  auto it = index.find(config_key);
+  auto it = index.find(params.config_fields());
   return it == index.end() ? -1 : it->second;
 }
 

@@ -46,8 +46,7 @@ inline constexpr int kTpConfigNginxBase = 9;  // 9..25 are nginx-family
 inline constexpr int kTpConfigCaddy = 26;
 inline constexpr int kTpConfigCount = 45;
 
-/// Looks a config up by the canonical key (inverse of config_key()).
-/// Returns -1 when the key is not in the catalog.
-int tp_config_id_for_key(const std::string& config_key);
+/// The id of the entry with params' config_fields(), or -1 if none.
+int tp_config_id_for(const quic::TransportParameters& params);
 
 }  // namespace internet

@@ -1,7 +1,7 @@
 #include "quic/transport_params.h"
 
 #include <algorithm>
-#include <sstream>
+#include <iterator>
 
 namespace quic {
 
@@ -229,31 +229,30 @@ uint64_t first_flight_budget(const TransportParameters& peer_params,
   return std::min(peer_params.initial_max_data.value_or(0), streams_total);
 }
 
+TransportParameters::ConfigFields TransportParameters::config_fields() const {
+  return {max_idle_timeout, max_udp_payload_size, initial_max_data,
+          initial_max_stream_data_bidi_local,
+          initial_max_stream_data_bidi_remote, initial_max_stream_data_uni,
+          initial_max_streams_bidi, initial_max_streams_uni,
+          ack_delay_exponent, max_ack_delay, active_connection_id_limit,
+          uint64_t{disable_active_migration}};
+}
+
 std::string TransportParameters::config_key() const {
-  // Deterministic, human-readable serialization of the
-  // configuration-specific parameters only.
-  std::ostringstream os;
-  auto put = [&](const char* name, const std::optional<uint64_t>& v) {
-    os << name << "=";
-    if (v)
-      os << *v;
-    else
-      os << "-";
-    os << ";";
-  };
-  put("idle", max_idle_timeout);
-  put("udp", max_udp_payload_size);
-  put("data", initial_max_data);
-  put("sd_bl", initial_max_stream_data_bidi_local);
-  put("sd_br", initial_max_stream_data_bidi_remote);
-  put("sd_u", initial_max_stream_data_uni);
-  put("s_bidi", initial_max_streams_bidi);
-  put("s_uni", initial_max_streams_uni);
-  put("ade", ack_delay_exponent);
-  put("mad", max_ack_delay);
-  put("acil", active_connection_id_limit);
-  os << "dam=" << (disable_active_migration ? 1 : 0) << ";";
-  return os.str();
+  // One label per config_fields() entry, in the same order.
+  static constexpr const char* kNames[] = {
+      "idle", "udp", "data", "sd_bl", "sd_br", "sd_u",
+      "s_bidi", "s_uni", "ade", "mad", "acil", "dam"};
+  static_assert(std::size(kNames) == std::tuple_size_v<ConfigFields>);
+  const ConfigFields fields = config_fields();
+  std::string key;
+  for (size_t i = 0; i < fields.size(); ++i) {
+    key += kNames[i];
+    key += '=';
+    key += fields[i] ? std::to_string(*fields[i]) : "-";
+    key += ';';
+  }
+  return key;
 }
 
 }  // namespace quic

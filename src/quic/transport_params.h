@@ -5,6 +5,7 @@
 // canonical configuration key used for that clustering.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -96,10 +97,15 @@ struct TransportParameters {
         kDefaultActiveConnectionIdLimit);
   }
 
-  /// Canonical "configuration key": all configuration-specific
-  /// parameters, serialized deterministically; session-specific values
-  /// (CIDs, reset tokens, preferred address) are excluded, matching the
-  /// paper's clustering methodology (section 5.2).
+  /// The configuration-specific parameters in a fixed order: eleven
+  /// integers (nullopt = absent), then disable_active_migration as 0/1.
+  /// Session-specific values (CIDs, reset tokens, preferred address) are
+  /// excluded, as in the paper's clustering (section 5.2).
+  using ConfigFields = std::array<std::optional<uint64_t>, 12>;
+  ConfigFields config_fields() const;
+
+  /// Canonical "configuration key": config_fields() printed as
+  /// "name=value;" pairs ("-" when absent).
   std::string config_key() const;
 };
 

@@ -5,14 +5,22 @@
 
 namespace report {
 
-std::string csv_escape(const std::string& field) {
-  if (field.find_first_of(",\"\r\n") == std::string::npos) return field;
-  std::string out = "\"";
+void csv_append(std::string& out, std::string_view field) {
+  if (field.find_first_of(",\"\r\n") == std::string_view::npos) {
+    out += field;
+    return;
+  }
+  out += '"';
   for (char c : field) {
     if (c == '"') out += '"';
     out += c;
   }
   out += '"';
+}
+
+std::string csv_escape(std::string_view field) {
+  std::string out;
+  csv_append(out, field);
   return out;
 }
 
@@ -20,7 +28,7 @@ std::string csv_join(const std::vector<std::string>& fields) {
   std::string out;
   for (size_t i = 0; i < fields.size(); ++i) {
     if (i) out += ',';
-    out += csv_escape(fields[i]);
+    csv_append(out, fields[i]);
   }
   return out;
 }

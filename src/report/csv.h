@@ -8,6 +8,7 @@
 
 #include <istream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace report {
@@ -17,7 +18,11 @@ namespace report {
 /// scanners print verbatim comes off the (simulated) wire -- server
 /// headers, certificate names, SNI -- so unescaped output would let a
 /// scanned host inject CSV columns into the measurement data.
-std::string csv_escape(const std::string& field);
+std::string csv_escape(std::string_view field);
+
+/// Appends csv_escape(field) to `out` without a temporary: the one
+/// escaper behind csv_escape, csv_join and the row writer.
+void csv_append(std::string& out, std::string_view field);
 
 /// One CSV record: fields escaped and ","-joined (no trailing newline).
 std::string csv_join(const std::vector<std::string>& fields);

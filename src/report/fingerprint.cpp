@@ -17,8 +17,7 @@ std::string library_for_owner(const std::string& owner_hint) {
 }
 
 Fingerprint fingerprint_of(const quic::TransportParameters& tp) {
-  return fingerprint_of_config(
-      internet::tp_config_id_for_key(tp.config_key()));
+  return fingerprint_of_config(internet::tp_config_id_for(tp));
 }
 
 Fingerprint fingerprint_of_config(int config_id) {

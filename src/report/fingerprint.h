@@ -33,9 +33,9 @@ struct Fingerprint {
 /// library label above. Unrecognized hints map to kUnknownLibrary.
 std::string library_for_owner(const std::string& owner_hint);
 
-/// Classifies by the canonical configuration key (presence + values of
-/// every configuration-specific parameter; CIDs, tokens and the
-/// preferred address are excluded, per the paper's methodology).
+/// Classifies by the configuration fields (presence + values of every
+/// configuration-specific parameter; CIDs, tokens and the preferred
+/// address are excluded, per the paper's methodology).
 Fingerprint fingerprint_of(const quic::TransportParameters& tp);
 
 /// Classifies a catalog id directly (the CSV replay path, which stores

@@ -1,10 +1,12 @@
 #include "report/report.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -12,7 +14,6 @@
 #include "analysis/table.h"
 #include "internet/population.h"
 #include "internet/tp_catalog.h"
-#include "netsim/address.h"
 #include "report/csv.h"
 #include "report/fingerprint.h"
 #include "report/json.h"
@@ -26,8 +27,6 @@ namespace {
 constexpr double kOtherThreshold = 0.01;
 // Rows per ranked table (Table 2/6 style top-N).
 constexpr size_t kTopN = 10;
-
-std::string u64(uint64_t v) { return std::to_string(v); }
 
 /// Fixed-precision share (0..100 with 2 decimals) so the JSON is
 /// byte-reproducible: both operands are exact integers and the format
@@ -49,6 +48,22 @@ const internet::AsRegistry& registry_or_default(
   return standard;
 }
 
+netsim::IpAddress parse_address(const std::string& text) {
+  auto address = netsim::IpAddress::parse(text);
+  if (!address)
+    throw std::invalid_argument("report: unparsable address '" + text + "'");
+  return *address;
+}
+
+// Adds `more` to a sorted, duplicate-free address list: a set union, so
+// the domain map merges the same in any order.
+void unite(std::vector<netsim::IpAddress>& into,
+           const std::vector<netsim::IpAddress>& more) {
+  into.insert(into.end(), more.begin(), more.end());
+  std::sort(into.begin(), into.end());
+  into.erase(std::unique(into.begin(), into.end()), into.end());
+}
+
 }  // namespace
 
 QscanRowFeatures features_of(const scanner::QscanResult& result) {
@@ -63,7 +78,7 @@ QscanRowFeatures features_of(const scanner::QscanResult& result) {
   f.cert_cn = result.report.tls.certificate_chain.empty()
                   ? ""
                   : result.report.tls.certificate_chain[0].subject_cn;
-  f.tp_config = internet::tp_config_id_for_key(tp.config_key());
+  f.tp_config = internet::tp_config_id_for(tp);
   f.initial_max_data = tp.initial_max_data.value_or(0);
   f.max_udp_payload = tp.effective_max_udp_payload_size();
   f.server = result.server_header.value_or("");
@@ -71,9 +86,19 @@ QscanRowFeatures features_of(const scanner::QscanResult& result) {
 }
 
 std::string to_csv_row(const QscanRowFeatures& f) {
-  return csv_join({f.address, f.sni, f.outcome, f.version, f.alpn, f.cert_cn,
-                   std::to_string(f.tp_config), u64(f.initial_max_data),
-                   u64(f.max_udp_payload), f.server});
+  std::string row;
+  row.reserve(256);  // typical rows fit; longer ones grow as needed
+  for (const std::string* text :
+       {&f.address, &f.sni, &f.outcome, &f.version, &f.alpn, &f.cert_cn}) {
+    csv_append(row, *text);
+    row += ',';
+  }
+  for (const std::string& number :
+       {std::to_string(f.tp_config), std::to_string(f.initial_max_data),
+        std::to_string(f.max_udp_payload)})
+    row.append(number) += ',';
+  csv_append(row, f.server);
+  return row;
 }
 
 std::optional<QscanRowFeatures> features_from_csv(
@@ -122,17 +147,18 @@ void ReportAccumulator::resolve_counters() {
 }
 
 void ReportAccumulator::add_row(const QscanRowFeatures& row, uint32_t asn) {
+  const netsim::IpAddress address = parse_address(row.address);
   telemetry::add(metric_rows_);
   ++rows_;
   ++source_rows_[source_];
   ++outcomes_[row.outcome];
   ++as_rows_[asn];
-  addresses_.insert(row.address);
+  addresses_.insert(address);
   if (!row.success()) return;
 
   ++source_success_[source_];
   ++as_success_[asn];
-  success_addresses_.insert(row.address);
+  success_addresses_.insert(address);
   ++negotiated_versions_[row.version];
   if (!row.alpn.empty()) ++alpn_[row.alpn];
   Fingerprint fp = fingerprint_of_config(row.tp_config);
@@ -147,14 +173,15 @@ void ReportAccumulator::add_row(const QscanRowFeatures& row, uint32_t asn) {
 void ReportAccumulator::add_zmap_hit(const std::string& address,
                                      const std::vector<quic::Version>& versions,
                                      uint32_t asn) {
+  const netsim::IpAddress parsed = parse_address(address);
   telemetry::add(metric_zmap_hits_);
   ++rows_;
   ++source_rows_[source_];
   ++source_success_[source_];  // a responder is a discovery success
   ++as_rows_[asn];
   ++as_success_[asn];
-  addresses_.insert(address);
-  success_addresses_.insert(address);
+  addresses_.insert(parsed);
+  success_addresses_.insert(parsed);
   ++version_sets_[quic::version_set_name(versions)];
   bool any_ietf = false, any_google = false, any_mvfst = false;
   for (quic::Version v : versions) {
@@ -177,8 +204,8 @@ void ReportAccumulator::add_dns_record(const std::string& list,
   if (!record.aaaa.empty()) ++stats.with_aaaa;
   if (record.has_https_rr()) ++stats.with_https_rr;
   auto& addrs = domain_addrs_[record.domain];
-  for (const auto& a : record.a) addrs.insert(a.to_string());
-  for (const auto& a : record.aaaa) addrs.insert(a.to_string());
+  unite(addrs, record.a);
+  unite(addrs, record.aaaa);
   for (const auto& svcb : record.https) {
     std::string set_key;
     for (const auto& token : svcb.alpn) {
@@ -186,8 +213,8 @@ void ReportAccumulator::add_dns_record(const std::string& list,
       set_key += token;
     }
     if (!set_key.empty()) ++alpn_sets_[set_key];
-    for (const auto& a : svcb.ipv4_hints) addrs.insert(a.to_string());
-    for (const auto& a : svcb.ipv6_hints) addrs.insert(a.to_string());
+    unite(addrs, svcb.ipv4_hints);
+    unite(addrs, svcb.ipv6_hints);
   }
 }
 
@@ -223,7 +250,7 @@ void ReportAccumulator::merge_from(const ReportAccumulator& other) {
     into.with_https_rr += stats.with_https_rr;
   }
   for (const auto& [domain, addrs] : other.domain_addrs_)
-    domain_addrs_[domain].insert(addrs.begin(), addrs.end());
+    unite(domain_addrs_[domain], addrs);
 }
 
 uint64_t ReportAccumulator::successes() const {
@@ -250,27 +277,27 @@ struct ReportRenderer {
     return dist;
   }
 
-  /// The DNS join, rebuilt from the merged (domain -> addresses) sets
-  /// through analysis::DnsJoin -- the Table 1/2 "joined domains"
-  /// columns.
-  analysis::DnsJoin dns_join() const {
-    analysis::DnsJoin join;
+  /// Table 1's "join with DNS scan" columns in one pass over the domain
+  /// map: successful addresses some domain resolved to, domains with such
+  /// an address, and all (domain, address) pairs.
+  struct DnsJoin {
+    uint64_t joined_addresses = 0, joined_domains = 0, dns_pairs = 0;
+  };
+  DnsJoin dns_join() const {
+    DnsJoin join;
+    ReportAccumulator::AddressSet joined;
     for (const auto& [domain, addrs] : acc.domain_addrs_) {
-      dns::BulkRecord record;
-      record.domain = domain;
-      for (const auto& text : addrs)
-        if (auto addr = netsim::IpAddress::parse(text))
-          (addr->is_v6() ? record.aaaa : record.a).push_back(*addr);
-      join.add(record);
+      join.dns_pairs += addrs.size();
+      bool domain_joined = false;
+      for (const auto& addr : addrs) {
+        if (!acc.success_addresses_.contains(addr)) continue;
+        joined.insert(addr);
+        domain_joined = true;
+      }
+      join.joined_domains += domain_joined;
     }
+    join.joined_addresses = joined.size();
     return join;
-  }
-
-  std::vector<netsim::IpAddress> success_addresses() const {
-    std::vector<netsim::IpAddress> out;
-    for (const auto& text : acc.success_addresses_)
-      if (auto addr = netsim::IpAddress::parse(text)) out.push_back(*addr);
-    return out;
   }
 
   analysis::SetCounter counter_of(
@@ -345,11 +372,7 @@ void write_cdf(std::ostream& out, const analysis::AsDistribution& dist) {
 void write_report_json(std::ostream& out, const ReportAccumulator& acc,
                        const RenderOptions& options) {
   ReportRenderer r(acc, options);
-  auto join = r.dns_join();
-  auto success_addrs = r.success_addresses();
-  size_t joined_addresses = 0;
-  for (const auto& addr : success_addrs)
-    if (join.domain_count(addr) > 0) ++joined_addresses;
+  const auto join = r.dns_join();
 
   out << "{\n";
   out << "  \"schema\": \"quic-campaign-report\",\n";
@@ -360,9 +383,9 @@ void write_report_json(std::ostream& out, const ReportAccumulator& acc,
   out << "  \"table1_discovery\": {\"rows\": " << acc.rows()
       << ", \"addresses\": " << acc.distinct_addresses()
       << ", \"distinct_as\": " << rows_dist.distinct_as()
-      << ", \"joined_addresses\": " << joined_addresses
-      << ", \"joined_domains\": " << join.distinct_domains(success_addrs)
-      << ", \"dns_pairs\": " << join.total_pairs() << "},\n";
+      << ", \"joined_addresses\": " << join.joined_addresses
+      << ", \"joined_domains\": " << join.joined_domains
+      << ", \"dns_pairs\": " << join.dns_pairs << "},\n";
 
   // Table 2: top providers (ASes) by volume, with success counts.
   out << "  \"table2_top_as\": [";
@@ -508,8 +531,6 @@ void write_report_json(std::ostream& out, const ReportAccumulator& acc,
 void write_report_markdown(std::ostream& out, const ReportAccumulator& acc,
                            const RenderOptions& options) {
   ReportRenderer r(acc, options);
-  auto join = r.dns_join();
-  auto success_addrs = r.success_addresses();
 
   out << "# Campaign report\n\n";
   out << acc.rows() << " rows, " << acc.distinct_addresses()
@@ -521,14 +542,12 @@ void write_report_markdown(std::ostream& out, const ReportAccumulator& acc,
     out << "\n## Table 1 — discovery\n\n";
     analysis::Table table({"Rows", "Addresses", "ASes", "Joined addrs",
                            "Joined domains"});
-    size_t joined_addresses = 0;
-    for (const auto& addr : success_addrs)
-      if (join.domain_count(addr) > 0) ++joined_addresses;
+    const auto join = r.dns_join();
     table.row({analysis::num(acc.rows()),
                analysis::num(acc.distinct_addresses()),
                analysis::num(rows_dist.distinct_as()),
-               analysis::num(joined_addresses),
-               analysis::num(join.distinct_domains(success_addrs))});
+               analysis::num(join.joined_addresses),
+               analysis::num(join.joined_domains)});
     out << table.markdown();
   }
 

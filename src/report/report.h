@@ -9,23 +9,25 @@
 // to an offline replay of the merged CSV (tools/qreport_cli).
 //
 // Every piece of accumulated state is an abelian-monoid structure
-// (integer-valued maps and string sets under pointwise sum / union);
-// that is what makes the merge contract hold by construction. The
-// renderers derive all shares, rankings and CDFs from those integers at
-// output time, so no floating-point state ever crosses a shard
-// boundary.
+// (integer-valued maps under pointwise sum; netsim::IpAddress sets and
+// a domain -> sorted address list map under union), which makes the
+// merge contract hold by construction. The renderers derive all shares,
+// rankings, CDFs and the Table 1 DNS join from that state at output
+// time, so no floating-point state ever crosses a shard boundary.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "dns/resolver.h"
 #include "internet/as_registry.h"
+#include "netsim/address.h"
 #include "quic/version.h"
 #include "scanner/qscanner.h"
 #include "telemetry/metrics.h"
@@ -84,11 +86,12 @@ class ReportAccumulator {
   /// attach env.metrics inside the shard body).
   void attach_metrics(telemetry::MetricsRegistry* metrics);
 
-  /// One stateful-scan row, attributed to its AS.
+  /// One stateful-scan row, attributed to its AS. Throws
+  /// std::invalid_argument, adding nothing, if row.address is no address.
   void add_row(const QscanRowFeatures& row, uint32_t asn);
 
   /// One ZMap responder: announced version set (Figures 5/6 and the
-  /// version-support matrix).
+  /// version-support matrix). Throws like add_row on a bad address.
   void add_zmap_hit(const std::string& address,
                     const std::vector<quic::Version>& versions, uint32_t asn);
 
@@ -182,12 +185,15 @@ class ReportAccumulator {
   std::map<std::string, std::map<std::string, uint64_t>> server_library_;
   std::map<uint32_t, uint64_t> as_rows_;
   std::map<uint32_t, uint64_t> as_success_;
-  std::set<std::string> addresses_;
-  std::set<std::string> success_addresses_;
+  using AddressSet =
+      std::unordered_set<netsim::IpAddress, netsim::IpAddressHash>;
+  AddressSet addresses_;
+  AddressSet success_addresses_;
   std::map<std::string, DnsListStats> dns_lists_;
-  // domain -> resolved addresses (the DNS join, stored as sets so the
-  // merge stays commutative).
-  std::map<std::string, std::set<std::string>> domain_addrs_;
+  // domain -> every address it resolved to (A, AAAA, HTTPS-RR hints),
+  // sorted and duplicate-free so the merge is a set union: the DNS join.
+  std::unordered_map<std::string, std::vector<netsim::IpAddress>>
+      domain_addrs_;
 };
 
 struct RenderOptions {

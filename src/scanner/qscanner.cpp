@@ -107,10 +107,11 @@ QscanResult QScanner::attempt_once(const QscanTarget& target) {
   // static (an OS-port-allocator analogy), but a shared mutable
   // counter is exactly what the sharded campaign engine must not have:
   // it made traces depend on every scanner ever constructed in the
-  // process and would be a data race across shard threads. Each
-  // scanner owns one network's source endpoint, and sockets close at
-  // the end of every attempt, so a per-instance counter cannot reuse a
-  // live (port, connection-ID) pair.
+  // process and would be a data race across shard threads. This counter
+  // assumes one scanner per network: sockets close after every attempt,
+  // so it cannot reuse a live (port, connection-ID) pair, but a second
+  // same-seeded scanner on the network draws the same pairs, and a server
+  // still holding the first one's session takes the second one's Initial.
   uint64_t attempt = attempts_;
   QscanResult result;
   result.target = target;

@@ -1,4 +1,4 @@
-// Analysis-layer tests: joins, AS rank CDFs, set counters with "Other"
+// Analysis-layer tests: AS rank CDFs, set counters with "Other"
 // folding, the Table-5 TLS comparison semantics, source overlap and the
 // table renderer.
 #include <gtest/gtest.h>
@@ -10,27 +10,6 @@ namespace {
 
 using namespace analysis;
 using netsim::IpAddress;
-
-dns::BulkRecord record(const std::string& domain,
-                       std::vector<const char*> v4) {
-  dns::BulkRecord r;
-  r.domain = domain;
-  for (const char* addr : v4) r.a.push_back(*IpAddress::parse(addr));
-  return r;
-}
-
-TEST(DnsJoin, MapsAddressesToDomains) {
-  DnsJoin join;
-  join.add(record("a.example", {"1.1.1.1", "1.1.1.2"}));
-  join.add(record("b.example", {"1.1.1.1"}));
-  EXPECT_EQ(join.domain_count(*IpAddress::parse("1.1.1.1")), 2u);
-  EXPECT_EQ(join.domain_count(*IpAddress::parse("1.1.1.2")), 1u);
-  EXPECT_EQ(join.domain_count(*IpAddress::parse("9.9.9.9")), 0u);
-  EXPECT_EQ(join.total_pairs(), 3u);
-  EXPECT_EQ(join.distinct_domains({*IpAddress::parse("1.1.1.1"),
-                                   *IpAddress::parse("1.1.1.2")}),
-            2u);
-}
 
 TEST(AsDistribution, RankingAndCdf) {
   auto registry = internet::AsRegistry::standard(4);

@@ -1,6 +1,6 @@
-// Tests for the bench orchestration layer: the discovery pipeline and
-// target assembly every table/figure binary is built on. Runs on a
-// shrunken corpus for speed.
+// Tests for the bench orchestration layer: the address -> domains DNS
+// join, and the discovery pipeline and target assembly every
+// table/figure binary is built on. Runs on a shrunken corpus for speed.
 #include <gtest/gtest.h>
 
 #include "common.h"
@@ -16,6 +16,28 @@ const bench::Discovery& discovery() {
     return bench::run_discovery(18, options);
   }();
   return d;
+}
+
+dns::BulkRecord record(const std::string& domain,
+                       std::vector<const char*> v4) {
+  dns::BulkRecord r;
+  r.domain = domain;
+  for (const char* addr : v4) r.a.push_back(*netsim::IpAddress::parse(addr));
+  return r;
+}
+
+TEST(DnsJoin, MapsAddressesToDomains) {
+  using netsim::IpAddress;
+  bench::DnsJoin join;
+  join.add(record("a.example", {"1.1.1.1", "1.1.1.2"}));
+  join.add(record("b.example", {"1.1.1.1"}));
+  EXPECT_EQ(join.domain_count(*IpAddress::parse("1.1.1.1")), 2u);
+  EXPECT_EQ(join.domain_count(*IpAddress::parse("1.1.1.2")), 1u);
+  EXPECT_EQ(join.domain_count(*IpAddress::parse("9.9.9.9")), 0u);
+  EXPECT_EQ(join.total_pairs(), 3u);
+  EXPECT_EQ(join.distinct_domains({*IpAddress::parse("1.1.1.1"),
+                                   *IpAddress::parse("1.1.1.2")}),
+            2u);
 }
 
 TEST(Discovery, AllChannelsProduceFindings) {

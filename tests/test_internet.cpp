@@ -101,7 +101,7 @@ TEST(TpCatalog, RoundTripThroughWireFormatPreservesConfigId) {
   for (const auto& entry : tp_catalog()) {
     auto decoded = quic::decode_transport_parameters(
         quic::encode_transport_parameters(entry.params));
-    EXPECT_EQ(tp_config_id_for_key(decoded.config_key()), entry.id);
+    EXPECT_EQ(tp_config_id_for(decoded), entry.id);
   }
 }
 

@@ -45,8 +45,8 @@ TEST_P(TpCatalogRoundTrip, EncodeDecodeIdentity) {
   EXPECT_EQ(decoded, entry.params);
   // Re-encoding the decoded value is byte-identical (canonical form).
   EXPECT_EQ(quic::encode_transport_parameters(decoded), encoded);
-  // The config key survives the wire and stays unique in the catalog.
-  EXPECT_EQ(internet::tp_config_id_for_key(decoded.config_key()), entry.id);
+  // The configuration survives the wire and stays unique in the catalog.
+  EXPECT_EQ(internet::tp_config_id_for(decoded), entry.id);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCatalogEntries, TpCatalogRoundTrip,

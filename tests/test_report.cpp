@@ -4,13 +4,17 @@
 // and between the streaming and offline (CSV replay) front ends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
+#include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "analysis/table.h"
 #include "engine/engine.h"
 #include "internet/internet.h"
 #include "internet/tp_catalog.h"
@@ -148,6 +152,7 @@ TEST(RowFeatures, RejectsMalformedRows) {
 // library -- the TP-presence-and-values clustering of section 5.2.
 TEST(Fingerprint, EveryCatalogEntryClassifiesToItself) {
   for (const auto& entry : internet::tp_catalog()) {
+    EXPECT_EQ(internet::tp_config_id_for(entry.params), entry.id);
     auto fp = report::fingerprint_of(entry.params);
     EXPECT_EQ(fp.config_id, entry.id);
     EXPECT_TRUE(fp.known());
@@ -184,6 +189,56 @@ TEST(Fingerprint, PerturbedConfigsAreUnknownNeverMisattributed) {
     auto extended = entry.params;
     extended.ack_delay_exponent = 7;  // no catalog entry uses 7
     expect_unknown(extended, "ack_delay_exponent = 7");
+
+    // Every single-field perturbation: the field lookup names the
+    // catalog entry whose config_key() string equals the perturbed one,
+    // or none, exactly as a string-keyed lookup would.
+    auto expect_key_agrees = [&](const quic::TransportParameters& tp,
+                                 const std::string& how) {
+      int by_key = -1;
+      for (const auto& other : internet::tp_catalog())
+        if (other.params.config_key() == tp.config_key()) by_key = other.id;
+      EXPECT_EQ(internet::tp_config_id_for(tp), by_key)
+          << "config " << entry.id << " perturbed by " << how;
+      EXPECT_EQ(report::fingerprint_of(tp).config_id, by_key)
+          << "config " << entry.id << " perturbed by " << how;
+    };
+    using Tp = quic::TransportParameters;
+    const std::pair<const char*, std::optional<uint64_t> Tp::*> fields[] = {
+        {"max_idle_timeout", &Tp::max_idle_timeout},
+        {"max_udp_payload_size", &Tp::max_udp_payload_size},
+        {"initial_max_data", &Tp::initial_max_data},
+        {"initial_max_stream_data_bidi_local",
+         &Tp::initial_max_stream_data_bidi_local},
+        {"initial_max_stream_data_bidi_remote",
+         &Tp::initial_max_stream_data_bidi_remote},
+        {"initial_max_stream_data_uni", &Tp::initial_max_stream_data_uni},
+        {"initial_max_streams_bidi", &Tp::initial_max_streams_bidi},
+        {"initial_max_streams_uni", &Tp::initial_max_streams_uni},
+        {"ack_delay_exponent", &Tp::ack_delay_exponent},
+        {"max_ack_delay", &Tp::max_ack_delay},
+        {"active_connection_id_limit", &Tp::active_connection_id_limit},
+    };
+    for (const auto& [name, field] : fields) {
+      auto bumped = entry.params;
+      auto& value = bumped.*field;
+      value = value ? *value + 1 : 0;
+      expect_key_agrees(bumped, std::string("bumping ") + name);
+      auto cleared_field = entry.params;
+      (cleared_field.*field).reset();
+      expect_key_agrees(cleared_field, std::string("clearing ") + name);
+    }
+    auto flipped = entry.params;
+    flipped.disable_active_migration = !flipped.disable_active_migration;
+    expect_key_agrees(flipped, "flipping disable_active_migration");
+
+    // Session-specific values are not part of the configuration.
+    auto session = entry.params;
+    session.original_destination_connection_id = {1, 2, 3, 4};
+    session.stateless_reset_token = std::vector<uint8_t>(16, 0xab);
+    session.unknown.emplace_back(0x2a, std::vector<uint8_t>{7});
+    EXPECT_EQ(internet::tp_config_id_for(session), entry.id);
+    expect_key_agrees(session, "session-specific values");
   }
 }
 
@@ -218,10 +273,36 @@ std::string report_json(const report::ReportAccumulator& acc) {
   return out.str();
 }
 
-// Builds a deterministic pseudo-random accumulator exercising every
-// add_* path.
-report::ReportAccumulator synthetic_accumulator(uint64_t seed,
-                                                int events) {
+// One add_* call of a synthetic campaign.
+struct SyntheticEvent {
+  enum class Kind { kRow, kZmapHit, kDnsRecord } kind = Kind::kRow;
+  report::QscanRowFeatures row;         // kRow; kZmapHit uses row.address
+  std::vector<quic::Version> versions;  // kZmapHit
+  std::string list;                     // kDnsRecord
+  dns::BulkRecord record;               // kDnsRecord
+  uint32_t asn = 0;
+
+  void apply(report::ReportAccumulator& acc) const {
+    switch (kind) {
+      case Kind::kRow:
+        acc.add_row(row, asn);
+        break;
+      case Kind::kZmapHit:
+        acc.add_zmap_hit(row.address, versions, asn);
+        break;
+      case Kind::kDnsRecord:
+        acc.add_dns_record(list, record);
+        break;
+    }
+  }
+};
+
+// Deterministic pseudo-random events exercising every add_* path over
+// both address families. Rows, ZMap hits, A/AAAA answers and HTTPS-RR
+// hints all draw from small overlapping address pools, and the 40
+// domains repeat within and across two lists, so the DNS join has
+// shared addresses, shared domains and duplicate pairs.
+std::vector<SyntheticEvent> synthetic_events(uint64_t seed, int events) {
   uint64_t state = seed * 0x9e3779b97f4a7c15ull + 1;
   auto next = [&state]() {
     state ^= state << 13;
@@ -229,15 +310,28 @@ report::ReportAccumulator synthetic_accumulator(uint64_t seed,
     state ^= state << 17;
     return state;
   };
+  auto v4 = [&next] {
+    return netsim::IpAddress::v4(0x0a000000u +
+                                 static_cast<uint32_t>(next() % 400));
+  };
+  auto v6 = [&next] {
+    return netsim::IpAddress::v6(0x20010db8ull << 32, next() % 48);
+  };
+  auto address = [&] { return next() % 4 ? v4() : v6(); };
+  auto some = [&next](auto draw) {
+    std::vector<netsim::IpAddress> out(next() % 3);
+    for (auto& addr : out) addr = draw();
+    return out;
+  };
   const char* outcomes[] = {"Success", "Timeout", "Crypto Error (0x128)",
                             "Rate Limited", "Degraded"};
-  report::ReportAccumulator acc("qscanner");
-  for (int i = 0; i < events; ++i) {
+  std::vector<SyntheticEvent> out(static_cast<size_t>(events));
+  for (auto& event : out) {
     switch (next() % 3) {
       case 0: {
-        report::QscanRowFeatures row;
-        row.address = "10.0." + std::to_string(next() % 8) + "." +
-                      std::to_string(next() % 200);
+        event.kind = SyntheticEvent::Kind::kRow;
+        auto& row = event.row;
+        row.address = address().to_string();
         row.outcome = outcomes[next() % 5];
         if (row.success()) {
           row.version = next() % 2 ? "ietf-01" : "draft-29";
@@ -247,32 +341,42 @@ report::ReportAccumulator synthetic_accumulator(uint64_t seed,
           row.max_udp_payload = next() % 2 ? 1472 : 65527;
           row.server = next() % 2 ? "nginx" : "LiteSpeed";
         }
-        acc.add_row(row, static_cast<uint32_t>(next() % 9));
+        event.asn = static_cast<uint32_t>(next() % 9);
         break;
       }
       case 1: {
-        std::vector<quic::Version> versions{quic::kVersion1};
-        if (next() % 2) versions.push_back(quic::kDraft29);
-        acc.add_zmap_hit("172.16.0." + std::to_string(next() % 220),
-                         versions, static_cast<uint32_t>(next() % 9));
+        event.kind = SyntheticEvent::Kind::kZmapHit;
+        event.row.address = address().to_string();
+        event.versions = {quic::kVersion1};
+        if (next() % 2) event.versions.push_back(quic::kDraft29);
+        event.asn = static_cast<uint32_t>(next() % 9);
         break;
       }
       default: {
-        dns::BulkRecord record;
+        event.kind = SyntheticEvent::Kind::kDnsRecord;
+        event.list = next() % 2 ? "alexa" : "umbrella";
+        auto& record = event.record;
         record.domain = "host-" + std::to_string(next() % 40) + ".example";
-        if (next() % 2)
-          record.a.push_back(*netsim::IpAddress::parse(
-              "10.0.0." + std::to_string(next() % 200)));
+        record.a = some(v4);
+        record.aaaa = some(v6);
         if (next() % 3 == 0) {
           dns::SvcbData svcb;
           svcb.alpn = {"h3"};
+          svcb.ipv4_hints = some(v4);
+          svcb.ipv6_hints = some(v6);
           record.https.push_back(std::move(svcb));
         }
-        acc.add_dns_record(next() % 2 ? "alexa" : "umbrella", record);
         break;
       }
     }
   }
+  return out;
+}
+
+report::ReportAccumulator synthetic_accumulator(uint64_t seed,
+                                                int events) {
+  report::ReportAccumulator acc("qscanner");
+  for (const auto& event : synthetic_events(seed, events)) event.apply(acc);
   return acc;
 }
 
@@ -313,6 +417,131 @@ TEST(MergeAlgebra, CommutativeAndAssociativeSweep) {
     a_bc.merge_from(bc);
     EXPECT_EQ(report_json(ab_c), report_json(a_bc)) << "seed " << seed;
   }
+}
+
+// Table 1's join columns counted the slow, obvious way: std::set
+// address sets, and every address checked against every domain.
+struct NaiveJoin {
+  int64_t joined_addresses = 0;
+  int64_t joined_domains = 0;
+  int64_t dns_pairs = 0;
+};
+
+NaiveJoin naive_join(const std::vector<SyntheticEvent>& events) {
+  std::set<netsim::IpAddress> success;
+  std::map<std::string, std::set<netsim::IpAddress>> domains;
+  for (const auto& event : events) {
+    if (event.kind == SyntheticEvent::Kind::kDnsRecord) {
+      auto& addrs = domains[event.record.domain];
+      addrs.insert(event.record.a.begin(), event.record.a.end());
+      addrs.insert(event.record.aaaa.begin(), event.record.aaaa.end());
+      for (const auto& svcb : event.record.https) {
+        addrs.insert(svcb.ipv4_hints.begin(), svcb.ipv4_hints.end());
+        addrs.insert(svcb.ipv6_hints.begin(), svcb.ipv6_hints.end());
+      }
+    } else if (event.kind == SyntheticEvent::Kind::kZmapHit ||
+               event.row.success()) {
+      success.insert(*netsim::IpAddress::parse(event.row.address));
+    }
+  }
+  NaiveJoin join;
+  for (const auto& addr : success)
+    for (const auto& [domain, addrs] : domains)
+      if (addrs.contains(addr)) {
+        ++join.joined_addresses;
+        break;
+      }
+  for (const auto& [domain, addrs] : domains) {
+    join.dns_pairs += static_cast<int64_t>(addrs.size());
+    for (const auto& addr : addrs)
+      if (success.contains(addr)) {
+        ++join.joined_domains;
+        break;
+      }
+  }
+  return join;
+}
+
+// The cells of report.md's Table 1 data row.
+std::vector<std::string> markdown_table1(const report::ReportAccumulator& acc) {
+  std::ostringstream out;
+  report::write_report_markdown(out, acc);
+  std::istringstream lines(out.str());
+  std::string line;
+  while (std::getline(lines, line) && line.rfind("## Table 1", 0) != 0) {
+  }
+  for (int i = 0; i < 4; ++i) std::getline(lines, line);  // blank, head, rule
+  std::vector<std::string> cells;
+  std::istringstream row(line);
+  std::string cell;
+  while (std::getline(row, cell, '|'))
+    if (cell.size() > 2) cells.push_back(cell.substr(1, cell.size() - 2));
+  return cells;
+}
+
+// The one-pass join over the merged typed state equals the naive
+// reference, whatever the sharding and the merge order.
+TEST(MergeAlgebra, Table1JoinMatchesNaiveSetsOverShuffledShards) {
+  std::mt19937_64 rng(0x7ab1e1);
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto events = synthetic_events(seed, 300);
+    const NaiveJoin expected = naive_join(events);
+    EXPECT_GT(expected.joined_addresses, 0) << "seed " << seed;
+    EXPECT_GT(expected.joined_domains, 0) << "seed " << seed;
+    for (size_t shards : {1, 2, 5, 9}) {
+      std::vector<report::ReportAccumulator> parts(
+          shards, report::ReportAccumulator("qscanner"));
+      for (const auto& event : events) event.apply(parts[rng() % shards]);
+      std::shuffle(parts.begin(), parts.end(), rng);
+      report::ReportAccumulator merged;
+      for (const auto& part : parts) merged.merge_from(part);
+
+      auto json = report::json::parse(report_json(merged));
+      const auto* table1 = json.find("table1_discovery");
+      ASSERT_NE(table1, nullptr);
+      EXPECT_EQ(table1->int_or("joined_addresses", -1),
+                expected.joined_addresses)
+          << "seed " << seed << ", " << shards << " shards";
+      EXPECT_EQ(table1->int_or("joined_domains", -1), expected.joined_domains)
+          << "seed " << seed << ", " << shards << " shards";
+      EXPECT_EQ(table1->int_or("dns_pairs", -1), expected.dns_pairs)
+          << "seed " << seed << ", " << shards << " shards";
+
+      auto cells = markdown_table1(merged);
+      ASSERT_EQ(cells.size(), 5u);
+      EXPECT_EQ(cells[3], analysis::num(static_cast<uint64_t>(
+                              expected.joined_addresses)));
+      EXPECT_EQ(cells[4], analysis::num(static_cast<uint64_t>(
+                              expected.joined_domains)));
+    }
+  }
+}
+
+TEST(Accumulator, UnparsableAddressThrowsAndAddsNothing) {
+  report::ReportAccumulator acc("qscanner");
+  report::QscanRowFeatures row;
+  row.address = "not-an-address";
+  row.outcome = "Success";
+  EXPECT_THROW(acc.add_row(row, 1), std::invalid_argument);
+  EXPECT_THROW(acc.add_zmap_hit("10.0.0.256", {quic::kVersion1}, 1),
+               std::invalid_argument);
+  EXPECT_EQ(acc.rows(), 0u);
+  EXPECT_EQ(acc.distinct_addresses(), 0u);
+  EXPECT_TRUE(acc.outcomes().empty());
+}
+
+// Addresses are values: two spellings of one address are one address.
+TEST(Accumulator, TextualFormsOfOneAddressCountOnce) {
+  report::ReportAccumulator acc("qscanner");
+  report::QscanRowFeatures row;
+  row.outcome = "Timeout";
+  for (const char* text : {"2001:db8::1", "2001:0db8:0:0:0:0:0:1",
+                           "10.0.0.1", "10.0.0.01"}) {
+    row.address = text;
+    acc.add_row(row, 1);
+  }
+  EXPECT_EQ(acc.rows(), 4u);
+  EXPECT_EQ(acc.distinct_addresses(), 2u);
 }
 
 TEST(Accumulator, CountersBumpOnAddNotOnMerge) {
