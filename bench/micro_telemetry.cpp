@@ -78,7 +78,7 @@ BENCHMARK(BM_TracerEmitInactive);
 void BM_TracerEmitToCountingSink(benchmark::State& state) {
   CountingSink sink;
   FixedClock clock;
-  telemetry::Tracer tracer(&sink, &clock, telemetry::Vantage::kClient);
+  telemetry::Tracer tracer(&sink, &clock);
   uint64_t size = 1200;
   for (auto _ : state) {
     if (tracer.active()) {

@@ -148,12 +148,4 @@ BulkRecord BulkResolver::resolve_one(std::string_view domain) {
   return record;
 }
 
-std::vector<BulkRecord> BulkResolver::resolve_all(
-    const std::vector<std::string>& domains) {
-  std::vector<BulkRecord> out;
-  out.reserve(domains.size());
-  for (const auto& domain : domains) out.push_back(resolve_one(domain));
-  return out;
-}
-
 }  // namespace dns

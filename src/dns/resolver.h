@@ -108,7 +108,6 @@ class BulkResolver {
 
   /// Resolves A, AAAA and HTTPS for one domain.
   BulkRecord resolve_one(std::string_view domain);
-  std::vector<BulkRecord> resolve_all(const std::vector<std::string>& domains);
 
   uint64_t queries_sent() const { return resolver_.queries_sent(); }
 

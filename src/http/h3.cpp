@@ -172,12 +172,4 @@ std::optional<Response> decode_response(std::span<const uint8_t> stream) {
   }
 }
 
-bool looks_like_h3(std::span<const uint8_t> stream) {
-  // HEADERS (0x01) or SETTINGS (0x04) as the first varint; HTTP/1 text
-  // starts with an ASCII letter (>= 0x41).
-  if (stream.empty()) return false;
-  return stream[0] == kFrameHeaders || stream[0] == kFrameSettings ||
-         stream[0] == kFrameData;
-}
-
 }  // namespace http::h3

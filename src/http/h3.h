@@ -60,8 +60,4 @@ std::optional<Request> decode_request(std::span<const uint8_t> stream);
 std::vector<uint8_t> encode_response(const Response& response);
 std::optional<Response> decode_response(std::span<const uint8_t> stream);
 
-/// True if the stream bytes begin with a plausible HTTP/3 frame (used
-/// to coexist with legacy HTTP/1 text during scanning).
-bool looks_like_h3(std::span<const uint8_t> stream);
-
 }  // namespace http::h3

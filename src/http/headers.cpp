@@ -34,11 +34,4 @@ std::optional<std::string> Headers::get(std::string_view name) const {
   return std::nullopt;
 }
 
-std::vector<std::string> Headers::get_all(std::string_view name) const {
-  std::vector<std::string> out;
-  for (const auto& [n, v] : entries_)
-    if (iequals(n, name)) out.push_back(v);
-  return out;
-}
-
 }  // namespace http

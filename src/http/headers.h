@@ -21,7 +21,6 @@ class Headers {
 
   /// First value for the field, case-insensitive.
   std::optional<std::string> get(std::string_view name) const;
-  std::vector<std::string> get_all(std::string_view name) const;
   bool contains(std::string_view name) const { return get(name).has_value(); }
 
   const std::vector<std::pair<std::string, std::string>>& entries() const {

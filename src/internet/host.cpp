@@ -29,7 +29,7 @@ ServerHost::ServerHost(const Population& population,
         return select_certificate(sni, /*tcp_path=*/false);
       };
   behavior_.http_responder = [this](const std::string& request) {
-    return http_response(request, /*tcp_path=*/false);
+    return h3_response(request);
   };
 
   tls_config_.max_version = profile_.tls_max_version;
@@ -41,7 +41,7 @@ ServerHost::ServerHost(const Population& population,
         return select_certificate(sni, /*tcp_path=*/true);
       };
   tls_config_.http_responder = [this](const std::string& request) {
-    return http_response(request, /*tcp_path=*/true);
+    return http1_response(request);
   };
 }
 
@@ -105,27 +105,26 @@ std::optional<tls::Certificate> ServerHost::select_certificate(
   return std::nullopt;
 }
 
-std::string ServerHost::http_response(const std::string& request,
-                                      bool tcp_path) const {
+std::string ServerHost::h3_response(const std::string& request) const {
   std::span<const uint8_t> raw{
       reinterpret_cast<const uint8_t*>(request.data()), request.size()};
-  if (!tcp_path && http::h3::looks_like_h3(raw)) {
-    auto parsed = http::h3::decode_request(raw);
-    http::h3::Response response;
-    response.status = parsed ? 200 : 400;
-    if (!profile_.server_value.empty())
-      response.headers.add("server", profile_.server_value);
-    response.headers.add("content-length", "0");
-    auto bytes = http::h3::encode_response(response);
-    return {bytes.begin(), bytes.end()};
-  }
+  http::h3::Response response;
+  response.status = http::h3::decode_request(raw) ? 200 : 400;
+  if (!profile_.server_value.empty())
+    response.headers.add("server", profile_.server_value);
+  response.headers.add("content-length", "0");
+  auto bytes = http::h3::encode_response(response);
+  return {bytes.begin(), bytes.end()};
+}
+
+std::string ServerHost::http1_response(const std::string& request) const {
   auto parsed = http::Request::parse(request);
   http::Response response;
   response.status = parsed ? 200 : 400;
   response.reason = parsed ? "OK" : "Bad Request";
   if (!profile_.server_value.empty())
     response.headers.add("Server", profile_.server_value);
-  if (tcp_path && !profile_.alt_svc_alpn.empty()) {
+  if (!profile_.alt_svc_alpn.empty()) {
     std::vector<http::AltSvcEntry> entries;
     for (const auto& token : profile_.alt_svc_alpn)
       entries.push_back({token, "", 443, 86400});
@@ -168,17 +167,15 @@ void ServerHost::on_datagram(const netsim::Endpoint& from,
                   profile_.handshake_versions.end(),
                   info->version) != profile_.handshake_versions.end()) {
       // Protected close with PROTOCOL_VIOLATION at the Initial level.
-      auto protector = quic::PacketProtector::for_initial(
-          info->version, it->first.dcid, /*is_server=*/true);
-      quic::Packet packet;
-      packet.type = quic::PacketType::kInitial;
-      packet.version = info->version;
-      packet.dcid = info->scid;
-      packet.scid = it->first.dcid;
-      packet.packet_number = 0;
-      packet.payload = quic::encode_frames({quic::ConnectionCloseFrame{
-          quic::kProtocolViolation, false, 0x06, "internal error"}});
-      transmit(from, protector.protect(packet));
+      quic::PacketSpaces spaces(/*is_server=*/true);
+      spaces.start(info->version, it->first.dcid);
+      spaces.set_cids(info->scid, it->first.dcid);
+      spaces.next_header(quic::PacketType::kInitial);
+      quic::encode_frame(spaces.frames(),
+                         quic::ConnectionCloseFrame{quic::kProtocolViolation,
+                                                    false, 0x06,
+                                                    "internal error"});
+      transmit(from, spaces.seal());
       sessions_.erase(it);
       return;
     }

@@ -54,9 +54,11 @@ class ServerHost : public netsim::UdpService, public netsim::TcpService {
   std::optional<tls::Certificate> select_certificate(
       const std::optional<std::string>& sni, bool tcp_path) const;
 
-  /// HTTP response body used on both stacks; the TCP flavor carries the
-  /// Alt-Svc header.
-  std::string http_response(const std::string& request, bool tcp_path) const;
+  /// The HTTP/3 response to a request on QUIC stream 0: 200, or 400 when
+  /// the request does not decode as HTTP/3.
+  std::string h3_response(const std::string& request) const;
+  /// The HTTP/1.1 response over TLS-over-TCP, with the Alt-Svc header.
+  std::string http1_response(const std::string& request) const;
 
  private:
   bool hosts_domain(const std::string& name) const;

@@ -63,16 +63,15 @@ Internet::Internet(std::shared_ptr<const Snapshot> snapshot,
       [this](const netsim::IpAddress& addr) { host_for(addr); });
 }
 
-std::vector<netsim::IpAddress> Internet::zmap_candidates_v4(
-    int dud_factor) const {
+std::vector<netsim::IpAddress> Internet::zmap_candidates_v4() const {
   std::vector<netsim::IpAddress> out;
   for (const auto& host : population().hosts()) {
     if (!host.address.is_v4()) continue;
     out.push_back(host.address);
     // Unresponsive neighbours in the same prefix: high in the host part
     // so they never collide with allocated addresses.
-    for (int d = 1; d <= dud_factor; ++d) {
-      uint32_t dud = host.address.v4_value() ^ (0x00400000u * static_cast<uint32_t>(d));
+    for (uint32_t d = 1; d <= 2; ++d) {
+      uint32_t dud = host.address.v4_value() ^ (0x00400000u * d);
       out.push_back(netsim::IpAddress::v4(dud));
     }
   }
@@ -123,7 +122,7 @@ ServerHost* Internet::host_for(const netsim::IpAddress& addr) {
   netsim::Endpoint endpoint{addr, kQuicPort};
   if (profile->quic_enabled() && !profile->udp_filtered)
     network_.add_udp_service(endpoint, host);
-  if (profile->tcp443_open) network_.add_tcp_service(endpoint, host);
+  network_.add_tcp_service(endpoint, host);
   if (impairment_) impair(*host);
   if (adversary_) host->set_adversary(adversary_->plan_for(addr));
   return host;

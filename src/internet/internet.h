@@ -71,10 +71,10 @@ class Internet {
     return snapshot_;
   }
 
-  /// IPv4 sweep candidates: every allocated host address plus
-  /// `dud_factor` unresponsive addresses per host (the sweep must wade
-  /// through silence, like the real 3-billion-address scan did).
-  std::vector<netsim::IpAddress> zmap_candidates_v4(int dud_factor = 2) const;
+  /// IPv4 sweep candidates: every allocated host address plus two
+  /// unresponsive addresses per host (the sweep must wade through
+  /// silence, like the real 3-billion-address scan did).
+  std::vector<netsim::IpAddress> zmap_candidates_v4() const;
 
   /// IPv6 scan input: union of AAAA resolutions and a hitlist-style
   /// sample of known-active v6 addresses.

@@ -832,8 +832,8 @@ void PopulationBuilder::build_lists() {
   }
 }
 
-AsRegistry campaign_as_registry(int tail_as_count) {
-  AsRegistry registry = AsRegistry::standard(tail_as_count);
+AsRegistry campaign_as_registry() {
+  AsRegistry registry = AsRegistry::standard(240);
   registry.add({kAsOpenCdn, "OpenCDN (padding-lax)",
                 {*netsim::Prefix::parse("185.152.64.0/18")},
                 {*netsim::Prefix::parse("2a0b:4340::/32")}});
@@ -842,7 +842,7 @@ AsRegistry campaign_as_registry(int tail_as_count) {
 
 Population::Population(const PopulationParams& params, int week)
     : week_(week),
-      as_registry_(campaign_as_registry(params.tail_as_count)) {
+      as_registry_(campaign_as_registry()) {
   if (week < 5 || week > 18)
     throw std::invalid_argument("week must be in [5, 18]");
   PopulationBuilder builder(*this, params);

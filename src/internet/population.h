@@ -77,8 +77,7 @@ struct HostProfile {
   /// Google's TCP error path for SNI-less connections skips ALPN.
   bool tcp_alpn_without_sni = true;
 
-  // --- TCP/HTTP surface ---
-  bool tcp443_open = true;
+  // --- TCP/HTTP surface (TCP/443 is always open) ---
   /// UDP/443 dropped by a middlebox: Alt-Svc still advertises h3, but
   /// QUIC connection attempts time out (a classic enterprise-firewall
   /// pattern; contributes the paper's ALT-SVC-only addresses and the
@@ -133,15 +132,14 @@ struct PopulationParams {
   /// Scales the synthetic (non-QUIC) share of the DNS corpora; 1.0
   /// models com/net/org at 1:1000 of the paper (180 k names).
   double dns_corpus_scale = 1.0;
-  int tail_as_count = 240;
 };
 
 /// The AS registry every campaign population routes through:
-/// AsRegistry::standard plus the population-specific ASes (the
-/// padding-lax open CDN of section 3.1). Exposed so offline tooling
-/// (qreport_cli) can attribute saved-CSV addresses identically to the
-/// in-engine report without rebuilding a population.
-AsRegistry campaign_as_registry(int tail_as_count);
+/// AsRegistry::standard with 240 tail ASes plus the population-specific
+/// ASes (the padding-lax open CDN of section 3.1). Exposed so offline
+/// tooling (qreport_cli) can attribute saved-CSV addresses identically
+/// to the in-engine report without rebuilding a population.
+AsRegistry campaign_as_registry();
 
 class Population {
  public:

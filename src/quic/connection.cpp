@@ -33,6 +33,12 @@ size_t initial_header_overhead(const ConnectionId& dcid,
          wire::varint_size(length_value) + 2;
 }
 
+/// QUIC packet-protection keys from one side's traffic secret.
+template <typename Secret>
+tls::TrafficKeys quic_keys(const Secret& secret) {
+  return tls::derive_traffic_keys(secret, tls::KeyUsage::kQuic);
+}
+
 /// The transport-parameters codepoint: RFC 9001 assigns 0x39 for v1;
 /// every draft used 0xffa5.
 uint16_t tp_codepoint(Version version) {
@@ -145,61 +151,33 @@ ClientConnection::ClientConnection(ClientConfig config, crypto::Rng rng,
       send_(std::move(send)),
       done_(std::move(done)) {}
 
-Packet& ClientConnection::next_packet(PacketType type) {
-  Packet& packet = tx_header_;
-  packet.type = type;
-  packet.version = config_.version;
-  packet.dcid.assign(dcid_.begin(), dcid_.end());
-  packet.scid.assign(scid_.begin(), scid_.end());
-  packet.token.clear();
-  packet.packet_number = type == PacketType::kInitial     ? pn_initial_++
-                         : type == PacketType::kHandshake ? pn_handshake_++
-                                                          : pn_app_++;
-  return packet;
-}
-
 void ClientConnection::start() { send_initial_flight(); }
 
 void ClientConnection::send_initial_flight() {
   // After a Retry the client continues with the server-chosen DCID and
   // derives fresh Initial keys from it (RFC 9001 section 5.2).
   dcid_ = retry_dcid_ ? *retry_dcid_ : rng_.bytes(8);
-  scid_ = rng_.bytes(8);
+  const ConnectionId scid = rng_.bytes(8);
   TransportParameters tp = config_.transport_params;
-  tp.initial_source_connection_id = scid_;
+  tp.initial_source_connection_id = scid;
   handshake_.emplace(rng_, config_.sni, config_.alpn,
                      std::vector<uint16_t>{tls::kVersion13},
                      tls::TransportParametersExtension{
                          tp_codepoint(config_.version),
                          encode_transport_parameters(tp)});
   handshake_crypto_.clear();
-  pn_initial_ = pn_handshake_ = pn_app_ = 0;
-
-  const auto initial = derive_initial_secrets(config_.version, dcid_);
-  initial_tx_.emplace(
-      tls::derive_traffic_keys(initial.client, tls::KeyUsage::kQuic));
-  initial_rx_.emplace(
-      tls::derive_traffic_keys(initial.server, tls::KeyUsage::kQuic));
-  initial_tx_->set_stats(&hotpath_stats_);
-  initial_rx_->set_stats(&hotpath_stats_);
-  handshake_tx_.reset();
-  handshake_rx_.reset();
-  app_tx_.reset();
-  app_rx_.reset();
+  spaces_.start(config_.version, dcid_);
+  spaces_.set_cids(dcid_, scid);
 
   const std::vector<uint8_t>& client_hello = handshake_->client_hello();
-  Packet& packet = next_packet(PacketType::kInitial);
+  Packet& packet = spaces_.next_header(PacketType::kInitial);
   packet.token.assign(retry_token_.begin(), retry_token_.end());
   const Frame ch_frame = CryptoFrame{0, client_hello};
   size_t overhead =
-      initial_header_overhead(dcid_, scid_, client_hello.size() + 1100) +
+      initial_header_overhead(dcid_, scid, client_hello.size() + 1100) +
       retry_token_.size();
-  const size_t scratch_cap = frame_scratch_.capacity();
-  frame_scratch_.clear();
   pad_initial_payload_into({&ch_frame, 1}, overhead, kMinInitialDatagramSize,
-                           frame_scratch_);
-  if (frame_scratch_.capacity() > scratch_cap)
-    hotpath_stats_.alloc_bytes += frame_scratch_.capacity() - scratch_cap;
+                           spaces_.frames());
   if (config_.tracer.active()) {
     config_.tracer.emit(
         telemetry::EventType::kTlsMessage,
@@ -212,8 +190,7 @@ void ClientConnection::send_initial_flight() {
   // reply can arrive nested inside the send callback.
   state_ = State::kAwaitServerHello;
   last_initial_datagram_.clear();
-  initial_tx_->protect_into(packet, frame_scratch_.span(),
-                            last_initial_datagram_);
+  spaces_.seal_into(last_initial_datagram_);
   if (config_.tracer.active())
     config_.tracer.emit(
         telemetry::EventType::kPacketSent,
@@ -293,10 +270,7 @@ std::optional<std::vector<Frame>> ClientConnection::read_frames(
   // next unsent packet number in this space.
   const bool handshake_space = packet.type == PacketType::kInitial ||
                                packet.type == PacketType::kHandshake;
-  const uint64_t next_pn = packet.type == PacketType::kInitial ? pn_initial_
-                           : packet.type == PacketType::kHandshake
-                               ? pn_handshake_
-                               : pn_app_;
+  const uint64_t next_pn = spaces_.next_number(packet.type);
   for (const auto& frame : frames) {
     if (handshake_space && (std::holds_alternative<StreamFrame>(frame) ||
                             std::holds_alternative<HandshakeDoneFrame>(frame))) {
@@ -385,44 +359,27 @@ void ClientConnection::on_datagram(std::span<const uint8_t> datagram) {
     return;
   }
 
-  // Each piece decodes into the reusable rx_packet_; process_* copies
-  // everything it keeps out of the payload before any send_, so reuse
-  // is safe even when a reply nests inside the send callback. Every
-  // process_* that ends the attempt leaves state_ at kDone, which stops
-  // the walk.
-  size_t offset = 0;
-  while (offset < datagram.size() && state_ != State::kDone) {
-    auto piece = peek_datagram(datagram.subspan(offset));
-    if (!piece) return;
-    const size_t piece_start = offset;
-    const PacketProtector* rx = nullptr;
-    if (piece->long_header && piece->type == PacketType::kInitial)
-      rx = initial_rx_ ? &*initial_rx_ : nullptr;
-    else if (piece->long_header && piece->type == PacketType::kHandshake)
-      rx = handshake_rx_ ? &*handshake_rx_ : nullptr;
-    else if (!piece->long_header)
-      rx = app_rx_ ? &*app_rx_ : nullptr;
-    if (!rx || !rx->unprotect_into(datagram, offset, rx_packet_)) {
-      // Undecryptable: corrupted in flight, or keys for this level are
-      // not available yet (a reordered datagram overtook the flight
-      // carrying them). Count and drop the rest of the datagram -- the
-      // attempt itself continues (PTO / retransmission recovers).
-      ++hotpath_stats_.undecryptable;
-      return;
-    }
+  // An undecryptable piece (corrupted in flight, or overtaking the
+  // flight that carried its keys) is counted and drops the rest of the
+  // datagram; the attempt itself continues, and PTO recovers. Every
+  // piece opens into one reused Packet: process_* copies what it keeps
+  // before any send_, so reuse is safe even when a reply nests inside
+  // the send callback. Every process_* that ends the attempt leaves
+  // state_ at kDone, which stops the walk.
+  spaces_.open_each(datagram, [this](const Packet& packet, size_t size) {
     if (config_.tracer.active())
-      config_.tracer.emit(
-          telemetry::EventType::kPacketReceived,
-          {{"packet_type", packet_type_name(rx_packet_.type)},
-           {"packet_number", rx_packet_.packet_number},
-           {"size", static_cast<uint64_t>(offset - piece_start)}});
-    if (rx_packet_.type == PacketType::kInitial)
-      process_initial(rx_packet_);
-    else if (rx_packet_.type == PacketType::kHandshake)
-      process_handshake(rx_packet_);
+      config_.tracer.emit(telemetry::EventType::kPacketReceived,
+                          {{"packet_type", packet_type_name(packet.type)},
+                           {"packet_number", packet.packet_number},
+                           {"size", static_cast<uint64_t>(size)}});
+    if (packet.type == PacketType::kInitial)
+      process_initial(packet);
+    else if (packet.type == PacketType::kHandshake)
+      process_handshake(packet);
     else
-      process_one_rtt(rx_packet_);
-  }
+      process_one_rtt(packet);
+    return state_ != State::kDone;
+  });
 }
 
 void ClientConnection::process_initial(const Packet& packet) {
@@ -458,12 +415,9 @@ void ClientConnection::process_initial(const Packet& packet) {
     return;
   }
   const tls::KeySchedule& secrets = handshake_->secrets();
-  handshake_tx_.emplace(tls::derive_traffic_keys(
-      secrets.client_handshake_key(), tls::KeyUsage::kQuic));
-  handshake_rx_.emplace(tls::derive_traffic_keys(
-      secrets.server_handshake_key(), tls::KeyUsage::kQuic));
-  handshake_tx_->set_stats(&hotpath_stats_);
-  handshake_rx_->set_stats(&hotpath_stats_);
+  spaces_.install(PacketSpaces::Space::kHandshake,
+                  quic_keys(secrets.client_handshake_key()),
+                  quic_keys(secrets.server_handshake_key()));
   config_.tracer.emit(telemetry::EventType::kKeyUpdate,
                       {{"level", "handshake"}});
   state_ = State::kAwaitServerFinished;
@@ -552,35 +506,28 @@ void ClientConnection::process_handshake(const Packet& packet) {
   }
 
   const tls::KeySchedule& secrets = handshake_->secrets();
-  app_tx_.emplace(tls::derive_traffic_keys(
-      secrets.client_application_secret(), tls::KeyUsage::kQuic));
-  app_rx_.emplace(tls::derive_traffic_keys(
-      secrets.server_application_secret(), tls::KeyUsage::kQuic));
-  app_tx_->set_stats(&hotpath_stats_);
-  app_rx_->set_stats(&hotpath_stats_);
+  spaces_.install(PacketSpaces::Space::kApplication,
+                  quic_keys(secrets.client_application_secret()),
+                  quic_keys(secrets.server_application_secret()));
   config_.tracer.emit(telemetry::EventType::kKeyUpdate,
                       {{"level", "application"}});
 
   // Client flight: Initial ACK + Handshake Finished (+ optional 1-RTT
-  // request), appended into one datagram via protect_into; each packet's
-  // frames are encoded into the reusable scratch Writer.
-  const size_t scratch_cap = frame_scratch_.capacity();
+  // request), coalesced into one datagram.
   std::vector<uint8_t> datagram;
 
-  const Packet& ack_packet = next_packet(PacketType::kInitial);
-  const uint64_t ack_pn = ack_packet.packet_number;
-  frame_scratch_.clear();
+  const uint64_t ack_pn =
+      spaces_.next_header(PacketType::kInitial).packet_number;
   const Frame initial_frames[] = {AckFrame{0, 0, 0, {}}, PingFrame{}};
-  encode_frames_into(frame_scratch_, initial_frames);
-  initial_tx_->protect_into(ack_packet, frame_scratch_.span(), datagram);
+  encode_frames_into(spaces_.frames(), initial_frames);
+  spaces_.seal_into(datagram);
   size_t initial_size = datagram.size();
 
-  const Packet& hs_packet = next_packet(PacketType::kHandshake);
-  frame_scratch_.clear();
+  const Packet& hs_packet = spaces_.next_header(PacketType::kHandshake);
   const Frame hs_frames[] = {CryptoFrame{0, handshake_->client_finished()},
                              AckFrame{0, 0, 0, {}}};
-  encode_frames_into(frame_scratch_, hs_frames);
-  handshake_tx_->protect_into(hs_packet, frame_scratch_.span(), datagram);
+  encode_frames_into(spaces_.frames(), hs_frames);
+  spaces_.seal_into(datagram);
   size_t hs_size = datagram.size() - initial_size;
   if (config_.tracer.active()) {
     config_.tracer.emit(telemetry::EventType::kTlsMessage,
@@ -596,17 +543,16 @@ void ClientConnection::process_handshake(const Packet& packet) {
   }
 
   if (config_.http_request) {
-    const Packet& req = next_packet(PacketType::kOneRtt);
+    const Packet& req = spaces_.next_header(PacketType::kOneRtt);
     StreamFrame stream;
     stream.stream_id = 0;
     stream.fin = true;
     stream.data.assign(config_.http_request->begin(),
                        config_.http_request->end());
     size_t before = datagram.size();
-    frame_scratch_.clear();
     const Frame req_frame = std::move(stream);
-    encode_frames_into(frame_scratch_, {&req_frame, 1});
-    app_tx_->protect_into(req, frame_scratch_.span(), datagram);
+    encode_frames_into(spaces_.frames(), {&req_frame, 1});
+    spaces_.seal_into(datagram);
     if (config_.tracer.active())
       config_.tracer.emit(
           telemetry::EventType::kPacketSent,
@@ -614,8 +560,6 @@ void ClientConnection::process_handshake(const Packet& packet) {
            {"packet_number", req.packet_number},
            {"size", static_cast<uint64_t>(datagram.size() - before)}});
   }
-  if (frame_scratch_.capacity() > scratch_cap)
-    hotpath_stats_.alloc_bytes += frame_scratch_.capacity() - scratch_cap;
   state_ = State::kAwaitHttpResponse;  // before send_: reply may nest
   send_(std::move(datagram));
 }
@@ -642,27 +586,6 @@ void ClientConnection::process_one_rtt(const Packet& packet) {
 ServerConnection::ServerConnection(const DeploymentBehavior& behavior,
                                    crypto::Rng rng, SendFn send)
     : behavior_(behavior), rng_(std::move(rng)), send_(std::move(send)) {}
-
-Packet& ServerConnection::next_packet(PacketType type) {
-  Packet& packet = tx_header_;
-  packet.type = type;
-  packet.version = version_;
-  packet.dcid.assign(client_scid_.begin(), client_scid_.end());
-  packet.scid.assign(scid_.begin(), scid_.end());
-  packet.token.clear();
-  packet.packet_number = type == PacketType::kInitial     ? pn_initial_++
-                         : type == PacketType::kHandshake ? pn_handshake_++
-                                                          : pn_app_++;
-  return packet;
-}
-
-std::vector<uint8_t> ServerConnection::seal_datagram(
-    const PacketProtector& protector, const Packet& header) {
-  std::vector<uint8_t> datagram;
-  datagram.reserve(max_protected_size(header, frame_scratch_.size()));
-  protector.protect_into(header, frame_scratch_.span(), datagram);
-  return datagram;
-}
 
 std::optional<std::vector<Frame>> ServerConnection::read_frames(
     const Packet& packet) {
@@ -694,19 +617,19 @@ void ServerConnection::respond_version_negotiation(const DatagramInfo& info) {
 
 void ServerConnection::send_close(uint64_t error_code,
                                   const std::string& reason) {
-  if (initial_tx_) {
-    const Packet& packet = next_packet(PacketType::kInitial);
-    ConnectionCloseFrame close;
-    close.error_code = error_code;
-    close.reason_phrase = reason;
-    const Frame close_frame = std::move(close);
-    size_t overhead =
-        initial_header_overhead(client_scid_, scid_, reason.size() + 32);
-    frame_scratch_.clear();
-    pad_initial_payload_into({&close_frame, 1}, overhead,
-                             kMinInitialDatagramSize, frame_scratch_);
-    send_(seal_datagram(*initial_tx_, packet));
-  }
+  // Every caller runs after the first Initial installed the keys; the
+  // SCID is still empty when the ClientHello itself is refused.
+  spaces_.set_cids(client_scid_, scid_);
+  spaces_.next_header(PacketType::kInitial);
+  ConnectionCloseFrame close;
+  close.error_code = error_code;
+  close.reason_phrase = reason;
+  const Frame close_frame = std::move(close);
+  size_t overhead =
+      initial_header_overhead(client_scid_, scid_, reason.size() + 32);
+  pad_initial_payload_into({&close_frame, 1}, overhead,
+                           kMinInitialDatagramSize, spaces_.frames());
+  send_(spaces_.seal());
   state_ = State::kClosed;
 }
 
@@ -755,19 +678,17 @@ void ServerConnection::on_datagram(std::span<const uint8_t> datagram) {
     version_ = info->version;
     client_dcid_ = info->dcid;
     client_scid_ = info->scid;
-    const auto initial = derive_initial_secrets(version_, client_dcid_);
-    initial_rx_.emplace(
-        tls::derive_traffic_keys(initial.client, tls::KeyUsage::kQuic));
-    initial_tx_.emplace(
-        tls::derive_traffic_keys(initial.server, tls::KeyUsage::kQuic));
+    spaces_.start(version_, client_dcid_);
     size_t offset = 0;
-    if (!initial_rx_->unprotect_into(datagram, offset, rx_packet_)) {
+    const Packet* opened =
+        spaces_.open(PacketType::kInitial, datagram, offset);
+    if (!opened) {
       // Corrupted-in-flight ClientHello: close this (stateless) session;
       // the owner erases it, so a client retransmission starts fresh.
       state_ = State::kClosed;
       return;
     }
-    const Packet& packet = rx_packet_;
+    const Packet& packet = *opened;
     if (behavior_.require_retry) {
       if (packet.token.empty()) {
         // Stateless Retry: the new CID and token both encode the
@@ -798,38 +719,29 @@ void ServerConnection::on_datagram(std::span<const uint8_t> datagram) {
     return;
   }
 
-  // Post-Initial: walk coalesced packets, decoding each into the
-  // reusable rx_packet_ (process_* copies what it keeps before sending).
-  size_t offset = 0;
-  while (offset < datagram.size() && state_ != State::kClosed) {
-    auto piece = peek_datagram(datagram.subspan(offset));
-    if (!piece) return;
-    bool opened = false;
-    if (piece->long_header && piece->type == PacketType::kInitial &&
-        initial_rx_) {
-      opened = initial_rx_->unprotect_into(datagram, offset, rx_packet_);
+  // Post-Initial: walk the coalesced packets (process_* copies what it
+  // keeps out of the reused Packet before sending).
+  spaces_.open_each(datagram, [this](const Packet& packet, size_t) {
+    if (packet.type == PacketType::kInitial) {
       // A duplicate ClientHello means our flight was lost in transit:
       // retransmit it (server-side PTO behavior). Plain Initial ACKs
       // need no action.
-      if (opened && state_ == State::kAwaitFinished && !last_flight_.empty()) {
+      if (state_ == State::kAwaitFinished && !last_flight_.empty()) {
         try {
-          auto frames = decode_frames(rx_packet_.payload);
+          auto frames = decode_frames(packet.payload);
           if (find_crypto(frames) != nullptr)
             for (const auto& flight_datagram : last_flight_)
               send_(flight_datagram);
         } catch (const wire::DecodeError&) {
         }
       }
-    } else if (piece->long_header && piece->type == PacketType::kHandshake &&
-               handshake_rx_) {
-      opened = handshake_rx_->unprotect_into(datagram, offset, rx_packet_);
-      if (opened) process_client_handshake(rx_packet_);
-    } else if (!piece->long_header && app_rx_) {
-      opened = app_rx_->unprotect_into(datagram, offset, rx_packet_);
-      if (opened) process_client_one_rtt(rx_packet_);
+    } else if (packet.type == PacketType::kHandshake) {
+      process_client_handshake(packet);
+    } else {
+      process_client_one_rtt(packet);
     }
-    if (!opened) return;
-  }
+    return state_ != State::kClosed;
+  });
 }
 
 void ServerConnection::process_client_initial(const Packet& packet) {
@@ -852,6 +764,7 @@ void ServerConnection::process_client_initial(const Packet& packet) {
     return;
   }
   scid_ = rng_.bytes(8);
+  spaces_.set_cids(client_scid_, scid_);
 
   if (behavior_.always_handshake_failure) {
     send_close(crypto_error(static_cast<uint8_t>(
@@ -898,10 +811,9 @@ void ServerConnection::process_client_initial(const Packet& packet) {
   // The transcript hashes the whole CRYPTO data that carried the hello.
   handshake_.emplace(*ch, crypto_frame->data, *share, rng_);
   const tls::KeySchedule& secrets = handshake_->secrets();
-  handshake_tx_.emplace(tls::derive_traffic_keys(
-      secrets.server_handshake_key(), tls::KeyUsage::kQuic));
-  handshake_rx_.emplace(tls::derive_traffic_keys(
-      secrets.client_handshake_key(), tls::KeyUsage::kQuic));
+  spaces_.install(PacketSpaces::Space::kHandshake,
+                  quic_keys(secrets.client_handshake_key()),
+                  quic_keys(secrets.server_handshake_key()));
 
   // EncryptedExtensions with server transport parameters.
   TransportParameters tp = behavior_.transport_params;
@@ -952,21 +864,19 @@ void ServerConnection::process_client_initial(const Packet& packet) {
   ee.push_back(tls::TransportParametersExtension{tp_codepoint(version_),
                                                  std::move(tp_bytes)});
   if (selected_alpn) ee.push_back(tls::AlpnExtension{{*selected_alpn}});
-  if (sni && behavior_.echo_sni) ee.push_back(tls::SniExtension{});
+  if (sni) ee.push_back(tls::SniExtension{});
   std::vector<uint8_t> flight =
       handshake_->flight(std::move(ee), std::move(*cert)).bytes;
-  app_tx_.emplace(tls::derive_traffic_keys(
-      secrets.server_application_secret(), tls::KeyUsage::kQuic));
-  app_rx_.emplace(tls::derive_traffic_keys(
-      secrets.client_application_secret(), tls::KeyUsage::kQuic));
+  spaces_.install(PacketSpaces::Space::kApplication,
+                  quic_keys(secrets.client_application_secret()),
+                  quic_keys(secrets.server_application_secret()));
 
   // Transmit: Initial(ACK + SH), then EE..Fin as CRYPTO chunks of at
   // most max_crypto_chunk bytes (the whole flight when 0), one Handshake
   // packet each. An unsplit flight's packet rides in the Initial's
   // datagram; otherwise every packet is its own datagram, so the fault
   // fabric can reorder or drop them independently.
-  const Packet& init = next_packet(PacketType::kInitial);
-  frame_scratch_.clear();
+  const Packet& init = spaces_.next_header(PacketType::kInitial);
   // Bad-ACK mutation: acknowledge a range reaching past packet number
   // zero (first_ack_range > largest), which no honest peer can produce.
   const uint64_t first_ack_range =
@@ -974,7 +884,8 @@ void ServerConnection::process_client_initial(const Packet& packet) {
   const Frame init_frames[] = {
       AckFrame{packet.packet_number, 0, first_ack_range, {}},
       CryptoFrame{0, handshake_->server_hello()}};
-  encode_frames_into(frame_scratch_, init_frames);
+  wire::Writer& payload = spaces_.frames();
+  encode_frames_into(payload, init_frames);
   // Frame-level mutations ride in the Initial payload: a well-formed
   // STREAM frame (illegal in that space, RFC 9000 section 12.4) and a
   // raw unknown frame type past everything a scanner decodes.
@@ -982,19 +893,16 @@ void ServerConnection::process_client_initial(const Packet& packet) {
     StreamFrame rogue;
     rogue.stream_id = 3;
     rogue.data = {0xde, 0xad};
-    encode_frame(frame_scratch_, Frame{std::move(rogue)});
+    encode_frame(payload, Frame{std::move(rogue)});
   }
-  if (plan.frame_unknown) frame_scratch_.varint(0x21);
+  if (plan.frame_unknown) payload.varint(0x21);
   // An unsplit flight's Handshake packet rides in this datagram: size
   // it for both.
   const bool flight_rides = behavior_.max_crypto_chunk == 0 &&
                             !plan.crypto_overlap_conflict &&
                             !plan.stall_after_hello;
-  std::vector<uint8_t> datagram;
-  datagram.reserve(
-      max_protected_size(init, frame_scratch_.size()) +
-      (flight_rides ? max_protected_size(init, flight.size() + 16) : 0));
-  initial_tx_->protect_into(init, frame_scratch_.span(), datagram);
+  std::vector<uint8_t> datagram = spaces_.seal(
+      flight_rides ? max_protected_size(init, flight.size() + 16) : 0);
 
   if (plan.stall_after_hello) {
     // Mid-handshake stall: the ServerHello goes out, the EE..Finished
@@ -1012,8 +920,18 @@ void ServerConnection::process_client_initial(const Packet& packet) {
                   std::min(plan.crypto_truncate, flight.size() - 1));
   }
   state_ = State::kAwaitFinished;  // before send_: replies may nest
-  if (behavior_.max_crypto_chunk > 0 || plan.crypto_overlap_conflict)
+  if (!flight_rides) send_flight(std::exchange(datagram, {}));
+  // Sends `crypto` at `offset` in one Handshake packet: in the datagram
+  // that holds the Initial when the flight rides in it, else on its own.
+  auto send_crypto = [&](uint64_t offset, std::span<const uint8_t> crypto) {
+    spaces_.next_header(PacketType::kHandshake);
+    encode_crypto_frame(spaces_.frames(), offset, crypto);
+    if (datagram.empty())
+      datagram = spaces_.seal();
+    else
+      spaces_.seal_into(datagram);
     send_flight(std::exchange(datagram, {}));
+  };
   if (plan.crypto_overlap_conflict && flight.size() > 2) {
     // Conflicting overlap: a prefix of the flight with its last byte
     // flipped, sent before the true bytes. Whichever order the fabric
@@ -1023,30 +941,16 @@ void ServerConnection::process_client_initial(const Packet& packet) {
     std::vector<uint8_t> lie(
         flight.begin(), flight.begin() + static_cast<ptrdiff_t>(prefix_len));
     lie.back() ^= 0x01;
-    append_handshake_packet(0, lie, datagram);
-    send_flight(std::exchange(datagram, {}));
+    send_crypto(0, lie);
   }
   const size_t chunk_limit = behavior_.max_crypto_chunk > 0
                                  ? behavior_.max_crypto_chunk
                                  : flight.size();
   for (size_t offset = 0; offset < flight.size();) {
     const size_t len = std::min(chunk_limit, flight.size() - offset);
-    append_handshake_packet(offset, std::span(flight).subspan(offset, len),
-                            datagram);
-    send_flight(std::exchange(datagram, {}));
+    send_crypto(offset, std::span(flight).subspan(offset, len));
     offset += len;
   }
-}
-
-void ServerConnection::append_handshake_packet(
-    uint64_t offset, std::span<const uint8_t> crypto,
-    std::vector<uint8_t>& datagram) {
-  const Packet& packet = next_packet(PacketType::kHandshake);
-  frame_scratch_.clear();
-  encode_crypto_frame(frame_scratch_, offset, crypto);
-  datagram.reserve(datagram.size() +
-                   max_protected_size(packet, frame_scratch_.size()));
-  handshake_tx_->protect_into(packet, frame_scratch_.span(), datagram);
 }
 
 void ServerConnection::send_flight(std::vector<uint8_t> datagram) {
@@ -1079,10 +983,9 @@ void ServerConnection::process_client_handshake(const Packet& packet) {
   state_ = State::kEstablished;  // before send_: request may nest
 
   // Handshake confirmed: HANDSHAKE_DONE in 1-RTT.
-  const Packet& done = next_packet(PacketType::kOneRtt);
-  frame_scratch_.clear();
-  encode_frame(frame_scratch_, HandshakeDoneFrame{});
-  send_(seal_datagram(*app_tx_, done));
+  spaces_.next_header(PacketType::kOneRtt);
+  encode_frame(spaces_.frames(), HandshakeDoneFrame{});
+  send_(spaces_.seal());
 
   const AdversaryPlan& plan = behavior_.adversary;
   if (plan.garbage_datagrams > 0) {
@@ -1110,16 +1013,15 @@ void ServerConnection::process_client_one_rtt(const Packet& packet) {
   std::string request(stream->data.begin(), stream->data.end());
   std::string response = behavior_.http_responder(request);
 
-  const Packet& resp = next_packet(PacketType::kOneRtt);
+  spaces_.next_header(PacketType::kOneRtt);
   Frame reply(std::in_place_type<StreamFrame>);
   auto& out = std::get<StreamFrame>(reply);
   out.stream_id = stream->stream_id;
   out.fin = true;
   out.data.assign(response.begin(), response.end());
-  frame_scratch_.clear();
-  encode_frame(frame_scratch_, HandshakeDoneFrame{});
-  encode_frame(frame_scratch_, reply);
-  send_(seal_datagram(*app_tx_, resp));
+  encode_frame(spaces_.frames(), HandshakeDoneFrame{});
+  encode_frame(spaces_.frames(), reply);
+  send_(spaces_.seal());
 }
 
 }  // namespace quic

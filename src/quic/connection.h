@@ -106,6 +106,9 @@ class ClientConnection {
 
   ClientConnection(ClientConfig config, crypto::Rng rng, SendFn send,
                    DoneFn done);
+  // spaces_ reports to this object's hotpath_stats_, so no copies.
+  ClientConnection(const ClientConnection&) = delete;
+  ClientConnection& operator=(const ClientConnection&) = delete;
 
   /// Sends the first Initial packet.
   void start();
@@ -130,10 +133,6 @@ class ClientConnection {
 
  private:
   void send_initial_flight();
-  /// The header for the next packet of `type`, numbered in its space,
-  /// without a token. It is one reused Packet whose CID buffers keep
-  /// their capacity, so the next call overwrites it.
-  Packet& next_packet(PacketType type);
   void process_version_negotiation(const VersionNegotiationPacket& vn);
   void process_initial(const Packet& packet);
   void process_handshake(const Packet& packet);
@@ -158,16 +157,16 @@ class ClientConnection {
   ClientReport report_;
 
   ConnectionId dcid_;  // initial destination CID (random)
-  ConnectionId scid_;
   std::optional<ConnectionId> retry_dcid_;  // from a Retry's SCID
   std::vector<uint8_t> retry_token_;
   std::vector<uint8_t> last_initial_datagram_;  // for PTO retransmission
   std::optional<tls::ClientHandshake> handshake_;
-  Packet tx_header_;  // see next_packet()
 
-  std::optional<PacketProtector> initial_tx_, initial_rx_;
-  std::optional<PacketProtector> handshake_tx_, handshake_rx_;
-  std::optional<PacketProtector> app_tx_, app_rx_;
+  // Keys, packet numbers and the reused packet buffers of the three
+  // spaces; they report their buffer growth, AEAD context reuse and
+  // undecryptable packets to hotpath_stats_.
+  HotpathStats hotpath_stats_;
+  PacketSpaces spaces_{/*is_server=*/false, &hotpath_stats_};
 
   enum class State {
     kIdle,
@@ -176,19 +175,10 @@ class ClientConnection {
     kAwaitHttpResponse,
     kDone,
   } state_ = State::kIdle;
-  uint64_t pn_initial_ = 0, pn_handshake_ = 0, pn_app_ = 0;
   // Handshake-level CRYPTO reassembly: tolerates out-of-order,
   // duplicated and overlapping frames (the fault fabric produces all
   // three; RFC 9000 section 19.6 requires tolerating them anyway).
   CryptoAssembler handshake_crypto_;
-
-  // Hot-path scratch, reused across every packet of the attempt: frame
-  // encoding writes into frame_scratch_ (cleared, capacity kept) and
-  // unprotect decodes into rx_packet_'s buffers. Steady-state packets
-  // therefore allocate nothing beyond the datagram handed to send_.
-  HotpathStats hotpath_stats_;
-  wire::Writer frame_scratch_;
-  Packet rx_packet_;
 };
 
 /// --- Server side -----------------------------------------------------
@@ -276,9 +266,6 @@ struct DeploymentBehavior {
   std::function<std::optional<tls::Certificate>(
       const std::optional<std::string>& sni)>
       select_certificate;
-  /// Echo the SNI extension in EncryptedExtensions when used.
-  bool echo_sni = true;
-
   /// Implementation-specific alert wording (the paper fingerprints
   /// implementations by these strings, section 5).
   std::string handshake_failure_reason = "handshake failure";
@@ -314,21 +301,10 @@ class ServerConnection {
   bool closed() const { return state_ == State::kClosed; }
 
  private:
-  /// The header for the next packet of `type` (see ClientConnection's).
-  Packet& next_packet(PacketType type);
-  /// Protects the frames in frame_scratch_ as one packet with `header`
-  /// into a datagram buffer sized once.
-  std::vector<uint8_t> seal_datagram(const PacketProtector& protector,
-                                     const Packet& header);
   /// Decodes a client packet's frames; a malformed payload closes the
   /// session (nullopt).
   std::optional<std::vector<Frame>> read_frames(const Packet& packet);
   void process_client_initial(const Packet& packet);
-  /// Appends to `datagram` one Handshake packet carrying `crypto` as a
-  /// CRYPTO frame at `offset`.
-  void append_handshake_packet(uint64_t offset,
-                               std::span<const uint8_t> crypto,
-                               std::vector<uint8_t>& datagram);
   /// Records `datagram` as part of the flight and sends it.
   void send_flight(std::vector<uint8_t> datagram);
   void process_client_handshake(const Packet& packet);
@@ -347,21 +323,13 @@ class ServerConnection {
   ConnectionId retry_scid_;     // CID our Retry instructed the client to use
   Version version_ = 0;
   std::optional<tls::ServerHandshake> handshake_;
-  Packet tx_header_;  // see next_packet()
-  std::optional<PacketProtector> initial_tx_, initial_rx_;
-  std::optional<PacketProtector> handshake_tx_, handshake_rx_;
-  std::optional<PacketProtector> app_tx_, app_rx_;
+  PacketSpaces spaces_{/*is_server=*/true};
 
   enum class State { kAwaitInitial, kAwaitFinished, kEstablished, kClosed };
   State state_ = State::kAwaitInitial;
   // Server flight for retransmission: one datagram when coalesced,
   // several when max_crypto_chunk splits the CRYPTO stream.
   std::vector<std::vector<uint8_t>> last_flight_;
-  uint64_t pn_initial_ = 0, pn_handshake_ = 0, pn_app_ = 0;
-
-  // Reused across every packet of the session, like the client's.
-  wire::Writer frame_scratch_;
-  Packet rx_packet_;
 };
 
 }  // namespace quic

@@ -355,6 +355,89 @@ std::optional<Packet> PacketProtector::unprotect(
   return packet;
 }
 
+PacketSpaces::PacketSpaces(bool is_server, HotpathStats* stats)
+    : is_server_(is_server), stats_(stats) {}
+
+std::optional<PacketSpaces::Space> PacketSpaces::space_of(PacketType type) {
+  switch (type) {
+    case PacketType::kInitial: return Space::kInitial;
+    case PacketType::kHandshake: return Space::kHandshake;
+    case PacketType::kOneRtt: return Space::kApplication;
+    default: return std::nullopt;
+  }
+}
+
+void PacketSpaces::start(Version version,
+                         std::span<const uint8_t> client_dcid) {
+  for (SpaceState& k : spaces_) {
+    k.tx.reset();
+    k.rx.reset();
+    k.next_pn = 0;
+  }
+  tx_header_.version = version;
+  const InitialSecrets initial = derive_initial_secrets(version, client_dcid);
+  install(Space::kInitial,
+          tls::derive_traffic_keys(initial.client, tls::KeyUsage::kQuic),
+          tls::derive_traffic_keys(initial.server, tls::KeyUsage::kQuic));
+}
+
+void PacketSpaces::install(Space space, const tls::TrafficKeys& client,
+                           const tls::TrafficKeys& server) {
+  SpaceState& k = state(space);
+  k.tx.emplace(is_server_ ? server : client);
+  k.rx.emplace(is_server_ ? client : server);
+  k.tx->set_stats(stats_);
+  k.rx->set_stats(stats_);
+}
+
+void PacketSpaces::set_cids(std::span<const uint8_t> dcid,
+                            std::span<const uint8_t> scid) {
+  tx_header_.dcid.assign(dcid.begin(), dcid.end());
+  tx_header_.scid.assign(scid.begin(), scid.end());
+}
+
+Packet& PacketSpaces::next_header(PacketType type) {
+  const auto space = space_of(type);
+  if (!space) throw std::logic_error("packet type has no packet-number space");
+  tx_header_.type = type;
+  tx_header_.token.clear();
+  tx_header_.packet_number = state(*space).next_pn++;
+  frames_.clear();
+  return tx_header_;
+}
+
+uint64_t PacketSpaces::next_number(PacketType type) const {
+  return spaces_[static_cast<size_t>(space_of(type).value())].next_pn;
+}
+
+void PacketSpaces::seal_into(std::vector<uint8_t>& datagram) {
+  const SpaceState& k = state(*space_of(tx_header_.type));
+  if (!k.tx) throw std::logic_error("no keys to seal this packet with");
+  if (stats_ && frames_.capacity() > frames_counted_) {
+    stats_->alloc_bytes += frames_.capacity() - frames_counted_;
+    frames_counted_ = frames_.capacity();
+  }
+  k.tx->protect_into(tx_header_, frames_.span(), datagram);
+}
+
+std::vector<uint8_t> PacketSpaces::seal(size_t room) {
+  std::vector<uint8_t> datagram;
+  datagram.reserve(max_protected_size(tx_header_, frames_.size()) + room);
+  seal_into(datagram);
+  return datagram;
+}
+
+const Packet* PacketSpaces::open(PacketType type,
+                                 std::span<const uint8_t> datagram,
+                                 size_t& offset) {
+  const auto space = space_of(type);
+  const SpaceState* k = space ? &state(*space) : nullptr;
+  if (k && k->rx && k->rx->unprotect_into(datagram, offset, rx_packet_))
+    return &rx_packet_;
+  if (stats_) ++stats_->undecryptable;
+  return nullptr;
+}
+
 namespace {
 
 // RFC 9001 section 5.8 Retry integrity keys and nonces (v1 /

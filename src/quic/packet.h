@@ -1,8 +1,10 @@
 // QUIC packet layer: long/short header codec (RFC 9000 section 17),
-// Version Negotiation packets, and packet protection (RFC 9001
-// section 5) including version-specific Initial salts and AES-based
-// header protection. Coalesced datagrams (Initial + Handshake in one
-// UDP payload) are supported by the incremental unprotect API.
+// Version Negotiation packets, packet protection (RFC 9001 section 5)
+// including version-specific Initial salts and AES-based header
+// protection, and PacketSpaces, the one endpoint-side owner of the
+// packet-number spaces that both QUIC endpoints build on. Coalesced
+// datagrams (Initial + Handshake in one UDP payload) are supported by
+// the incremental unprotect API.
 #pragma once
 
 #include <array>
@@ -166,6 +168,98 @@ class PacketProtector {
 size_t max_protected_size(const Packet& packet, size_t payload_size);
 
 inline constexpr size_t kMinInitialDatagramSize = 1200;  // RFC 9000 s. 14.1
+
+/// --- Packet-number spaces -------------------------------------------------
+
+/// One endpoint's three packet-number spaces (RFC 9000 section 12.3):
+/// for Initial, Handshake and application data, the keys that seal and
+/// open the space's packets (RFC 9001 section 4) and the number its next
+/// packet gets. It also owns the endpoint's reused packet buffers -- one
+/// tx header, one rx Packet and the frame scratch a payload is encoded
+/// into -- so steady-state packets allocate nothing beyond their
+/// datagrams.
+class PacketSpaces {
+ public:
+  enum class Space : uint8_t { kInitial, kHandshake, kApplication };
+
+  /// `is_server` picks which side's keys install() seals with. With
+  /// `stats`, every protector installed reports to it, and so do the
+  /// frame scratch's growth and every packet open() cannot open.
+  explicit PacketSpaces(bool is_server, HotpathStats* stats = nullptr);
+
+  /// (Re)starts the connection at `version`: Initial keys derived from
+  /// the client's DCID (RFC 9001 section 5.2), no keys in the other
+  /// spaces, and every space numbering from 0 again.
+  void start(Version version, std::span<const uint8_t> client_dcid);
+  /// Installs `space`'s keys from the client's and the server's traffic
+  /// keys: this endpoint seals with its own side's and opens with its
+  /// peer's.
+  void install(Space space, const tls::TrafficKeys& client,
+               const tls::TrafficKeys& server);
+  /// The connection IDs every header handed out carries.
+  void set_cids(std::span<const uint8_t> dcid, std::span<const uint8_t> scid);
+
+  /// Begins the next packet of `type`: its header, numbered in its space
+  /// and without a token, and an empty frames() for its payload. The
+  /// header is one reused Packet that the next call overwrites.
+  Packet& next_header(PacketType type);
+  /// The number the next packet of `type`'s space gets; an ACK in that
+  /// space can only acknowledge packets below it.
+  uint64_t next_number(PacketType type) const;
+  /// The payload of the packet begun by next_header().
+  wire::Writer& frames() { return frames_; }
+  /// Seals frames() as the packet begun by next_header(), with its
+  /// space's keys, and appends it to `datagram`; append again to
+  /// coalesce.
+  void seal_into(std::vector<uint8_t>& datagram);
+  /// The same into a new datagram sized once, with `room` bytes to spare
+  /// for packets coalesced after it.
+  std::vector<uint8_t> seal(size_t room = 0);
+
+  /// Opens the packet at `offset` of `datagram` with the keys of
+  /// `type`'s space and advances `offset` past it. nullptr, counted as
+  /// undecryptable, when that space has no keys yet or the packet does
+  /// not open (corrupted, or overtaking the flight that carried the
+  /// keys). The Packet is reused by the next open.
+  const Packet* open(PacketType type, std::span<const uint8_t> datagram,
+                     size_t& offset);
+  /// Walks `datagram`'s coalesced packets in order (RFC 9000 section
+  /// 12.2), opening each with its own space's keys and handing it to
+  /// `on_packet(packet, size)` while that returns true. The walk ends at
+  /// a piece that does not parse or does not open.
+  template <typename OnPacket>
+  void open_each(std::span<const uint8_t> datagram, OnPacket&& on_packet) {
+    size_t offset = 0;
+    while (offset < datagram.size()) {
+      const auto piece = peek_datagram(datagram.subspan(offset));
+      if (!piece) return;
+      const size_t start = offset;
+      const Packet* packet = open(piece->type, datagram, offset);
+      if (!packet || !on_packet(*packet, offset - start)) return;
+    }
+  }
+
+ private:
+  struct SpaceState {
+    std::optional<PacketProtector> tx, rx;
+    uint64_t next_pn = 0;
+  };
+  /// The space of `type`'s packets: none for Retry and Version
+  /// Negotiation, and none for 0-RTT, whose keys no endpoint here
+  /// derives.
+  static std::optional<Space> space_of(PacketType type);
+  SpaceState& state(Space space) {
+    return spaces_[static_cast<size_t>(space)];
+  }
+
+  bool is_server_;
+  HotpathStats* stats_;
+  std::array<SpaceState, 3> spaces_;
+  Packet tx_header_;
+  Packet rx_packet_;
+  wire::Writer frames_;
+  size_t frames_counted_ = 0;  // frames_ capacity already in stats_
+};
 
 /// --- Retry packets (RFC 9000 section 17.2.5, RFC 9001 section 5.8) ---
 

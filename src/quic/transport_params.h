@@ -39,11 +39,8 @@ enum class TransportParamId : uint64_t {
   kVersionInformation = 0x11,
 };
 
-/// RFC 9000 defaults for the integer parameters (section 18.2).
+/// The RFC 9000 default of max_udp_payload_size (section 18.2).
 inline constexpr uint64_t kDefaultMaxUdpPayloadSize = 65527;
-inline constexpr uint64_t kDefaultAckDelayExponent = 3;
-inline constexpr uint64_t kDefaultMaxAckDelay = 25;
-inline constexpr uint64_t kDefaultActiveConnectionIdLimit = 2;
 
 struct TransportParameters {
   // Integer parameters; unset means "absent on the wire" (defaults apply).
@@ -82,19 +79,9 @@ struct TransportParameters {
 
   bool operator==(const TransportParameters&) const = default;
 
-  /// Effective value helpers applying RFC 9000 defaults.
+  /// max_udp_payload_size with the RFC 9000 default applied.
   uint64_t effective_max_udp_payload_size() const {
     return max_udp_payload_size.value_or(kDefaultMaxUdpPayloadSize);
-  }
-  uint64_t effective_ack_delay_exponent() const {
-    return ack_delay_exponent.value_or(kDefaultAckDelayExponent);
-  }
-  uint64_t effective_max_ack_delay() const {
-    return max_ack_delay.value_or(kDefaultMaxAckDelay);
-  }
-  uint64_t effective_active_connection_id_limit() const {
-    return active_connection_id_limit.value_or(
-        kDefaultActiveConnectionIdLimit);
   }
 
   /// The configuration-specific parameters in a fixed order: eleven

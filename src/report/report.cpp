@@ -44,7 +44,7 @@ const internet::AsRegistry& registry_or_default(
     const RenderOptions& options) {
   if (options.as_registry) return *options.as_registry;
   static const internet::AsRegistry standard =
-      internet::campaign_as_registry(240);
+      internet::campaign_as_registry();
   return standard;
 }
 

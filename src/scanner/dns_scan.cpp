@@ -4,14 +4,15 @@ namespace scanner {
 
 DnsScanner::DnsScanner(const dns::ZoneStore& zones,
                        telemetry::MetricsRegistry* metrics,
-                       telemetry::Tracer tracer, RetryPolicy retry)
-    : zones_(zones), retry_(retry), tracer_(tracer) {
+                       telemetry::Tracer tracer)
+    : zones_(zones), tracer_(tracer) {
   metric_domains_ = telemetry::maybe_counter(metrics, "dns.domains_resolved");
   metric_queries_ = telemetry::maybe_counter(metrics, "dns.queries_sent");
   metric_https_rr_ = telemetry::maybe_counter(metrics, "dns.with_https_rr");
   metric_a_ = telemetry::maybe_counter(metrics, "dns.with_a");
   metric_aaaa_ = telemetry::maybe_counter(metrics, "dns.with_aaaa");
-  metric_requeries_ = telemetry::maybe_counter(metrics, "dns.requeries");
+  // Registered so every DNS campaign's metrics keep the key; it stays 0.
+  telemetry::maybe_counter(metrics, "dns.requeries");
 }
 
 DnsListScan DnsScanner::scan_list(const std::string& list_name,
@@ -28,19 +29,6 @@ DnsListScan DnsScanner::scan_list(const std::string& list_name,
     auto record = resolver.resolve_one(domain);
     ++scan.domains_resolved;
     telemetry::add(metric_domains_);
-    // Empty answers are re-queued under the retry budget, like MassDNS
-    // re-queues unanswered names. The zone store is deterministic so a
-    // re-query can only change the answer when a previous lookup was
-    // dropped; the budget exists so a flaky resolver path cannot
-    // silently shrink the input of the downstream scanners.
-    for (int attempt = 1;
-         attempt < retry_.max_attempts && record.a.empty() &&
-         record.aaaa.empty() && !record.has_https_rr();
-         ++attempt) {
-      ++requeries_;
-      telemetry::add(metric_requeries_);
-      record = resolver.resolve_one(domain);
-    }
     if (!record.a.empty()) {
       ++scan.with_a;
       telemetry::add(metric_a_);

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "dns/resolver.h"
-#include "scanner/resilience.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -35,32 +34,27 @@ struct DnsListScan {
 class DnsScanner {
  public:
   /// Telemetry is optional: a null registry / inactive tracer reduces
-  /// every hook to a single pointer check.
+  /// every hook to a single pointer check. Every lookup is answered from
+  /// the zone store, deterministically and without loss, so an empty
+  /// answer is final: nothing is re-queried.
   explicit DnsScanner(const dns::ZoneStore& zones,
                       telemetry::MetricsRegistry* metrics = nullptr,
-                      telemetry::Tracer tracer = {},
-                      RetryPolicy retry = {});
+                      telemetry::Tracer tracer = {});
 
   DnsListScan scan_list(const std::string& list_name,
                         std::span<const std::string> domains);
 
   uint64_t queries_sent() const { return queries_sent_; }
-  uint64_t requeries() const { return requeries_; }
 
  private:
   const dns::ZoneStore& zones_;
-  RetryPolicy retry_;
   uint64_t queries_sent_ = 0;
-  /// Empty-answer domains re-queried under the retry budget (MassDNS
-  /// re-queues unanswered names the same way).
-  uint64_t requeries_ = 0;
   telemetry::Tracer tracer_;
   telemetry::Counter* metric_domains_ = nullptr;
   telemetry::Counter* metric_queries_ = nullptr;
   telemetry::Counter* metric_https_rr_ = nullptr;
   telemetry::Counter* metric_a_ = nullptr;
   telemetry::Counter* metric_aaaa_ = nullptr;
-  telemetry::Counter* metric_requeries_ = nullptr;
 };
 
 }  // namespace scanner

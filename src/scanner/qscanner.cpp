@@ -4,7 +4,6 @@
 
 #include "http/alpn.h"
 #include "http/h3.h"
-#include "http/message.h"
 
 namespace scanner {
 
@@ -130,8 +129,7 @@ QscanResult QScanner::attempt_once(const QscanTarget& target) {
     if (target.sni) label += "_" + *target.sni;
     trace_sink = options_.trace_factory(label);
   }
-  telemetry::Tracer tracer(trace_sink.get(), &loop,
-                           telemetry::Vantage::kClient);
+  telemetry::Tracer tracer(trace_sink.get(), &loop);
 
   const uint64_t start_us = loop.now_us();
   const uint64_t start_datagrams = network_.datagrams_sent();
@@ -260,13 +258,7 @@ QscanResult QScanner::attempt_once(const QscanTarget& target) {
     const auto& raw = *result.report.http_response;
     std::span<const uint8_t> bytes{
         reinterpret_cast<const uint8_t*>(raw.data()), raw.size()};
-    if (http::h3::looks_like_h3(bytes)) {
-      if (auto response = http::h3::decode_response(bytes)) {
-        result.http_ok = response->status >= 200 && response->status < 400;
-        result.server_header = response->headers.get("server");
-      }
-    } else if (auto response = http::Response::parse(raw)) {
-      // Legacy deployments answering HTTP/1 text over the stream.
+    if (auto response = http::h3::decode_response(bytes)) {
       result.http_ok = response->status >= 200 && response->status < 400;
       result.server_header = response->headers.get("server");
     }

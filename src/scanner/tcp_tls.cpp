@@ -49,8 +49,7 @@ TcpTlsResult TcpTlsScanner::attempt_once(const TcpTarget& target) {
     if (target.sni) label += "_" + *target.sni;
     trace_sink = options_.trace_factory(label);
   }
-  telemetry::Tracer tracer(trace_sink.get(), &network_.loop(),
-                           telemetry::Vantage::kClient);
+  telemetry::Tracer tracer(trace_sink.get(), &network_.loop());
 
   auto connection =
       network_.tcp_connect({source, port}, {target.address, 443});

@@ -18,6 +18,10 @@ constexpr size_t kScidOffset = kDcidOffset + kCidLength + 1;
 // Virtual time each sweep round waits for late responses.
 constexpr uint64_t kResponseWindowUs = 2'000'000;
 
+// The sweep's one source address, 192.0.2.1 (RFC 5737 documentation
+// space).
+const netsim::IpAddress kSourceV4 = netsim::IpAddress::v4(0xc0000201);
+
 }  // namespace
 
 ZmapQuicScanner::ZmapQuicScanner(netsim::Network& network, ZmapOptions options)
@@ -65,11 +69,10 @@ std::vector<ZmapHit> ZmapQuicScanner::scan(
   telemetry::add(metric_blocked_, stats_.blocked);
 
   auto& loop = network_.loop();
-  auto socket = network_.open_udp({options_.source, 50000});
+  auto socket = network_.open_udp({kSourceV4, 50000});
   std::map<netsim::IpAddress, std::vector<quic::Version>> hits;
 
-  telemetry::Tracer tracer(options_.trace_sink, &loop,
-                           telemetry::Vantage::kClient);
+  telemetry::Tracer tracer(options_.trace_sink, &loop);
 
   socket->set_receiver([&](const netsim::Endpoint& from,
                            std::span<const uint8_t> data) {

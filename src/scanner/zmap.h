@@ -24,7 +24,6 @@ struct ZmapOptions {
   /// off and observes the response rate collapse).
   bool pad_to_1200 = true;
   uint64_t packets_per_second = 15'000;
-  netsim::IpAddress source = netsim::IpAddress::v4(0xc0000201);  // 192.0.2.1
   Blocklist blocklist;
   /// Seed for probe connection-ID entropy (previously hard-coded).
   uint64_t seed = 0x2a9a;

@@ -135,10 +135,6 @@ inline Counter* maybe_counter(MetricsRegistry* registry,
                               const std::string& name) {
   return registry ? &registry->counter(name) : nullptr;
 }
-inline Gauge* maybe_gauge(MetricsRegistry* registry,
-                          const std::string& name) {
-  return registry ? &registry->gauge(name) : nullptr;
-}
 inline Histogram* maybe_histogram(MetricsRegistry* registry,
                                   const std::string& name,
                                   std::vector<uint64_t> bounds) {

@@ -24,10 +24,6 @@ const char* event_name(EventType type) {
   return "?";
 }
 
-const char* vantage_name(Vantage vantage) {
-  return vantage == Vantage::kClient ? "client" : "server";
-}
-
 const Value* TraceEvent::find(const std::string& key) const {
   for (const auto& [k, v] : data)
     if (k == key) return &v;
@@ -77,9 +73,9 @@ void write_value(std::ostream& out, const Value& value) {
 }  // namespace
 
 void write_json_line(std::ostream& out, const TraceEvent& event) {
-  out << "{\"time\":" << event.time_us << ",\"vantage\":\""
-      << vantage_name(event.vantage) << "\",\"name\":\""
-      << event_name(event.type) << "\",\"data\":{";
+  out << "{\"time\":" << event.time_us
+      << ",\"vantage\":\"client\",\"name\":\"" << event_name(event.type)
+      << "\",\"data\":{";
   bool first = true;
   for (const auto& [key, value] : event.data) {
     if (!first) out << ',';
@@ -95,7 +91,6 @@ void Tracer::emit(EventType type, std::initializer_list<Field> fields) const {
   TraceEvent event;
   event.time_us = clock_ ? clock_->now_us() : 0;
   event.type = type;
-  event.vantage = vantage_;
   event.data.reserve(fields.size());
   for (const auto& field : fields)
     event.data.emplace_back(field.key, field.value);

@@ -48,11 +48,6 @@ enum class EventType {
 
 const char* event_name(EventType type);
 
-/// Which side of the connection emitted the event.
-enum class Vantage { kClient, kServer };
-
-const char* vantage_name(Vantage vantage);
-
 /// A tagged scalar: enough structure for qlog-style data members
 /// without dragging in a JSON library.
 struct Value {
@@ -80,7 +75,6 @@ struct Field {
 struct TraceEvent {
   uint64_t time_us = 0;
   EventType type = EventType::kPacketSent;
-  Vantage vantage = Vantage::kClient;
   std::vector<std::pair<std::string, Value>> data;
 
   /// Field lookup for tests/tools; nullptr when absent.
@@ -104,14 +98,14 @@ void write_json_line(std::ostream& out, const TraceEvent& event);
 std::string json_escape(const std::string& value);
 
 /// The per-connection tracing handle. Copyable, two pointers wide.
+/// Every trace is written from the client's (the scanner's) vantage.
 /// Inactive (default-constructed) tracers cost one branch per emit;
 /// hot paths with non-trivial field construction should guard with
 /// active() so field evaluation is skipped too.
 class Tracer {
  public:
   Tracer() = default;
-  Tracer(TraceSink* sink, const Clock* clock, Vantage vantage)
-      : sink_(sink), clock_(clock), vantage_(vantage) {}
+  Tracer(TraceSink* sink, const Clock* clock) : sink_(sink), clock_(clock) {}
 
   bool active() const { return sink_ != nullptr; }
 
@@ -121,7 +115,6 @@ class Tracer {
  private:
   TraceSink* sink_ = nullptr;
   const Clock* clock_ = nullptr;
-  Vantage vantage_ = Vantage::kClient;
 };
 
 /// In-memory sink for tests and tools.

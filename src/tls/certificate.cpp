@@ -95,9 +95,4 @@ void sign_certificate(Certificate& cert, std::span<const uint8_t> issuer_key) {
   cert.signature.assign(mac.begin(), mac.end());
 }
 
-bool verify_certificate(const Certificate& cert,
-                        std::span<const uint8_t> issuer_key) {
-  return std::ranges::equal(cert.signature, tbs_mac(cert, issuer_key));
-}
-
 }  // namespace tls

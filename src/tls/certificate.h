@@ -48,10 +48,6 @@ struct Certificate {
 /// Fills in `signature` with HMAC(issuer_key, to-be-signed bytes).
 void sign_certificate(Certificate& cert, std::span<const uint8_t> issuer_key);
 
-/// Verifies `signature` against the issuer key.
-bool verify_certificate(const Certificate& cert,
-                        std::span<const uint8_t> issuer_key);
-
 /// True when `pattern` ("*.example.com" or exact) matches `host`.
 bool wildcard_match(std::string_view pattern, std::string_view host);
 

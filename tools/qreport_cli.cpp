@@ -7,7 +7,6 @@
 //   qreport_cli [--csv FILE]... [--zmap-csv FILE]...
 //               [--dns-csv FILE]... [--dns-list NAME]
 //               [--out DIR] [--baseline OLD.json] [--diff-all]
-//               [--tail-as N]   (N in [0, 16384])
 //
 // --csv replays a qscanner CSV (the 10-column row set qscanner_cli
 // prints); --zmap-csv replays a zmap_quic_cli --csv responder list
@@ -16,10 +15,9 @@
 // campaign files into one report. --out writes DIR/report.{json,md};
 // --baseline renders the weekly drift between OLD.json and the report
 // just built (to stdout; --diff-all includes unchanged metrics).
-// --tail-as must match the population's tail_as_count (default 240)
-// so offline AS attribution reproduces the in-engine report exactly;
-// the synthetic tail carves 100.64.0.0/10 into /24s, so 16384 is all
-// that block holds.
+// AS attribution goes through the same registry as every campaign
+// population (internet::campaign_as_registry), so it reproduces the
+// in-engine report exactly.
 //
 // Replay is partition-independent: because the scan CLIs' merged CSV
 // is byte-identical across --jobs and --chunk-size values (see
@@ -96,17 +94,12 @@ std::vector<std::string> split_space(const std::string& text) {
   return out;
 }
 
-// All of 100.64.0.0/10 in /24s: the most tail ASes the synthetic
-// population can carve (see internet::AsRegistry::standard).
-constexpr uint64_t kMaxTailAs = 16384;
-
 int run(int argc, char** argv) {
   std::vector<std::string> qscan_files, zmap_files, dns_files;
   std::string dns_list = "dns";
   std::string out_dir;
   std::string baseline_file;
   bool diff_all = false;
-  int tail_as = 240;
   cli::FlagTable flags("qreport_cli");
   auto add_file = [&](const char* name, std::vector<std::string>& files) {
     flags.add(name, "FILE",
@@ -119,7 +112,6 @@ int run(int argc, char** argv) {
   flags.add("--out", "DIR", out_dir);
   flags.add("--baseline", "OLD.json", baseline_file);
   flags.add_switch("--diff-all", [&] { diff_all = true; });
-  flags.add_number("--tail-as", tail_as, 0, kMaxTailAs);
   flags.parse(argc, argv);
   if (qscan_files.empty() && zmap_files.empty() && dns_files.empty())
     throw cli::UsageError(
@@ -129,7 +121,7 @@ int run(int argc, char** argv) {
   // The same attribution the campaign population carries: both paths
   // classify addresses through campaign_as_registry, which is what
   // makes the replayed report byte-identical to the streaming one.
-  internet::AsRegistry registry = internet::campaign_as_registry(tail_as);
+  internet::AsRegistry registry = internet::campaign_as_registry();
 
   report::ReportAccumulator qscan_acc("qscanner");
   report::ReportAccumulator zmap_acc("zmap");
