@@ -28,7 +28,7 @@ int main() {
   for (const auto& d : pop.domains()) {
     if (d.v4_hosts.empty()) continue;
     const auto& h = pop.hosts()[d.v4_hosts[0]];
-    if (h.group == "fastly" && h.domain_ids.contains(d.id)) {
+    if (h.group == "fastly" && pop.serves(h.id, d)) {
       host = &h;
       domain = &d;
       break;

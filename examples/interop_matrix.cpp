@@ -27,7 +27,7 @@ int main() {
   for (const auto& domain : pop.domains()) {
     if (domain.v4_hosts.empty()) continue;
     const auto& host = pop.hosts()[domain.v4_hosts[0]];
-    if (!host.domain_ids.contains(domain.id)) continue;
+    if (!pop.serves(host.id, domain)) continue;
     if (host.server_value.empty() || host.stall_handshake) continue;
     if (rows.contains(host.server_value)) continue;
     rows.emplace(host.server_value,

@@ -1,47 +1,9 @@
 #include "dns/resolver.h"
 
-#include <algorithm>
-
 namespace dns {
 
-namespace {
-
-/// The run of `type` records among one name's type-grouped records.
-std::span<const ResourceRecord> run_of(const std::vector<ResourceRecord>& slots,
-                                       RRType type) {
-  auto first = std::find_if(slots.begin(), slots.end(),
-                            [&](const auto& rr) { return rr.type == type; });
-  auto last = std::find_if(first, slots.end(),
-                           [&](const auto& rr) { return rr.type != type; });
-  return {first, last};
-}
-
-}  // namespace
-
-void ZoneStore::add(ResourceRecord rr) {
-  rr.name = normalize_name(rr.name);
-  Slots& slots = index_[rr.name];
-  auto after_type = std::find_if(
-      slots.begin(), slots.end(),
-      [&](const ResourceRecord& held) { return held.type > rr.type; });
-  slots.insert(after_type, std::move(rr));
-  ++total_records_;
-}
-
-const ZoneStore::Slots* ZoneStore::find(std::string_view normalized) const {
-  auto it = index_.find(normalized);
-  return it == index_.end() ? nullptr : &it->second;
-}
-
-std::span<const ResourceRecord> ZoneStore::lookup(std::string_view name,
-                                                  RRType type) const {
-  const Slots* slots = is_normalized(name) ? find(name)
-                                           : find(normalize_name(name));
-  return slots ? run_of(*slots, type) : std::span<const ResourceRecord>();
-}
-
-void ZoneStore::serve(std::span<const uint8_t> query, Message& scratch,
-                      wire::Writer& out) const {
+void Zone::serve(std::span<const uint8_t> query, Message& scratch,
+                 wire::Writer& out) const {
   // The decoded request becomes the response in place: same id and
   // question section, every other header field and section reset.
   Message& response = scratch;
@@ -49,25 +11,18 @@ void ZoneStore::serve(std::span<const uint8_t> query, Message& scratch,
   response.is_response = true;
   response.recursion_desired = true;
   response.recursion_available = true;
-  response.rcode = RCode::kNoError;
+  response.answers.clear();
   response.authority.clear();
   response.additional.clear();
-  std::span<const ResourceRecord> answers;
-  if (response.questions.size() != 1) {
-    response.rcode = RCode::kFormErr;
-  } else if (const Slots* slots = find(response.questions[0].name)) {
-    // Decoded names are already normalized: one probe per query.
-    answers = run_of(*slots, response.questions[0].type);
-    // CNAME at the name redirects any type; else NODATA.
-    if (answers.empty()) answers = run_of(*slots, RRType::kCname);
-  } else {
-    response.rcode = RCode::kNxDomain;
-  }
-  response.answers.assign(answers.begin(), answers.end());
+  // Decoded names are already normalized.
+  response.rcode = response.questions.size() == 1
+                       ? answer(response.questions[0].name,
+                                response.questions[0].type, response.answers)
+                       : RCode::kFormErr;
   encode_message(response, out);
 }
 
-std::vector<uint8_t> ZoneStore::serve(std::span<const uint8_t> query) const {
+std::vector<uint8_t> Zone::serve(std::span<const uint8_t> query) const {
   Message scratch;
   wire::Writer out;
   serve(query, scratch, out);

@@ -1,35 +1,34 @@
-// Authoritative zone store and a recursive stub resolver, plus a
-// MassDNS-style bulk resolver. The paper resolved ~211M domains weekly
+// The authoritative-zone interface and a recursive stub resolver, plus
+// a MassDNS-style bulk resolver. The paper resolved ~211M domains weekly
 // (Alexa/Majestic/Umbrella top lists + CZDS zones) for A, AAAA, SVCB and
-// HTTPS records; this module performs the same pipeline against the
-// synthetic internet's zone data, over real wire-format messages.
+// HTTPS records; this module performs the same pipeline over real
+// wire-format messages. The simulation's zone is the week's synthetic
+// population itself (internet::Snapshot), which answers each question
+// from its domain and host tables.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "dns/wire.h"
 
 namespace dns {
 
-/// Flat authoritative store for every zone in the simulation. It is
-/// immutable once built: one Snapshot shares it across every worker
-/// thread, so serving keeps all scratch state with the caller.
-class ZoneStore {
+/// An authoritative zone, as the simulated DNS server sees it. A zone
+/// is immutable: one is shared by every worker thread, so serving
+/// keeps all scratch state with the caller.
+class Zone {
  public:
-  void add(ResourceRecord rr);
-
-  /// Exact-match lookup (no wildcard support; the simulation enumerates
-  /// names explicitly). The span is valid until the next add().
-  std::span<const ResourceRecord> lookup(std::string_view name,
-                                         RRType type) const;
-
-  size_t record_count() const { return total_records_; }
+  /// Answers one question: appends the answer records for `name` and
+  /// `type` -- the name's records of that type, or a CNAME that
+  /// redirects it -- and returns kNoError (NODATA when it appends
+  /// none); for a name that owns no record it appends nothing and
+  /// returns kNxDomain. `name` arrives normalized.
+  virtual RCode answer(const std::string& name, RRType type,
+                       std::vector<ResourceRecord>& answers) const = 0;
 
   /// Serves one wire-format query (the simulated authoritative server).
   std::vector<uint8_t> serve(std::span<const uint8_t> query) const;
@@ -38,24 +37,10 @@ class ZoneStore {
   void serve(std::span<const uint8_t> query, Message& scratch,
              wire::Writer& out) const;
 
- private:
-  /// Every record of one owner name, grouped by type (insertion order
-  /// within a type), so each type's records form one contiguous run.
-  using Slots = std::vector<ResourceRecord>;
-  /// Not noexcept on purpose: libstdc++ then caches each node's hash,
-  /// so a miss compares stored hashes instead of rehashing the chain.
-  struct NameHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view name) const {
-      return std::hash<std::string_view>{}(name);
-    }
-  };
-  const Slots* find(std::string_view normalized) const;
-
-  /// Keyed by normalized name; a name is present exactly when it has a
-  /// record. Nothing iterates it, so hash order never reaches an output.
-  std::unordered_map<std::string, Slots, NameHash, std::equal_to<>> index_;
-  size_t total_records_ = 0;
+ protected:
+  // Callers only borrow a zone; none is owned or deleted through this
+  // interface.
+  ~Zone() = default;
 };
 
 struct ResolveResult {
@@ -67,19 +52,19 @@ struct ResolveResult {
   std::vector<SvcbData> svcb() const;
 };
 
-/// Stub resolver: encodes a query, lets the ZoneStore serve it, decodes
+/// Stub resolver: encodes a query, lets the Zone serve it, decodes
 /// the response, and follows CNAMEs (depth-limited) like the paper's
 /// local Unbound instance.
 class Resolver {
  public:
-  explicit Resolver(const ZoneStore& zones) : zones_(zones) {}
+  explicit Resolver(const Zone& zones) : zones_(zones) {}
 
   ResolveResult resolve(std::string_view name, RRType type);
 
   uint64_t queries_sent() const { return queries_sent_; }
 
  private:
-  const ZoneStore& zones_;
+  const Zone& zones_;
   uint64_t queries_sent_ = 0;
   uint16_t next_id_ = 1;
   // Wire scratch for both ends of every query, cleared rather than
@@ -104,7 +89,7 @@ struct BulkRecord {
 /// MassDNS analogue: resolves A, AAAA and HTTPS for a list of domains.
 class BulkResolver {
  public:
-  explicit BulkResolver(const ZoneStore& zones) : resolver_(zones) {}
+  explicit BulkResolver(const Zone& zones) : resolver_(zones) {}
 
   /// Resolves A, AAAA and HTTPS for one domain.
   BulkRecord resolve_one(std::string_view domain);

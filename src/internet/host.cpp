@@ -47,7 +47,7 @@ ServerHost::ServerHost(const Population& population,
 
 bool ServerHost::hosts_domain(const std::string& name) const {
   const auto* domain = population_.domain_by_name(name);
-  return domain && profile_.domain_ids.contains(domain->id);
+  return domain && Population::serves(profile_.id, *domain);
 }
 
 tls::Certificate ServerHost::make_certificate(const std::string& subject,
@@ -148,37 +148,42 @@ void ServerHost::on_datagram(const netsim::Endpoint& from,
   if (!info) return;
   SessionKey key{from, std::move(info->dcid)};
   auto it = sessions_.find(key);
+  // New connections start with a long-header packet; stray short-header
+  // datagrams for unknown connections are dropped.
+  if (it == sessions_.end() && !info->long_header) return;
+  if (profile_.broken_transport && info->version != 0 &&
+      std::find(profile_.handshake_versions.begin(),
+                profile_.handshake_versions.end(),
+                info->version) != profile_.handshake_versions.end()) {
+    // Minimal conformance: a protected CONNECTION_CLOSE with
+    // PROTOCOL_VIOLATION at the Initial level, which the scanner
+    // classifies as a transport error. No session is built for it; a
+    // version the host does not speak still goes to one, for VN.
+    quic::PacketSpaces spaces(/*is_server=*/true);
+    spaces.start(info->version, key.dcid);
+    spaces.set_cids(info->scid, key.dcid);
+    spaces.next_header(quic::PacketType::kInitial);
+    quic::encode_frame(spaces.frames(),
+                       quic::ConnectionCloseFrame{quic::kProtocolViolation,
+                                                  false, 0x06,
+                                                  "internal error"});
+    transmit(from, spaces.seal());
+    // A new connection advances the session counter all the same, so
+    // the rng labels of later sessions and TCP accepts do not depend
+    // on which connections were refused here.
+    if (it == sessions_.end())
+      ++session_counter_;
+    else
+      sessions_.erase(it);
+    return;
+  }
   if (it == sessions_.end()) {
-    // New connections start with a long-header packet; stray short-
-    // header datagrams for unknown connections are dropped.
-    if (!info->long_header) return;
     auto session = std::make_unique<quic::ServerConnection>(
         behavior_, rng_.fork("conn" + std::to_string(session_counter_++)),
         [transmit, from](std::vector<uint8_t> datagram) {
           transmit(from, std::move(datagram));
         });
     it = sessions_.emplace(std::move(key), std::move(session)).first;
-  }
-  if (profile_.broken_transport) {
-    // Minimal conformance: a garbage CONNECTION_CLOSE-ish reply that the
-    // scanner classifies as a transport error. Still answers VN.
-    if (info->version != 0 &&
-        std::find(profile_.handshake_versions.begin(),
-                  profile_.handshake_versions.end(),
-                  info->version) != profile_.handshake_versions.end()) {
-      // Protected close with PROTOCOL_VIOLATION at the Initial level.
-      quic::PacketSpaces spaces(/*is_server=*/true);
-      spaces.start(info->version, it->first.dcid);
-      spaces.set_cids(info->scid, it->first.dcid);
-      spaces.next_header(quic::PacketType::kInitial);
-      quic::encode_frame(spaces.frames(),
-                         quic::ConnectionCloseFrame{quic::kProtocolViolation,
-                                                    false, 0x06,
-                                                    "internal error"});
-      transmit(from, spaces.seal());
-      sessions_.erase(it);
-      return;
-    }
   }
   it->second->on_datagram(payload);
   if (it->second->closed()) sessions_.erase(it);

@@ -4,49 +4,60 @@
 
 namespace internet {
 
+namespace {
+
+/// The domain's HTTPS ServiceMode record. Its hints are the first and
+/// the last address of each family, so a stale record shows up in them
+/// (the paper's sub-80 % HTTPS-RR scan success); its ALPN set is the
+/// first v4 host's Alt-Svc set, or h3-29.
+dns::SvcbData https_record(const DomainInfo& domain,
+                           const std::vector<HostProfile>& hosts) {
+  auto hints = [&](const std::vector<uint32_t>& ids)
+      -> std::vector<netsim::IpAddress> {
+    if (ids.empty()) return {};
+    if (ids.size() > 1 && ids.back() != ids[0])
+      return {hosts[ids[0]].address, hosts[ids.back()].address};
+    return {hosts[ids[0]].address};
+  };
+  dns::SvcbData svcb;
+  svcb.target = ".";
+  svcb.ipv4_hints = hints(domain.v4_hosts);
+  svcb.ipv6_hints = hints(domain.v6_hosts);
+  if (!domain.v4_hosts.empty() &&
+      !hosts[domain.v4_hosts[0]].alt_svc_alpn.empty())
+    svcb.alpn = hosts[domain.v4_hosts[0]].alt_svc_alpn;
+  else if (!domain.v4_hosts.empty() || !domain.v6_hosts.empty())
+    svcb.alpn = {"h3-29"};
+  return svcb;
+}
+
+}  // namespace
+
 Snapshot::Snapshot(const PopulationParams& params, int week)
-    : params_(params), population_(params, week) {
-  // Authoritative zone build (moved verbatim from the old
-  // Internet::build_zones): pure function of the population, so it
-  // belongs with the immutable snapshot and runs once per campaign.
+    : params_(params), population_(params, week) {}
+
+dns::RCode Snapshot::answer(const std::string& name, dns::RRType type,
+                            std::vector<dns::ResourceRecord>& answers) const {
+  const DomainInfo* domain = population_.domain_by_name(name);
+  if (!domain) return dns::RCode::kNxDomain;
+  const bool https = domain->https_rr_since_week > 0 &&
+                     domain->https_rr_since_week <= population_.week();
+  if (domain->v4_hosts.empty() && domain->v6_hosts.empty() && !https)
+    return dns::RCode::kNxDomain;
   const auto& hosts = population_.hosts();
-  for (const auto& domain : population_.domains()) {
-    for (uint32_t h : domain.v4_hosts) {
-      zones_.add({domain.name, dns::RRType::kA, 300,
-                  dns::ARecord{hosts[h].address}});
-    }
-    for (uint32_t h : domain.v6_hosts) {
-      zones_.add({domain.name, dns::RRType::kAaaa, 300,
-                  dns::AaaaRecord{hosts[h].address}});
-    }
-    if (domain.https_rr_since_week > 0 &&
-        domain.https_rr_since_week <= population_.week()) {
-      dns::SvcbData svcb;
-      svcb.priority = 1;
-      svcb.target = ".";
-      // ALPN set and hints come from the (first) hosting deployment.
-      if (!domain.v4_hosts.empty()) {
-        const auto& host = hosts[domain.v4_hosts[0]];
-        svcb.alpn = host.alt_svc_alpn.empty()
-                        ? std::vector<std::string>{"h3-29"}
-                        : host.alt_svc_alpn;
-        svcb.ipv4_hints.push_back(host.address);
-        // The authoritative data includes every record -- including a
-        // stale one (the paper's sub-80 % HTTPS-RR scan success).
-        if (domain.v4_hosts.size() > 1 &&
-            domain.v4_hosts.back() != domain.v4_hosts[0])
-          svcb.ipv4_hints.push_back(hosts[domain.v4_hosts.back()].address);
-      }
-      if (!domain.v6_hosts.empty()) {
-        svcb.ipv6_hints.push_back(hosts[domain.v6_hosts[0]].address);
-        if (domain.v6_hosts.size() > 1 &&
-            domain.v6_hosts.back() != domain.v6_hosts[0])
-          svcb.ipv6_hints.push_back(hosts[domain.v6_hosts.back()].address);
-        if (svcb.alpn.empty()) svcb.alpn = {"h3-29"};
-      }
-      zones_.add({domain.name, dns::RRType::kHttps, 300, std::move(svcb)});
-    }
+  // Records in host-list order, owned by the (normalized) domain name;
+  // any other type is NODATA.
+  if (type == dns::RRType::kA) {
+    for (uint32_t h : domain->v4_hosts)
+      answers.emplace_back(name, type, 300, dns::ARecord{hosts[h].address});
+  } else if (type == dns::RRType::kAaaa) {
+    for (uint32_t h : domain->v6_hosts)
+      answers.emplace_back(name, type, 300,
+                           dns::AaaaRecord{hosts[h].address});
+  } else if (type == dns::RRType::kHttps && https) {
+    answers.emplace_back(name, type, 300, https_record(*domain, hosts));
   }
+  return dns::RCode::kNoError;
 }
 
 Internet::Internet(const PopulationParams& params, int week,

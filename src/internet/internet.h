@@ -1,9 +1,9 @@
-// The Internet facade: builds the population for a week and the
-// authoritative DNS zones (A/AAAA/HTTPS), puts each population host on
-// the simulated network fabric (UDP/443 + TCP/443) the first time
-// traffic reaches its address, and exposes the scan inputs the paper's
-// tooling consumed -- the IPv4 sweep space, the IPv6 hitlist, and the
-// domain corpora.
+// The Internet facade: builds the population for a week, which also
+// answers as the week's authoritative DNS zone (A/AAAA/HTTPS), puts
+// each population host on the simulated network fabric (UDP/443 +
+// TCP/443) the first time traffic reaches its address, and exposes the
+// scan inputs the paper's tooling consumed -- the IPv4 sweep space, the
+// IPv6 hitlist, and the domain corpora.
 #pragma once
 
 #include <memory>
@@ -25,26 +25,34 @@ inline constexpr uint16_t kQuicPort = 443;
 inline constexpr uint16_t kTlsPort = 443;
 
 /// The immutable half of a scan world: the population snapshot for one
-/// calendar week plus the authoritative DNS zones derived from it.
-/// Building one is the expensive part of world construction (tens of
-/// milliseconds); everything in it is read-only after the constructor
-/// returns, so one Snapshot can be shared -- concurrently -- by any
-/// number of Internet worlds. The campaign engine builds a single
-/// Snapshot per campaign and hands it to every shard/chunk world,
-/// which keeps the per-world cost down to the genuinely mutable state:
-/// the network fabric and the server hosts its traffic touches.
-class Snapshot {
+/// calendar week, which is also the week's authoritative DNS zone. The
+/// zone stores nothing of its own: each question is answered from the
+/// population's domain and host tables (A and AAAA records from the
+/// domain's host lists, the HTTPS record from its publication week).
+/// Building one is the expensive part of world construction; everything
+/// in it is read-only after the constructor returns, so one Snapshot
+/// can be shared -- concurrently -- by any number of Internet worlds.
+/// The campaign engine builds a single Snapshot per campaign and hands
+/// it to every shard/chunk world, which keeps the per-world cost down
+/// to the genuinely mutable state: the network fabric and the server
+/// hosts its traffic touches.
+class Snapshot : public dns::Zone {
  public:
   Snapshot(const PopulationParams& params, int week);
 
   const PopulationParams& params() const { return params_; }
   const Population& population() const { return population_; }
-  const dns::ZoneStore& zones() const { return zones_; }
+  const dns::Zone& zones() const { return *this; }
+
+  /// A name owns a record exactly when it is a domain of the population
+  /// with a host or a published HTTPS record; a query for it never
+  /// yields a CNAME. Records come in host-list order with TTL 300.
+  dns::RCode answer(const std::string& name, dns::RRType type,
+                    std::vector<dns::ResourceRecord>& answers) const override;
 
  private:
   PopulationParams params_;
   Population population_;
-  dns::ZoneStore zones_;
 };
 
 class Internet {
@@ -66,7 +74,8 @@ class Internet {
 
   netsim::Network& network() { return network_; }
   const Population& population() const { return snapshot_->population(); }
-  const dns::ZoneStore& zones() const { return snapshot_->zones(); }
+  /// The week's authoritative DNS zone: the shared snapshot.
+  const dns::Zone& zones() const { return snapshot_->zones(); }
   const std::shared_ptr<const Snapshot>& snapshot() const {
     return snapshot_;
   }

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
-#include "crypto/rng.h"
 #include "http/alpn.h"
 
 namespace internet {
@@ -86,11 +86,20 @@ const DomainInfo* Population::domain_by_name(const std::string& name) const {
   return it == domain_index_.end() ? nullptr : &domains_[it->second];
 }
 
+bool Population::serves(uint32_t host, const DomainInfo& domain) {
+  auto serving = [host](const std::vector<uint32_t>& hosts, size_t n) {
+    const auto end = hosts.begin() + static_cast<std::ptrdiff_t>(n);
+    return std::find(hosts.begin(), end, host) != end;
+  };
+  return serving(domain.v4_hosts, domain.v4_serving) ||
+         serving(domain.v6_hosts, domain.v6_serving);
+}
+
 /// Builder: allocates hosts group by group, then domains, then lists.
 class PopulationBuilder {
  public:
   PopulationBuilder(Population& pop, const PopulationParams& params)
-      : pop_(pop), params_(params), rng_(params.seed) {}
+      : pop_(pop), params_(params) {}
 
   void build();
 
@@ -111,8 +120,7 @@ class PopulationBuilder {
   };
 
   void add_group(const GroupSpec& spec);
-  HostProfile* add_host(const GroupSpec& spec, netsim::Family family,
-                        int index_in_group, bool active);
+  void add_host(const GroupSpec& spec, netsim::Family family, bool active);
   uint32_t add_domain(std::string name, std::vector<uint32_t> v4_hosts,
                       std::vector<uint32_t> v6_hosts, int https_since,
                       std::vector<uint32_t> stale_v4 = {},
@@ -123,7 +131,6 @@ class PopulationBuilder {
 
   Population& pop_;
   const PopulationParams& params_;
-  crypto::Rng rng_;
   int next_tail_as_ = 0;
   std::unordered_map<uint64_t, uint64_t> alloc_count_;  // per-(AS, family)
   std::unordered_map<std::string, std::vector<uint32_t>> group_v4_,
@@ -139,14 +146,13 @@ void PopulationBuilder::add_group(const GroupSpec& spec) {
   int n4 = static_cast<int>(std::lround(spec.count_v4 * m));
   int n6 = static_cast<int>(std::lround(spec.count_v6 * m));
   for (int i = 0; i < spec.count_v4; ++i)
-    add_host(spec, netsim::Family::kIpv4, i, /*active=*/i < n4);
+    add_host(spec, netsim::Family::kIpv4, /*active=*/i < n4);
   for (int i = 0; i < spec.count_v6; ++i)
-    add_host(spec, netsim::Family::kIpv6, i, /*active=*/i < n6);
+    add_host(spec, netsim::Family::kIpv6, /*active=*/i < n6);
 }
 
-HostProfile* PopulationBuilder::add_host(const GroupSpec& spec,
-                                         netsim::Family family,
-                                         int index_in_group, bool active) {
+void PopulationBuilder::add_host(const GroupSpec& spec, netsim::Family family,
+                                 bool active) {
   // The cursor advances whether or not the host is instantiated this
   // week; see add_group.
   uint32_t asn = spec.asn;
@@ -158,7 +164,7 @@ HostProfile* PopulationBuilder::add_host(const GroupSpec& spec,
   }
   uint64_t cursor = alloc_count_[uint64_t{asn} * 2 +
                                  (family == netsim::Family::kIpv6 ? 1 : 0)]++;
-  if (!active) return nullptr;
+  if (!active) return;
 
   HostProfile host;
   host.id = static_cast<uint32_t>(pop_.hosts_.size());
@@ -166,13 +172,11 @@ HostProfile* PopulationBuilder::add_host(const GroupSpec& spec,
   host.asn = asn;
   host.address = pop_.as_registry_.allocate(asn, family, cursor);
   spec.configure(host);
-  (void)index_in_group;
   auto& bucket = family == netsim::Family::kIpv4 ? group_v4_[spec.group]
                                                  : group_v6_[spec.group];
   bucket.push_back(host.id);
   pop_.host_index_.emplace(host.address, host.id);
   pop_.hosts_.push_back(std::move(host));
-  return &pop_.hosts_.back();
 }
 
 uint32_t PopulationBuilder::add_domain(std::string name,
@@ -187,12 +191,12 @@ uint32_t PopulationBuilder::add_domain(std::string name,
   d.v4_hosts = std::move(v4_hosts);
   d.v6_hosts = std::move(v6_hosts);
   d.https_rr_since_week = https_since;
-  // Registered hosts actually serve the domain; stale records model
-  // DNS pointing at an address that no longer does (load-balancer
-  // rotation, provider migration, ZMap-to-scan delay) -- the paper's
-  // SNI-scan 0x128s and timeouts (Table 3).
-  for (uint32_t h : d.v4_hosts) pop_.hosts_[h].domain_ids.insert(d.id);
-  for (uint32_t h : d.v6_hosts) pop_.hosts_[h].domain_ids.insert(d.id);
+  // Registered hosts actually serve the domain; stale records after
+  // them model DNS pointing at an address that no longer does
+  // (load-balancer rotation, provider migration, ZMap-to-scan delay) --
+  // the paper's SNI-scan 0x128s and timeouts (Table 3).
+  d.v4_serving = static_cast<uint16_t>(d.v4_hosts.size());
+  d.v6_serving = static_cast<uint16_t>(d.v6_hosts.size());
   d.v4_hosts.insert(d.v4_hosts.end(), stale_v4.begin(), stale_v4.end());
   d.v6_hosts.insert(d.v6_hosts.end(), stale_v6.begin(), stale_v6.end());
   pop_.domain_index_.emplace(d.name, d.id);

@@ -7,13 +7,15 @@
 // values, Alt-Svc/HTTPS-RR publication, domain hosting and weekly
 // evolution rules. See DESIGN.md section 7 for the calibration and
 // scaling rules (1:1000 for host/domain masses, compressed AS tail).
+// The tables are the only store of who hosts what: the DNS zone
+// (internet::Snapshot) and the servers' certificate choice both read a
+// domain's own host lists.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "internet/as_registry.h"
@@ -86,9 +88,6 @@ struct HostProfile {
   /// ALPN tokens advertised via Alt-Svc ("" = no Alt-Svc header).
   std::vector<std::string> alt_svc_alpn;
 
-  // --- hosting ---
-  std::unordered_set<uint32_t> domain_ids;
-
   bool quic_enabled() const { return !handshake_versions.empty() ||
                                      !advertised_versions.empty() ||
                                      stall_handshake; }
@@ -107,6 +106,11 @@ struct DomainInfo {
   uint32_t id = 0;
   std::string name;
   uint8_t lists = 0;
+  /// How many leading v4_hosts / v6_hosts entries serve the domain. The
+  /// entries after them are stale records: DNS still points at hosts
+  /// that no longer serve it (see Population::serves).
+  uint16_t v4_serving = 0;
+  uint16_t v6_serving = 0;
   std::vector<uint32_t> v4_hosts;  // host ids the A records point to
   std::vector<uint32_t> v6_hosts;  // host ids the AAAA records point to
   /// First calendar week an HTTPS RR is published (0 = not yet as of
@@ -128,6 +132,10 @@ struct ListCorpus {
 };
 
 struct PopulationParams {
+  /// The population itself draws nothing at random: the same week gives
+  /// the same hosts, domains and lists at any seed. The seed keys what
+  /// a world adds on top of it -- the network fabric (seed ^ 0x105e)
+  /// and the adversary plans (seed ^ 0xad7e).
   uint64_t seed = 0x9000;
   /// Scales the synthetic (non-QUIC) share of the DNS corpora; 1.0
   /// models com/net/org at 1:1000 of the paper (180 k names).
@@ -154,6 +162,10 @@ class Population {
 
   const HostProfile* host_by_address(const netsim::IpAddress& addr) const;
   const DomainInfo* domain_by_name(const std::string& name) const;
+
+  /// True when host `host` serves `domain`: it is one of the domain's
+  /// serving A or AAAA hosts, not the target of a stale record.
+  static bool serves(uint32_t host, const DomainInfo& domain);
 
   /// Deterministic synthetic list-member name (resolves NXDOMAIN).
   static std::string synthetic_domain(const std::string& list, size_t i);

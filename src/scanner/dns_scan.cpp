@@ -2,7 +2,7 @@
 
 namespace scanner {
 
-DnsScanner::DnsScanner(const dns::ZoneStore& zones,
+DnsScanner::DnsScanner(const dns::Zone& zones,
                        telemetry::MetricsRegistry* metrics,
                        telemetry::Tracer tracer)
     : zones_(zones), tracer_(tracer) {

@@ -1,7 +1,9 @@
 // DNS scanning pipeline (section 3.2): MassDNS-style bulk resolution of
-// the input lists for A, AAAA and HTTPS records. The HTTPS-RR pass is
-// the paper's lightweight QUIC-discovery channel; A/AAAA resolutions
-// feed the SNI joins of the other scanners.
+// the input lists for A, AAAA and HTTPS records, over wire-format
+// queries that the week's population answers as its authoritative zone
+// (dns::Zone). The HTTPS-RR pass is the paper's lightweight
+// QUIC-discovery channel; A/AAAA resolutions feed the SNI joins of the
+// other scanners.
 #pragma once
 
 #include <span>
@@ -34,10 +36,10 @@ struct DnsListScan {
 class DnsScanner {
  public:
   /// Telemetry is optional: a null registry / inactive tracer reduces
-  /// every hook to a single pointer check. Every lookup is answered from
-  /// the zone store, deterministically and without loss, so an empty
-  /// answer is final: nothing is re-queried.
-  explicit DnsScanner(const dns::ZoneStore& zones,
+  /// every hook to a single pointer check. Every lookup is answered by
+  /// the zone (the week's snapshot), deterministically and without
+  /// loss, so an empty answer is final: nothing is re-queried.
+  explicit DnsScanner(const dns::Zone& zones,
                       telemetry::MetricsRegistry* metrics = nullptr,
                       telemetry::Tracer tracer = {});
 
@@ -47,7 +49,7 @@ class DnsScanner {
   uint64_t queries_sent() const { return queries_sent_; }
 
  private:
-  const dns::ZoneStore& zones_;
+  const dns::Zone& zones_;
   uint64_t queries_sent_ = 0;
   telemetry::Tracer tracer_;
   telemetry::Counter* metric_domains_ = nullptr;

@@ -142,4 +142,23 @@ TEST(AllocBudget, SniHandshakesStayWithinBudget) {
   EXPECT_LE(m.tcp_mean, budget.tcp);
 }
 
+// One week's world, built the way every campaign builds it: the
+// population's hosts, domains and lists, which are also its DNS zone.
+// A second copy of the week (a record store, a per-host domain index)
+// would more than double the count.
+TEST(AllocBudget, WeekSnapshotStaysWithinBudget) {
+  constexpr uint64_t kBudget = 280'000;
+  const uint64_t before = g_allocations.load();
+  const internet::Snapshot snapshot({.dns_corpus_scale = 0.01}, 18);
+  const uint64_t count = g_allocations.load() - before;
+  std::printf(
+      "allocations of one week-18 Snapshot (%zu hosts, %zu domains): "
+      "%llu (budget %llu)\n",
+      snapshot.population().hosts().size(),
+      snapshot.population().domains().size(),
+      static_cast<unsigned long long>(count),
+      static_cast<unsigned long long>(kBudget));
+  EXPECT_LE(count, kBudget);
+}
+
 }  // namespace

@@ -4,12 +4,15 @@
 // are seeded random buffers plus mutated valid messages.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "crypto/rng.h"
 #include "dns/resolver.h"
 #include "dns/wire.h"
 #include "http/alt_svc.h"
 #include "http/h3.h"
 #include "http/message.h"
+#include "internet/internet.h"
 #include "quic/frame.h"
 #include "quic/packet.h"
 #include "quic/transport_params.h"
@@ -78,18 +81,19 @@ TEST_P(FuzzSeed, DnsMessageDecoderNeverCrashes) {
 }
 
 TEST_P(FuzzSeed, DnsServeNeverCrashes) {
-  dns::ZoneStore zones;
-  zones.add({"example.com", dns::RRType::kA, 300,
-             dns::ARecord{netsim::IpAddress::v4(0x01020304)}});
-  zones.add({"www.example.com", dns::RRType::kCname, 300,
-             dns::CnameRecord{"example.com"}});
-  dns::SvcbData https;
-  https.alpn = {"h3", "h3-29"};
-  https.ipv4_hints = {netsim::IpAddress::v4(0x01020304)};
-  zones.add({"example.com", dns::RRType::kHttps, 300, https});
+  // A week's zone: mutated bytes of a query for a domain that has A,
+  // AAAA and HTTPS records.
+  static const internet::Snapshot snapshot({.dns_corpus_scale = 0.002}, 18);
+  const dns::Zone& zones = snapshot.zones();
+  const auto& domains = snapshot.population().domains();
+  auto domain = std::find_if(domains.begin(), domains.end(), [](const auto& d) {
+    return !d.v4_hosts.empty() && !d.v6_hosts.empty() &&
+           d.https_rr_since_week > 0;
+  });
+  ASSERT_NE(domain, domains.end());
   dns::Message query;
   query.id = 0x5151;
-  query.questions.push_back({"www.example.com", dns::RRType::kHttps});
+  query.questions.push_back({domain->name, dns::RRType::kHttps});
   const auto valid = dns::encode_message(query);
   // Scratch reused across rounds, as a Resolver keeps it: a throw must
   // not leave it in a state that breaks the next query.

@@ -169,13 +169,12 @@ TEST_F(PopulationTest, DomainsPointAtTheirHosts) {
     if (!domain.v4_hosts.empty()) {
       uint32_t first = domain.v4_hosts[0];
       ASSERT_LT(first, pop.hosts().size());
-      EXPECT_TRUE(pop.hosts()[first].domain_ids.contains(domain.id))
-          << domain.name;
+      EXPECT_TRUE(pop.serves(first, domain)) << domain.name;
     }
     for (uint32_t h : domain.v4_hosts) {
       ASSERT_LT(h, pop.hosts().size());
       EXPECT_TRUE(pop.hosts()[h].address.is_v4());
-      if (pop.hosts()[h].domain_ids.contains(domain.id))
+      if (pop.serves(h, domain))
         ++registered;
       else
         ++stale_records;

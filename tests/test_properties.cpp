@@ -154,7 +154,7 @@ TEST_P(DnsNameSweep, RoundTripRandomisedNames) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DnsNameSweep, ::testing::Range(0, 25));
 
-/// --- DNS zone index against a reference model ----------------------
+/// --- A week's DNS zone against a reference record store -------------
 
 class ZoneIndexSweep : public ::testing::TestWithParam<int> {};
 
@@ -168,75 +168,57 @@ std::string respell(crypto::Rng& rng, const std::string& name) {
   return out;
 }
 
-dns::ResourceRecord random_record(crypto::Rng& rng, const std::string& owner,
-                                  const std::vector<std::string>& pool) {
-  dns::ResourceRecord rr;
-  rr.name = owner;
-  rr.ttl = static_cast<uint32_t>(rng.range(1, 86400));
-  switch (rng.below(5)) {
-    case 0:
-      rr.type = dns::RRType::kA;
-      rr.data = dns::ARecord{
-          netsim::IpAddress::v4(static_cast<uint32_t>(rng.next()))};
-      break;
-    case 1: {
-      rr.type = dns::RRType::kAaaa;
-      std::array<uint8_t, 16> v6{};
-      rng.fill(v6);
-      rr.data = dns::AaaaRecord{netsim::IpAddress::v6(v6)};
-      break;
-    }
-    case 2:
-      rr.type = dns::RRType::kCname;
-      rr.data = dns::CnameRecord{respell(rng, pool[rng.below(pool.size())])};
-      break;
-    case 3:
-      rr.type = dns::RRType::kTxt;
-      rr.data = dns::TxtRecord{"v=" + std::to_string(rng.below(1000))};
-      break;
-    default: {
-      rr.type = rng.chance(0.5) ? dns::RRType::kHttps : dns::RRType::kSvcb;
-      dns::SvcbData svcb;
-      svcb.priority = static_cast<uint16_t>(rng.below(3));
-      svcb.target = rng.chance(0.5) ? "." : pool[rng.below(pool.size())];
-      static const char* kAlpn[] = {"h3", "h3-29", "h3-Q050", "h2"};
-      for (const char* id : kAlpn)
-        if (rng.chance(0.5)) svcb.alpn.push_back(id);
-      if (rng.chance(0.3)) svcb.port = static_cast<uint16_t>(rng.below(65536));
-      for (uint64_t i = rng.below(3); i > 0; --i)
-        svcb.ipv4_hints.push_back(
-            netsim::IpAddress::v4(static_cast<uint32_t>(rng.next())));
-      rr.data = std::move(svcb);
-      break;
-    }
-  }
-  return rr;
-}
-
+// A week's snapshot answers DNS from its population. The reference is
+// the same zone as a record store: (normalized name, type) -> records
+// in insertion order, plus the set of names that own a record, filled
+// record by record from the population -- a second, independent
+// spelling of the zone's rules. Each parameter serves a different week
+// (5..18, then 5..10 again) and queries every 20th domain from its own
+// offset, so the 20 parameters between them query every domain index.
 TEST_P(ZoneIndexSweep, ServeMatchesReferenceModel) {
+  const int week = 5 + GetParam() % 14;
+  const internet::Snapshot snapshot({.dns_corpus_scale = 0.01}, week);
+  const auto& pop = snapshot.population();
+  const auto& hosts = pop.hosts();
   crypto::Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 3);
-  // Owners come from the first 20 names; the last 4 and `unknown` are
-  // never added (NXDOMAIN). A type an owner lacks is NODATA unless the
-  // owner has a CNAME.
-  std::vector<std::string> pool;
-  for (int i = 0; i < 24; ++i)
-    pool.push_back("n" + std::to_string(i) + (i % 3 ? ".example.com" : ".org"));
-  const std::vector<std::string> unknown{"absent.example.com", "n1.example",
-                                         "example.com"};
 
-  // Reference: (normalized name, type) -> records in insertion order,
-  // plus the set of names that exist.
   std::map<std::pair<std::string, dns::RRType>,
            std::vector<dns::ResourceRecord>> reference;
   std::set<std::string> names;
-  dns::ZoneStore store;
-  for (int i = 0; i < 60; ++i) {
-    const std::string& owner = pool[rng.below(pool.size() - 4)];
-    auto rr = random_record(rng, respell(rng, owner), pool);
-    store.add(rr);
+  auto add = [&](dns::ResourceRecord rr) {
     rr.name = dns::normalize_name(rr.name);
     names.insert(rr.name);
-    reference[{rr.name, rr.type}].push_back(rr);
+    reference[{rr.name, rr.type}].push_back(std::move(rr));
+  };
+  for (const auto& domain : pop.domains()) {
+    for (uint32_t h : domain.v4_hosts)
+      add({domain.name, dns::RRType::kA, 300, dns::ARecord{hosts[h].address}});
+    for (uint32_t h : domain.v6_hosts)
+      add({domain.name, dns::RRType::kAaaa, 300,
+           dns::AaaaRecord{hosts[h].address}});
+    if (domain.https_rr_since_week == 0 || domain.https_rr_since_week > week)
+      continue;
+    dns::SvcbData svcb;
+    svcb.priority = 1;
+    svcb.target = ".";
+    if (!domain.v4_hosts.empty()) {
+      const auto& host = hosts[domain.v4_hosts[0]];
+      svcb.alpn = host.alt_svc_alpn.empty()
+                      ? std::vector<std::string>{"h3-29"}
+                      : host.alt_svc_alpn;
+      svcb.ipv4_hints.push_back(host.address);
+      if (domain.v4_hosts.size() > 1 &&
+          domain.v4_hosts.back() != domain.v4_hosts[0])
+        svcb.ipv4_hints.push_back(hosts[domain.v4_hosts.back()].address);
+    }
+    if (!domain.v6_hosts.empty()) {
+      svcb.ipv6_hints.push_back(hosts[domain.v6_hosts[0]].address);
+      if (domain.v6_hosts.size() > 1 &&
+          domain.v6_hosts.back() != domain.v6_hosts[0])
+        svcb.ipv6_hints.push_back(hosts[domain.v6_hosts.back()].address);
+      if (svcb.alpn.empty()) svcb.alpn = {"h3-29"};
+    }
+    add({domain.name, dns::RRType::kHttps, 300, std::move(svcb)});
   }
 
   auto expected_response = [&](const dns::Message& query) {
@@ -264,17 +246,25 @@ TEST_P(ZoneIndexSweep, ServeMatchesReferenceModel) {
   const dns::RRType types[] = {dns::RRType::kA,    dns::RRType::kCname,
                                dns::RRType::kTxt,  dns::RRType::kAaaa,
                                dns::RRType::kSvcb, dns::RRType::kHttps};
-  std::vector<std::string> queried = pool;
-  queried.insert(queried.end(), unknown.begin(), unknown.end());
+  std::vector<std::string> queried;
+  for (size_t i = static_cast<size_t>(GetParam()); i < pop.domains().size();
+       i += 20)
+    queried.push_back(pop.domains()[i].name);
+  for (const auto& list : pop.lists())
+    queried.push_back(internet::Population::synthetic_domain(
+        list.name, static_cast<size_t>(GetParam())));
+  for (const char* unknown : {"absent.example.com", "example.com", "com"})
+    queried.push_back(unknown);
   // One scratch pair for every query, as a Resolver keeps it.
   dns::Message scratch;
   wire::Writer out;
+  const dns::Zone& zone = snapshot.zones();
   auto check = [&](const dns::Message& query) {
     auto bytes = dns::encode_message(query);
     auto want = expected_response(query);
-    EXPECT_EQ(store.serve(bytes), want);
+    EXPECT_EQ(zone.serve(bytes), want);
     out.clear();
-    store.serve(bytes, scratch, out);
+    zone.serve(bytes, scratch, out);
     EXPECT_EQ(out.data(), want);
   };
   uint16_t id = 1;
@@ -291,8 +281,8 @@ TEST_P(ZoneIndexSweep, ServeMatchesReferenceModel) {
   check(none);
   dns::Message two;  // 2 questions
   two.id = id++;
-  two.questions.push_back({pool[0], dns::RRType::kA});
-  two.questions.push_back({respell(rng, pool[1]), dns::RRType::kHttps});
+  two.questions.push_back({queried[0], dns::RRType::kA});
+  two.questions.push_back({respell(rng, queried[1]), dns::RRType::kHttps});
   check(two);
 }
 

@@ -11,6 +11,15 @@
 
 namespace {
 
+/// The first domain, in population order, that `host` serves; nullptr
+/// when it serves none.
+const internet::DomainInfo* first_served_domain(
+    const internet::Population& pop, const internet::HostProfile& host) {
+  for (const auto& domain : pop.domains())
+    if (pop.serves(host.id, domain)) return &domain;
+  return nullptr;
+}
+
 TEST(Determinism, IdenticalSeedsIdenticalSweeps) {
   auto run = [] {
     netsim::EventLoop loop;
@@ -53,11 +62,8 @@ TEST(Robustness, LossyLinkYieldsTimeoutsNotCrashes) {
         host.address,
         {.latency_us = 10'000,
          .impairment = {.ge_loss_good = 0.6, .ge_loss_bad = 0.6}});
-    const internet::DomainInfo* domain = nullptr;
-    for (uint32_t id : host.domain_ids) {
-      domain = &net.population().domains()[id];
-      break;
-    }
+    const internet::DomainInfo* domain =
+        first_served_domain(net.population(), host);
     if (!domain) continue;
     auto result = qscanner.scan_one(
         {host.address, domain->name, host.advertised_versions});
@@ -92,11 +98,8 @@ TEST(Robustness, ServerSurvivesGarbageDatagrams) {
   loop.run();
   // The host must still complete a legitimate handshake afterwards.
   scanner::QScanner qscanner(net.network(), {});
-  const internet::DomainInfo* domain = nullptr;
-  for (uint32_t id : target->domain_ids) {
-    domain = &net.population().domains()[id];
-    break;
-  }
+  const internet::DomainInfo* domain =
+      first_served_domain(net.population(), *target);
   ASSERT_NE(domain, nullptr);
   auto result = qscanner.scan_one(
       {target->address, domain->name, target->advertised_versions});
@@ -115,12 +118,11 @@ TEST(Robustness, WatchdogCutsOffAttemptsPastTheDatagramBudget) {
   const internet::DomainInfo* domain = nullptr;
   for (const auto& host : net.population().hosts()) {
     if (host.group != "cloudflare" || !host.address.is_v4()) continue;
-    for (uint32_t id : host.domain_ids) {
+    domain = first_served_domain(net.population(), host);
+    if (domain) {
       target = &host;
-      domain = &net.population().domains()[id];
       break;
     }
-    if (target) break;
   }
   ASSERT_NE(target, nullptr);
 

@@ -339,10 +339,13 @@ TEST(TcpTls, Tls12OnlyDeploymentsExist) {
     if (host.tls_max_version != 0x0303 || !host.address.is_v4()) continue;
     // Must be QUIC-enabled: the paper's quirk is TLS 1.3 off, QUIC on.
     ASSERT_TRUE(host.quic_enabled());
+    // The first domain, in population order, that the host serves.
     const internet::DomainInfo* domain = nullptr;
-    for (uint32_t id : host.domain_ids) {
-      domain = &pop.domains()[id];
-      break;
+    for (const auto& d : pop.domains()) {
+      if (pop.serves(host.id, d)) {
+        domain = &d;
+        break;
+      }
     }
     if (!domain) continue;
     auto result = tcp.scan_one({host.address, domain->name});
@@ -386,7 +389,7 @@ TEST(QScanner, RetryingDeploymentsStillSucceedWithSni) {
   for (const auto& d : pop.domains()) {
     if (d.v4_hosts.empty() || checked >= 3) continue;
     const auto& host = pop.hosts()[d.v4_hosts[0]];
-    if (host.group != "fastly" || !host.domain_ids.contains(d.id)) continue;
+    if (host.group != "fastly" || !pop.serves(host.id, d)) continue;
     auto result = scanner.scan_one(
         {host.address, d.name, host.advertised_versions});
     EXPECT_EQ(result.outcome, QscanOutcome::kSuccess) << d.name;

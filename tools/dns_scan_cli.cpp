@@ -10,14 +10,16 @@
 // auto-detect hardware concurrency) pulling fixed-size chunks
 // (--chunk-size) off a shared cursor; the merged CSV and metrics are
 // identical for every N (see DESIGN.md "Campaign engine"). --seed
-// reseeds the synthetic population; --qlog writes one JSON-Lines trace
-// per chunk; --metrics dumps the merged counters as JSON on exit;
-// --sched-metrics writes the non-deterministic wall-clock scheduler
-// telemetry separately.
+// reseeds the network fabric and the adversary plans, not the
+// population, so it leaves this CLI's output unchanged; --qlog writes
+// one JSON-Lines trace per chunk; --metrics dumps the merged counters
+// as JSON on exit; --sched-metrics writes the non-deterministic
+// wall-clock scheduler telemetry separately.
 // --impair overlays a named fault-fabric profile on every server link
-// (the resolver path is zone-store backed, so this mainly matters when
-// other scanners share the snapshot); --adversary overlays a named
-// misbehaving-endpoint profile on every server host (same caveat);
+// (queries never cross the fabric: the week's population answers them
+// as its zone, so this mainly matters when other scanners share the
+// snapshot); --adversary overlays a named misbehaving-endpoint profile
+// on every server host (same caveat);
 // --retries must stay 0: every lookup is answered deterministically, so
 // a re-query could only repeat the answer. --report streams every
 // resolved record through an in-chunk report::ReportAccumulator and
