@@ -2,6 +2,18 @@
 
 namespace dns {
 
+namespace {
+
+/// The address an A or AAAA record carries, or nullptr.
+const netsim::IpAddress* address_of(const ResourceRecord& rr) {
+  if (const auto* a = std::get_if<ARecord>(&rr.data)) return &a->address;
+  if (const auto* aaaa = std::get_if<AaaaRecord>(&rr.data))
+    return &aaaa->address;
+  return nullptr;
+}
+
+}  // namespace
+
 void Zone::serve(std::span<const uint8_t> query, Message& scratch,
                  wire::Writer& out) const {
   // The decoded request becomes the response in place: same id and
@@ -31,12 +43,8 @@ std::vector<uint8_t> Zone::serve(std::span<const uint8_t> query) const {
 
 std::vector<netsim::IpAddress> ResolveResult::addresses() const {
   std::vector<netsim::IpAddress> out;
-  for (const auto& rr : answers) {
-    if (const auto* a = std::get_if<ARecord>(&rr.data))
-      out.push_back(a->address);
-    else if (const auto* aaaa = std::get_if<AaaaRecord>(&rr.data))
-      out.push_back(aaaa->address);
-  }
+  for (const auto& rr : answers)
+    if (const auto* address = address_of(rr)) out.push_back(*address);
   return out;
 }
 
@@ -49,6 +57,15 @@ std::vector<SvcbData> ResolveResult::svcb() const {
 
 ResolveResult Resolver::resolve(std::string_view name, RRType type) {
   ResolveResult result;
+  result.rcode = resolve_each(name, type, [&result](const ResourceRecord& rr) {
+    result.answers.push_back(rr);
+  });
+  return result;
+}
+
+RCode Resolver::resolve_each(
+    std::string_view name, RRType type,
+    const std::function<void(const ResourceRecord&)>& use) {
   query_.questions.resize(1);
   Question& question = query_.questions[0];
   question.type = type;
@@ -68,11 +85,10 @@ ResolveResult Resolver::resolve(std::string_view name, RRType type) {
     response_wire_.clear();
     zones_.serve(query_wire_.span(), server_scratch_, response_wire_);
     decode_message(response_wire_.span(), response_);
-    result.rcode = response_.rcode;
-    if (response_.rcode != RCode::kNoError) return result;
+    if (response_.rcode != RCode::kNoError) return response_.rcode;
     bool followed = false;
     // Targets come off the wire already normalized.
-    for (auto& rr : response_.answers) {
+    for (const auto& rr : response_.answers) {
       if (rr.type == RRType::kCname && type != RRType::kCname) {
         current = std::get<CnameRecord>(rr.data).target;
         followed = true;
@@ -86,20 +102,32 @@ ResolveResult Resolver::resolve(std::string_view name, RRType type) {
           continue;
         }
       }
-      result.answers.push_back(std::move(rr));
+      use(rr);
     }
-    if (!followed) return result;
+    if (!followed) return RCode::kNoError;
   }
-  result.rcode = RCode::kServFail;  // alias/CNAME chain too deep
-  return result;
+  return RCode::kServFail;  // alias/CNAME chain too deep
+}
+
+std::vector<netsim::IpAddress> BulkResolver::addresses(std::string_view name,
+                                                       RRType type) {
+  scratch_.clear();
+  resolver_.resolve_each(name, type, [this](const ResourceRecord& rr) {
+    if (const auto* address = address_of(rr)) scratch_.push_back(*address);
+  });
+  return {scratch_.begin(), scratch_.end()};
 }
 
 BulkRecord BulkResolver::resolve_one(std::string_view domain) {
   BulkRecord record;
   record.domain = normalize_name(domain);
-  record.a = resolver_.resolve(record.domain, RRType::kA).addresses();
-  record.aaaa = resolver_.resolve(record.domain, RRType::kAaaa).addresses();
-  record.https = resolver_.resolve(record.domain, RRType::kHttps).svcb();
+  record.a = addresses(record.domain, RRType::kA);
+  record.aaaa = addresses(record.domain, RRType::kAaaa);
+  resolver_.resolve_each(record.domain, RRType::kHttps,
+                         [&record](const ResourceRecord& rr) {
+                           if (const auto* s = std::get_if<SvcbData>(&rr.data))
+                             record.https.push_back(*s);
+                         });
   return record;
 }
 

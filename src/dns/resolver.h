@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -26,9 +27,10 @@ class Zone {
   /// `type` -- the name's records of that type, or a CNAME that
   /// redirects it -- and returns kNoError (NODATA when it appends
   /// none); for a name that owns no record it appends nothing and
-  /// returns kNxDomain. `name` arrives normalized.
+  /// returns kNxDomain. `name` arrives normalized. An appended record
+  /// may be one the list kept from an earlier answer: set every field.
   virtual RCode answer(const std::string& name, RRType type,
-                       std::vector<ResourceRecord>& answers) const = 0;
+                       RecordList& answers) const = 0;
 
   /// Serves one wire-format query (the simulated authoritative server).
   std::vector<uint8_t> serve(std::span<const uint8_t> query) const;
@@ -61,6 +63,14 @@ class Resolver {
 
   ResolveResult resolve(std::string_view name, RRType type);
 
+  /// resolve() without collecting: calls `use` with each record
+  /// resolve() would return, in order, while it still sits in the
+  /// decoded response (so only during the call), and returns the final
+  /// rcode. Nothing is moved out, so the response keeps its records'
+  /// storage for the next query.
+  RCode resolve_each(std::string_view name, RRType type,
+                     const std::function<void(const ResourceRecord&)>& use);
+
   uint64_t queries_sent() const { return queries_sent_; }
 
  private:
@@ -91,13 +101,20 @@ class BulkResolver {
  public:
   explicit BulkResolver(const Zone& zones) : resolver_(zones) {}
 
-  /// Resolves A, AAAA and HTTPS for one domain.
+  /// Resolves A, AAAA and HTTPS for one domain. The record sets are
+  /// read straight off the decoded responses, as
+  /// ResolveResult::addresses() and svcb() read them.
   BulkRecord resolve_one(std::string_view domain);
 
   uint64_t queries_sent() const { return resolver_.queries_sent(); }
 
  private:
+  /// The addresses of one lookup, copied into a vector sized once.
+  std::vector<netsim::IpAddress> addresses(std::string_view name,
+                                           RRType type);
+
   Resolver resolver_;
+  std::vector<netsim::IpAddress> scratch_;
 };
 
 }  // namespace dns

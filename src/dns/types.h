@@ -4,10 +4,12 @@
 // ALPN sets and ipv4/ipv6 address hints before any transport handshake.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -84,6 +86,71 @@ struct ResourceRecord {
   RData data;
 
   bool operator==(const ResourceRecord&) const = default;
+};
+
+/// The alternative `T` of `data`: the one it already holds, with its
+/// strings' and vectors' storage (and its old values), or a fresh one.
+template <typename T>
+T& reuse(RData& data) {
+  if (auto* held = std::get_if<T>(&data)) return *held;
+  return data.emplace<T>();
+}
+
+/// The records of one message section. Unlike a std::vector it keeps
+/// the records it drops: clear() and a shrinking resize() only move its
+/// end, and emplace_back() hands a kept record out again, so decoding or
+/// answering query after query reuses each record's name and data
+/// storage instead of allocating it anew.
+class RecordList {
+ public:
+  RecordList() = default;
+  RecordList& operator=(const std::vector<ResourceRecord>& records) {
+    clear();
+    for (const auto& rr : records) push_back(rr);
+    return *this;
+  }
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  ResourceRecord& operator[](size_t i) { return records_[i]; }
+  const ResourceRecord& operator[](size_t i) const { return records_[i]; }
+  ResourceRecord* begin() { return records_.data(); }
+  ResourceRecord* end() { return records_.data() + size_; }
+  const ResourceRecord* begin() const { return records_.data(); }
+  const ResourceRecord* end() const { return records_.data() + size_; }
+
+  /// Appends a record and returns it. A kept record comes back as it
+  /// was left, so the caller sets every field.
+  ResourceRecord& emplace_back() {
+    if (size_ == records_.size()) records_.emplace_back();
+    return records_[size_++];
+  }
+  /// As std::vector's, `rr` may be one of the list's own records.
+  void push_back(const ResourceRecord& rr) { append(rr); }
+  void push_back(ResourceRecord&& rr) { append(std::move(rr)); }
+  /// Shrinking keeps the dropped records; growing appends empty ones.
+  void resize(size_t n) {
+    size_ = std::min(size_, n);
+    while (size_ < n) emplace_back() = ResourceRecord{};
+  }
+  void clear() { size_ = 0; }
+
+  bool operator==(const RecordList& other) const {
+    return std::equal(begin(), end(), other.begin(), other.end());
+  }
+
+ private:
+  template <typename Record>
+  void append(Record&& rr) {
+    if (size_ == records_.size())
+      records_.push_back(std::forward<Record>(rr));
+    else
+      records_[size_] = std::forward<Record>(rr);
+    ++size_;
+  }
+
+  std::vector<ResourceRecord> records_;  // [0, size_) live, then kept
+  size_t size_ = 0;
 };
 
 /// The DNS case fold (RFC 4343 section 3): ASCII letters only, whatever

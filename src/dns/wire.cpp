@@ -120,14 +120,6 @@ void encode_rdata(wire::Writer& w, const ResourceRecord& rr) {
       rr.data);
 }
 
-/// The alternative `T` of `data`, keeping its buffers when `data`
-/// already holds one.
-template <typename T>
-T& reuse(RData& data) {
-  if (auto* held = std::get_if<T>(&data)) return *held;
-  return data.emplace<T>();
-}
-
 netsim::IpAddress read_v6(wire::Reader& r) {
   auto bytes = r.bytes(16);
   std::array<uint8_t, 16> arr;
@@ -221,18 +213,17 @@ void decode_rr(wire::Reader& r, std::span<const uint8_t> whole,
 }
 
 /// Decodes `count` entries into `section`, overwriting the ones it
-/// already holds before appending, then drops any left over. Growing one
-/// entry at a time keeps a bogus count from allocating ahead of the
-/// bytes that would back it.
-template <typename T, typename DecodeOne>
-void decode_section(std::vector<T>& section, size_t count,
-                    DecodeOne decode_one) {
+/// already holds before appending, then drops any left over (a
+/// RecordList keeps them for the next decode). Growing one entry at a
+/// time keeps a bogus count from allocating ahead of the bytes that
+/// would back it.
+template <typename Section, typename DecodeOne>
+void decode_section(Section& section, size_t count, DecodeOne decode_one) {
   for (size_t i = 0; i < count; ++i) {
     if (i == section.size()) section.emplace_back();
     decode_one(section[i]);
   }
-  section.erase(section.begin() + static_cast<std::ptrdiff_t>(count),
-                section.end());
+  section.resize(count);
 }
 
 }  // namespace

@@ -28,9 +28,9 @@ struct Message {
   bool recursion_available = false;
   RCode rcode = RCode::kNoError;
   std::vector<Question> questions;
-  std::vector<ResourceRecord> answers;
-  std::vector<ResourceRecord> authority;
-  std::vector<ResourceRecord> additional;
+  RecordList answers;
+  RecordList authority;
+  RecordList additional;
 };
 
 std::vector<uint8_t> encode_message(const Message& msg);
@@ -41,8 +41,9 @@ void encode_message(const Message& msg, wire::Writer& w);
 /// Throws wire::DecodeError on malformed input.
 Message decode_message(std::span<const uint8_t> data);
 /// Decodes into `msg`, overwriting every field and reusing the capacity
-/// of its sections and strings. On a throw `msg` holds unspecified
-/// partial content; the next decode into it still equals a fresh one.
+/// of its sections and strings, and the records a section dropped. On a
+/// throw `msg` holds unspecified partial content; the next decode into
+/// it still equals a fresh one.
 void decode_message(std::span<const uint8_t> data, Message& msg);
 
 // Exposed for tests.

@@ -94,16 +94,44 @@ AsRegistry AsRegistry::standard(int tail_count) {
   return reg;
 }
 
+AsRegistry::Key AsRegistry::key_of(const netsim::IpAddress& addr) {
+  if (addr.is_v4()) return {0, addr.v4_value()};
+  return {addr.v6_hi(), addr.v6_lo()};
+}
+
+void AsRegistry::route(const netsim::Prefix& prefix, uint32_t asn) {
+  auto& levels = levels_[prefix.family() == netsim::Family::kIpv4 ? 0 : 1];
+  const int length = prefix.length();
+  auto level = std::find_if(levels.begin(), levels.end(), [&](const Level& l) {
+    return l.length <= length;
+  });
+  if (level == levels.end() || level->length != length) {
+    // The top n bits of a word; the mask keeps the top `length` bits of
+    // the address (of its low 32 bits for IPv4).
+    auto top = [](int n) {
+      return n <= 0 ? 0 : n >= 64 ? ~0ull : ~(~0ull >> n);
+    };
+    Level fresh;
+    fresh.length = length;
+    fresh.mask = prefix.family() == netsim::Family::kIpv4
+                     ? Key{0, top(length) >> 32}
+                     : Key{top(length), top(length - 64)};
+    level = levels.insert(level, std::move(fresh));
+  }
+  const Key base = key_of(prefix.base());
+  const Key network{base.hi & level->mask.hi, base.lo & level->mask.lo};
+  auto& routes = level->routes;
+  auto at = std::lower_bound(
+      routes.begin(), routes.end(), network,
+      [](const auto& entry, const Key& key) { return entry.first < key; });
+  if (at == routes.end() || at->first != network)
+    routes.insert(at, {network, asn});
+}
+
 void AsRegistry::add(AsInfo info) {
-  for (const auto& prefix : info.prefixes_v4)
-    routes_.emplace_back(prefix, info.asn);
-  for (const auto& prefix : info.prefixes_v6)
-    routes_.emplace_back(prefix, info.asn);
+  for (const auto& prefix : info.prefixes_v4) route(prefix, info.asn);
+  for (const auto& prefix : info.prefixes_v6) route(prefix, info.asn);
   infos_.emplace(info.asn, std::move(info));
-  std::sort(routes_.begin(), routes_.end(),
-            [](const auto& a, const auto& b) {
-              return a.first.length() > b.first.length();
-            });
 }
 
 const AsInfo* AsRegistry::find(uint32_t asn) const {
@@ -117,8 +145,14 @@ std::string AsRegistry::name(uint32_t asn) const {
 }
 
 uint32_t AsRegistry::asn_for(const netsim::IpAddress& addr) const {
-  for (const auto& [prefix, asn] : routes_)
-    if (prefix.contains(addr)) return asn;
+  const Key key = key_of(addr);
+  for (const auto& level : levels_[addr.is_v4() ? 0 : 1]) {
+    const Key network{key.hi & level.mask.hi, key.lo & level.mask.lo};
+    auto at = std::lower_bound(
+        level.routes.begin(), level.routes.end(), network,
+        [](const auto& entry, const Key& k) { return entry.first < k; });
+    if (at != level.routes.end() && at->first == network) return at->second;
+  }
   return 0;
 }
 

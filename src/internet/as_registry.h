@@ -5,6 +5,7 @@
 // (Tables 1/2/6, Figures 4/8) relies on.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -50,12 +51,15 @@ class AsRegistry {
   /// Builds the registry: Table 7 ASes + `tail_count` synthetic ASes.
   static AsRegistry standard(int tail_count);
 
+  /// Registers an AS and routes its prefixes. A prefix already routed
+  /// (same network and length) keeps the AS it was first routed to.
   void add(AsInfo info);
 
   const AsInfo* find(uint32_t asn) const;
   std::string name(uint32_t asn) const;
 
-  /// Longest-prefix-match attribution; 0 when unrouted.
+  /// Longest-prefix-match attribution; 0 when unrouted. One lookup per
+  /// prefix length routed in the address's family, longest first.
   uint32_t asn_for(const netsim::IpAddress& addr) const;
 
   /// Deterministic address allocation: the `index`-th host address of
@@ -66,11 +70,31 @@ class AsRegistry {
   uint32_t tail_asn(int i) const { return kTailAsBase + static_cast<uint32_t>(i); }
   int tail_count() const { return tail_count_; }
   size_t size() const { return infos_.size(); }
+  /// Every registered AS, by number.
+  const std::map<uint32_t, AsInfo>& ases() const { return infos_; }
 
  private:
+  /// An address as two 64-bit words (IPv4 in the low word), which a
+  /// prefix length masks in one AND each.
+  struct Key {
+    uint64_t hi = 0;
+    uint64_t lo = 0;
+    auto operator<=>(const Key&) const = default;
+  };
+  /// The routes of one prefix length, sorted by masked network.
+  struct Level {
+    int length = 0;
+    Key mask;
+    std::vector<std::pair<Key, uint32_t>> routes;
+  };
+  static Key key_of(const netsim::IpAddress& addr);
+  void route(const netsim::Prefix& prefix, uint32_t asn);
+
   std::map<uint32_t, AsInfo> infos_;
-  // Sorted by (family, prefix length desc) for longest-prefix match.
-  std::vector<std::pair<netsim::Prefix, uint32_t>> routes_;
+  // Per family (IPv4, IPv6), one Level per routed prefix length, longest
+  // first: the first level holding an address's masked network is its
+  // longest match.
+  std::array<std::vector<Level>, 2> levels_;
   int tail_count_ = 0;
 };
 

@@ -6,29 +6,33 @@ namespace internet {
 
 namespace {
 
-/// The domain's HTTPS ServiceMode record. Its hints are the first and
-/// the last address of each family, so a stale record shows up in them
-/// (the paper's sub-80 % HTTPS-RR scan success); its ALPN set is the
-/// first v4 host's Alt-Svc set, or h3-29.
-dns::SvcbData https_record(const DomainInfo& domain,
-                           const std::vector<HostProfile>& hosts) {
-  auto hints = [&](const std::vector<uint32_t>& ids)
-      -> std::vector<netsim::IpAddress> {
-    if (ids.empty()) return {};
+/// Writes the domain's HTTPS ServiceMode record over `svcb`. Its hints
+/// are the first and the last address of each family, so a stale record
+/// shows up in them (the paper's sub-80 % HTTPS-RR scan success); its
+/// ALPN set is the first v4 host's Alt-Svc set, or h3-29.
+void https_record(const DomainInfo& domain,
+                  const std::vector<HostProfile>& hosts,
+                  dns::SvcbData& svcb) {
+  auto hints = [&](const std::vector<uint32_t>& ids,
+                   std::vector<netsim::IpAddress>& out) {
+    out.clear();
+    if (ids.empty()) return;
+    out.push_back(hosts[ids[0]].address);
     if (ids.size() > 1 && ids.back() != ids[0])
-      return {hosts[ids[0]].address, hosts[ids.back()].address};
-    return {hosts[ids[0]].address};
+      out.push_back(hosts[ids.back()].address);
   };
-  dns::SvcbData svcb;
+  svcb.priority = 1;
   svcb.target = ".";
-  svcb.ipv4_hints = hints(domain.v4_hosts);
-  svcb.ipv6_hints = hints(domain.v6_hosts);
+  svcb.port.reset();
+  hints(domain.v4_hosts, svcb.ipv4_hints);
+  hints(domain.v6_hosts, svcb.ipv6_hints);
   if (!domain.v4_hosts.empty() &&
       !hosts[domain.v4_hosts[0]].alt_svc_alpn.empty())
     svcb.alpn = hosts[domain.v4_hosts[0]].alt_svc_alpn;
   else if (!domain.v4_hosts.empty() || !domain.v6_hosts.empty())
-    svcb.alpn = {"h3-29"};
-  return svcb;
+    svcb.alpn.assign(1, "h3-29");
+  else
+    svcb.alpn.clear();
 }
 
 }  // namespace
@@ -37,7 +41,7 @@ Snapshot::Snapshot(const PopulationParams& params, int week)
     : params_(params), population_(params, week) {}
 
 dns::RCode Snapshot::answer(const std::string& name, dns::RRType type,
-                            std::vector<dns::ResourceRecord>& answers) const {
+                            dns::RecordList& answers) const {
   const DomainInfo* domain = population_.domain_by_name(name);
   if (!domain) return dns::RCode::kNxDomain;
   const bool https = domain->https_rr_since_week > 0 &&
@@ -46,16 +50,23 @@ dns::RCode Snapshot::answer(const std::string& name, dns::RRType type,
     return dns::RCode::kNxDomain;
   const auto& hosts = population_.hosts();
   // Records in host-list order, owned by the (normalized) domain name;
-  // any other type is NODATA.
+  // any other type is NODATA. Each is written over a record the list
+  // kept, so its name and data reuse that record's storage.
+  auto next = [&]() -> dns::RData& {
+    dns::ResourceRecord& rr = answers.emplace_back();
+    rr.name = name;
+    rr.type = type;
+    rr.ttl = 300;
+    return rr.data;
+  };
   if (type == dns::RRType::kA) {
     for (uint32_t h : domain->v4_hosts)
-      answers.emplace_back(name, type, 300, dns::ARecord{hosts[h].address});
+      dns::reuse<dns::ARecord>(next()).address = hosts[h].address;
   } else if (type == dns::RRType::kAaaa) {
     for (uint32_t h : domain->v6_hosts)
-      answers.emplace_back(name, type, 300,
-                           dns::AaaaRecord{hosts[h].address});
+      dns::reuse<dns::AaaaRecord>(next()).address = hosts[h].address;
   } else if (type == dns::RRType::kHttps && https) {
-    answers.emplace_back(name, type, 300, https_record(*domain, hosts));
+    https_record(*domain, hosts, dns::reuse<dns::SvcbData>(next()));
   }
   return dns::RCode::kNoError;
 }

@@ -48,7 +48,7 @@ class Snapshot : public dns::Zone {
   /// with a host or a published HTTPS record; a query for it never
   /// yields a CNAME. Records come in host-list order with TTL 300.
   dns::RCode answer(const std::string& name, dns::RRType type,
-                    std::vector<dns::ResourceRecord>& answers) const override;
+                    dns::RecordList& answers) const override;
 
  private:
   PopulationParams params_;

@@ -1,9 +1,12 @@
 #include "internet/population.h"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <cmath>
 #include <functional>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "http/alpn.h"
 
@@ -69,21 +72,124 @@ const std::vector<std::string> kAltSvcGoogleNew{
     "h3-27", "h3-29", "h3-34", "h3-Q043", "h3-Q046", "h3-Q050", "quic"};
 const std::vector<std::string> kAltSvcQuicOnly{"quic"};
 
+/// "<head><sep><i><tail>", formatted into one string sized once: the
+/// week build names every domain this way, and the list corpora every
+/// filler.
+std::string numbered_name(std::string_view head, std::string_view sep,
+                          size_t i, std::string_view tail) {
+  char digits[20];
+  char* end = std::to_chars(digits, digits + sizeof digits, i).ptr;
+  std::string name;
+  name.reserve(head.size() + sep.size() +
+               static_cast<size_t>(end - digits) + tail.size());
+  name.append(head).append(sep).append(digits, end).append(tail);
+  return name;
+}
+
+uint64_t name_hash(std::string_view name) {
+  return std::hash<std::string_view>{}(name);
+}
+
+/// splitmix64's finalizer over the stable address key, so every
+/// address bit reaches both the slot (low) and the tag (high) half.
+uint64_t address_hash(const netsim::IpAddress& addr) {
+  uint64_t z = netsim::address_key64(addr);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+/// Up to two host ids, in the order they were added.
+struct HostPicks {
+  std::array<uint32_t, 2> ids{};
+  uint16_t n = 0;
+
+  void add(uint32_t id) { ids[n++] = id; }
+  bool has(uint32_t id) const {
+    return std::find(ids.begin(), ids.begin() + n, id) != ids.begin() + n;
+  }
+};
+
+/// The leading share of a group's hosts its domains concentrate on.
+size_t domain_pool(size_t hosts, double fraction) {
+  return std::max<size_t>(
+      1, static_cast<size_t>(static_cast<double>(hosts) * fraction));
+}
+
+/// The serving hosts of a group's domain `i`: two picks from the
+/// leading `pool` hosts of the bucket, ascending, without a repeat.
+HostPicks pick_hosts(const std::vector<uint32_t>& bucket, size_t pool,
+                     size_t i) {
+  HostPicks picks;
+  if (bucket.empty()) return picks;
+  uint32_t a = bucket[(i * 7) % pool];
+  uint32_t b = bucket[(i * 7 + 13) % pool];
+  if (b < a) std::swap(a, b);
+  picks.add(a);
+  if (b != a) picks.add(b);
+  return picks;
+}
+
+/// One family of a domain's records: its serving hosts, then its stale
+/// records, in a list sized once.
+void set_hosts(std::vector<uint32_t>& hosts, uint16_t& serving,
+               const HostPicks& picks, const HostPicks& stale) {
+  serving = picks.n;
+  hosts.reserve(picks.n + stale.n);
+  hosts.insert(hosts.end(), picks.ids.begin(), picks.ids.begin() + picks.n);
+  hosts.insert(hosts.end(), stale.ids.begin(), stale.ids.begin() + stale.n);
+}
+
 }  // namespace
 
-std::string Population::synthetic_domain(const std::string& list, size_t i) {
-  return list + "-filler-" + std::to_string(i) + ".com";
+template <typename Hash, typename Same>
+void Population::IdIndex::build(uint32_t n, Hash hash, Same same) {
+  size_t size = 8;
+  while (size * 3 < size_t{n} * 4) size *= 2;
+  slots_.assign(size, Slot{});
+  const size_t mask = size - 1;
+  for (uint32_t id = 0; id < n; ++id) {
+    const uint64_t h = hash(id);
+    const auto tag = static_cast<uint32_t>(h >> 32);
+    for (size_t i = h & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.id == kNone) {
+        slot = {tag, id};
+        break;
+      }
+      if (slot.tag == tag && same(slot.id, id)) break;  // first id wins
+    }
+  }
+}
+
+template <typename IsKey>
+uint32_t Population::IdIndex::find(uint64_t hash, IsKey is_key) const {
+  if (slots_.empty()) return kNone;
+  const size_t mask = slots_.size() - 1;
+  const auto tag = static_cast<uint32_t>(hash >> 32);
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.id == kNone) return kNone;
+    if (slot.tag == tag && is_key(slot.id)) return slot.id;
+  }
+}
+
+std::string Population::synthetic_domain(std::string_view list, size_t i) {
+  return numbered_name(list, "-filler-", i, ".com");
 }
 
 const HostProfile* Population::host_by_address(
     const netsim::IpAddress& addr) const {
-  auto it = host_index_.find(addr);
-  return it == host_index_.end() ? nullptr : &hosts_[it->second];
+  const uint32_t id = host_index_.find(address_hash(addr), [&](uint32_t i) {
+    return hosts_[i].address == addr;
+  });
+  return id == IdIndex::kNone ? nullptr : &hosts_[id];
 }
 
-const DomainInfo* Population::domain_by_name(const std::string& name) const {
-  auto it = domain_index_.find(name);
-  return it == domain_index_.end() ? nullptr : &domains_[it->second];
+const DomainInfo* Population::domain_by_name(std::string_view name) const {
+  const uint32_t id = domain_index_.find(
+      name_hash(name), [&](uint32_t i) { return domains_[i].name == name; });
+  return id == IdIndex::kNone ? nullptr : &domains_[id];
 }
 
 bool Population::serves(uint32_t host, const DomainInfo& domain) {
@@ -121,10 +227,6 @@ class PopulationBuilder {
 
   void add_group(const GroupSpec& spec);
   void add_host(const GroupSpec& spec, netsim::Family family, bool active);
-  uint32_t add_domain(std::string name, std::vector<uint32_t> v4_hosts,
-                      std::vector<uint32_t> v6_hosts, int https_since,
-                      std::vector<uint32_t> stale_v4 = {},
-                      std::vector<uint32_t> stale_v6 = {});
   void build_hosts();
   void build_domains();
   void build_lists();
@@ -158,56 +260,44 @@ void PopulationBuilder::add_host(const GroupSpec& spec, netsim::Family family,
   uint32_t asn = spec.asn;
   if (asn == 0) {
     int lo = spec.tail_lo;
-    int hi = spec.tail_hi < 0 ? pop_.as_registry_.tail_count() : spec.tail_hi;
-    asn = pop_.as_registry_.tail_asn(lo + next_tail_as_ % (hi - lo));
+    int hi = spec.tail_hi < 0 ? pop_.as_registry_->tail_count() : spec.tail_hi;
+    asn = pop_.as_registry_->tail_asn(lo + next_tail_as_ % (hi - lo));
     ++next_tail_as_;
   }
   uint64_t cursor = alloc_count_[uint64_t{asn} * 2 +
                                  (family == netsim::Family::kIpv6 ? 1 : 0)]++;
   if (!active) return;
 
-  HostProfile host;
-  host.id = static_cast<uint32_t>(pop_.hosts_.size());
+  HostProfile& host = pop_.hosts_.emplace_back();
+  host.id = static_cast<uint32_t>(pop_.hosts_.size() - 1);
   host.group = spec.group;
   host.asn = asn;
-  host.address = pop_.as_registry_.allocate(asn, family, cursor);
+  host.address = pop_.as_registry_->allocate(asn, family, cursor);
   spec.configure(host);
   auto& bucket = family == netsim::Family::kIpv4 ? group_v4_[spec.group]
                                                  : group_v6_[spec.group];
   bucket.push_back(host.id);
-  pop_.host_index_.emplace(host.address, host.id);
-  pop_.hosts_.push_back(std::move(host));
-}
-
-uint32_t PopulationBuilder::add_domain(std::string name,
-                                       std::vector<uint32_t> v4_hosts,
-                                       std::vector<uint32_t> v6_hosts,
-                                       int https_since,
-                                       std::vector<uint32_t> stale_v4,
-                                       std::vector<uint32_t> stale_v6) {
-  DomainInfo d;
-  d.id = static_cast<uint32_t>(pop_.domains_.size());
-  d.name = std::move(name);
-  d.v4_hosts = std::move(v4_hosts);
-  d.v6_hosts = std::move(v6_hosts);
-  d.https_rr_since_week = https_since;
-  // Registered hosts actually serve the domain; stale records after
-  // them model DNS pointing at an address that no longer does
-  // (load-balancer rotation, provider migration, ZMap-to-scan delay) --
-  // the paper's SNI-scan 0x128s and timeouts (Table 3).
-  d.v4_serving = static_cast<uint16_t>(d.v4_hosts.size());
-  d.v6_serving = static_cast<uint16_t>(d.v6_hosts.size());
-  d.v4_hosts.insert(d.v4_hosts.end(), stale_v4.begin(), stale_v4.end());
-  d.v6_hosts.insert(d.v6_hosts.end(), stale_v6.begin(), stale_v6.end());
-  pop_.domain_index_.emplace(d.name, d.id);
-  pop_.domains_.push_back(std::move(d));
-  return pop_.domains_.back().id;
 }
 
 void PopulationBuilder::build() {
   build_hosts();
   build_domains();
   build_lists();
+  // The lookup indexes, once every table is complete.
+  const auto& hosts = pop_.hosts_;
+  pop_.host_index_.build(
+      static_cast<uint32_t>(hosts.size()),
+      [&](uint32_t id) { return address_hash(hosts[id].address); },
+      [&](uint32_t a, uint32_t b) {
+        return hosts[a].address == hosts[b].address;
+      });
+  const auto& domains = pop_.domains_;
+  pop_.domain_index_.build(
+      static_cast<uint32_t>(domains.size()),
+      [&](uint32_t id) { return name_hash(domains[id].name); },
+      [&](uint32_t a, uint32_t b) {
+        return domains[a].name == domains[b].name;
+      });
 }
 
 void PopulationBuilder::build_hosts() {
@@ -619,18 +709,6 @@ void PopulationBuilder::build_hosts() {
 
 void PopulationBuilder::build_domains() {
   const int week = pop_.week_;
-  auto pick_hosts = [&](const std::vector<uint32_t>& bucket, size_t i,
-                        int spread, double fraction) {
-    std::vector<uint32_t> out;
-    if (bucket.empty()) return out;
-    size_t pool = std::max<size_t>(
-        1, static_cast<size_t>(static_cast<double>(bucket.size()) * fraction));
-    for (int k = 0; k < spread; ++k)
-      out.push_back(bucket[(i * 7 + static_cast<size_t>(k) * 13) % pool]);
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
-  };
   static const char* kTlds[] = {".com", ".com", ".com", ".net", ".org",
                                 ".xyz", ".shop", ".site", ".dev", ".app"};
 
@@ -678,68 +756,72 @@ void PopulationBuilder::build_domains() {
       {"indie", "indie-site", 60, 30, 5, 1.0},
       {"tcp-only", "web-site", 400, 60, 0, 1.0},
   };
+  // This week's share of each group's week-18 domain count.
+  const double m = growth(week);
+  auto this_week = [m](int count) {
+    return static_cast<int>(std::lround(count * m));
+  };
+  size_t total = 0;
+  for (const auto& g : groups)
+    total += static_cast<size_t>(this_week(g.count_v4));
+  pop_.domains_.reserve(total);
+  // Stale records at a stalled middlebox all point into this group.
+  const auto& stallers = group_v4_["stall-tail"];
+  const auto& stallers6 = group_v6_["stall-tail"];
   for (const auto& g : groups) {
     const auto& v4 = group_v4_[g.host_group];
     const auto& v6 = group_v6_[g.host_group];
-    double m = growth(week);
-    int n = static_cast<int>(std::lround(g.count_v4 * m));
-    int n6 = static_cast<int>(std::lround(g.count_v6 * m));
-    int https_total = g.https_rr_total;
-    int https_now = static_cast<int>(
+    const int n = this_week(g.count_v4);
+    const int n6 = this_week(g.count_v6);
+    const int https_total = g.https_rr_total;
+    const int https_now = static_cast<int>(
         std::lround(https_total * https_rr_progress(week)));
+    const size_t pool4 = domain_pool(v4.size(), g.host_fraction);
+    const size_t pool6 = domain_pool(v6.size(), g.host_fraction);
+    const std::string_view host_group = g.host_group;
+    const bool eligible = host_group != "tcp-only" && host_group != "hostinger";
     for (int i = 0; i < n; ++i) {
-      std::string name = std::string(g.stem) + "-" + std::to_string(i) +
-                         kTlds[i % 10];
+      const auto at = static_cast<size_t>(i);
+      DomainInfo& d = pop_.domains_.emplace_back();
+      d.id = static_cast<uint32_t>(pop_.domains_.size() - 1);
+      d.name = numbered_name(g.stem, "-", at, kTlds[i % 10]);
       // HTTPS RRs roll out from the front of each group's domain range
       // (earlier ids published earlier): domain i is live once
       // https_rr_progress(w) * https_total exceeds i.
-      int since = 0;
       if (i < https_now) {
         for (int w = 5; w <= 18; ++w) {
           if (https_rr_progress(w) * https_total > i) {
-            since = w;
+            d.https_rr_since_week = w;
             break;
           }
         }
       }
-      bool eventually = i < https_total;
-      auto v4_hosts = pick_hosts(v4, static_cast<size_t>(i), 2,
-                                 g.host_fraction);
-      auto v6_hosts = i < n6 ? pick_hosts(v6, static_cast<size_t>(i), 2,
-                                          g.host_fraction)
-                             : std::vector<uint32_t>{};
+      d.https_rr_eventually = i < https_total;
+      const HostPicks serving4 = pick_hosts(v4, pool4, at);
+      const HostPicks serving6 =
+          i < n6 ? pick_hosts(v6, pool6, at) : HostPicks{};
       // Stale extra records: ~5.5 % of domains keep an A record at a
       // same-provider address that no longer serves them (SNI scans hit
-      // 0x128); ~11 % keep one at a stalled middlebox (timeouts).
-      std::vector<uint32_t> stale_v4, stale_v6;
-      bool eligible = std::string(g.host_group) != "tcp-only" &&
-                      std::string(g.host_group) != "hostinger";
+      // 0x128); ~11 % keep one at a stalled middlebox (timeouts). They
+      // model DNS pointing at an address that no longer serves the
+      // domain (load-balancer rotation, provider migration, ZMap-to-scan
+      // delay) -- the paper's SNI-scan 0x128s and timeouts (Table 3).
+      HostPicks stale4, stale6;
       if (eligible && (i % 9 == 3 || i % 18 == 15) && v4.size() > 3) {
         // Candidate from the same domain-hosting pool: it serves other
         // domains of this provider but not this one, so the SNI scan
         // gets 0x128 -- without handing domains to addresses that the
         // paper reports as domain-less (join coverage, section 4).
-        size_t pool = std::max<size_t>(
-            1, static_cast<size_t>(static_cast<double>(v4.size()) *
-                                   g.host_fraction));
-        uint32_t candidate = v4[(static_cast<size_t>(i) * 11 + 1) % pool];
-        if (std::find(v4_hosts.begin(), v4_hosts.end(), candidate) ==
-            v4_hosts.end())
-          stale_v4.push_back(candidate);
+        uint32_t candidate = v4[(at * 11 + 1) % pool4];
+        if (!serving4.has(candidate)) stale4.add(candidate);
       }
       if (eligible && i % 9 == 4) {
-        const auto& stallers = group_v4_["stall-tail"];
-        if (!stallers.empty())
-          stale_v4.push_back(stallers[static_cast<size_t>(i) % stallers.size()]);
-        const auto& stallers6 = group_v6_["stall-tail"];
-        if (!v6_hosts.empty() && !stallers6.empty())
-          stale_v6.push_back(
-              stallers6[static_cast<size_t>(i) % stallers6.size()]);
+        if (!stallers.empty()) stale4.add(stallers[at % stallers.size()]);
+        if (serving6.n > 0 && !stallers6.empty())
+          stale6.add(stallers6[at % stallers6.size()]);
       }
-      uint32_t id = add_domain(std::move(name), std::move(v4_hosts),
-                               std::move(v6_hosts), since,
-                               std::move(stale_v4), std::move(stale_v6));
-      pop_.domains_[id].https_rr_eventually = eventually;
+      set_hosts(d.v4_hosts, d.v4_serving, serving4, stale4);
+      set_hosts(d.v6_hosts, d.v6_serving, serving6, stale6);
     }
   }
 }
@@ -836,17 +918,19 @@ void PopulationBuilder::build_lists() {
   }
 }
 
-AsRegistry campaign_as_registry() {
-  AsRegistry registry = AsRegistry::standard(240);
-  registry.add({kAsOpenCdn, "OpenCDN (padding-lax)",
-                {*netsim::Prefix::parse("185.152.64.0/18")},
-                {*netsim::Prefix::parse("2a0b:4340::/32")}});
+const AsRegistry& campaign_as_registry() {
+  static const AsRegistry registry = [] {
+    AsRegistry r = AsRegistry::standard(240);
+    r.add({kAsOpenCdn, "OpenCDN (padding-lax)",
+           {*netsim::Prefix::parse("185.152.64.0/18")},
+           {*netsim::Prefix::parse("2a0b:4340::/32")}});
+    return r;
+  }();
   return registry;
 }
 
 Population::Population(const PopulationParams& params, int week)
-    : week_(week),
-      as_registry_(campaign_as_registry()) {
+    : week_(week), as_registry_(&campaign_as_registry()) {
   if (week < 5 || week > 18)
     throw std::invalid_argument("week must be in [5, 18]");
   PopulationBuilder builder(*this, params);

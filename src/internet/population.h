@@ -15,7 +15,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "internet/as_registry.h"
@@ -144,10 +144,12 @@ struct PopulationParams {
 
 /// The AS registry every campaign population routes through:
 /// AsRegistry::standard with 240 tail ASes plus the population-specific
-/// ASes (the padding-lax open CDN of section 3.1). Exposed so offline
-/// tooling (qreport_cli) can attribute saved-CSV addresses identically
-/// to the in-engine report without rebuilding a population.
-AsRegistry campaign_as_registry();
+/// ASes (the padding-lax open CDN of section 3.1). It depends on
+/// nothing, so it is built once per process, on first use, and every
+/// Population shares it read-only. Exposed so offline tooling
+/// (qreport_cli) can attribute saved-CSV addresses identically to the
+/// in-engine report without rebuilding a population.
+const AsRegistry& campaign_as_registry();
 
 class Population {
  public:
@@ -155,31 +157,60 @@ class Population {
   Population(const PopulationParams& params, int week);
 
   int week() const { return week_; }
-  const AsRegistry& as_registry() const { return as_registry_; }
+  const AsRegistry& as_registry() const { return *as_registry_; }
   const std::vector<HostProfile>& hosts() const { return hosts_; }
   const std::vector<DomainInfo>& domains() const { return domains_; }
   const std::vector<ListCorpus>& lists() const { return lists_; }
 
+  /// The first host with address `addr`, or nullptr.
   const HostProfile* host_by_address(const netsim::IpAddress& addr) const;
-  const DomainInfo* domain_by_name(const std::string& name) const;
+  /// The first domain named `name` (normalized), or nullptr.
+  const DomainInfo* domain_by_name(std::string_view name) const;
 
   /// True when host `host` serves `domain`: it is one of the domain's
   /// serving A or AAAA hosts, not the target of a stale record.
   static bool serves(uint32_t host, const DomainInfo& domain);
 
-  /// Deterministic synthetic list-member name (resolves NXDOMAIN).
-  static std::string synthetic_domain(const std::string& list, size_t i);
+  /// Deterministic synthetic list-member name (resolves NXDOMAIN),
+  /// "<list>-filler-<i>.com", formatted into one string sized once.
+  static std::string synthetic_domain(std::string_view list, size_t i);
 
  private:
   friend class PopulationBuilder;
+
+  /// A flat open-addressing index over the ids 0..n-1 of one of the
+  /// tables above. A slot holds an id and a tag (the high half of the
+  /// key's 64-bit hash), never the key: a lookup compares the table's
+  /// own entry, so the index keeps no second copy of a name or an
+  /// address, and it is built once, after the table is complete.
+  class IdIndex {
+   public:
+    static constexpr uint32_t kNone = UINT32_MAX;
+    /// Indexes ids 0..n-1. `hash(id)` hashes id's key; `same(a, b)`
+    /// says whether ids a and b share a key. The first id of a key
+    /// wins.
+    template <typename Hash, typename Same>
+    void build(uint32_t n, Hash hash, Same same);
+    /// The indexed id whose key hashes to `hash` and satisfies
+    /// `is_key(id)`, or kNone.
+    template <typename IsKey>
+    uint32_t find(uint64_t hash, IsKey is_key) const;
+
+   private:
+    struct Slot {
+      uint32_t tag = 0;
+      uint32_t id = kNone;
+    };
+    std::vector<Slot> slots_;  // a power of two, at most 3/4 full
+  };
+
   int week_;
-  AsRegistry as_registry_;
+  const AsRegistry* as_registry_;
   std::vector<HostProfile> hosts_;
   std::vector<DomainInfo> domains_;
   std::vector<ListCorpus> lists_;
-  std::unordered_map<netsim::IpAddress, uint32_t, netsim::IpAddressHash>
-      host_index_;
-  std::unordered_map<std::string, uint32_t> domain_index_;
+  IdIndex host_index_;
+  IdIndex domain_index_;
 };
 
 }  // namespace internet

@@ -43,9 +43,7 @@ std::string pct_str(uint64_t part, uint64_t whole) {
 const internet::AsRegistry& registry_or_default(
     const RenderOptions& options) {
   if (options.as_registry) return *options.as_registry;
-  static const internet::AsRegistry standard =
-      internet::campaign_as_registry();
-  return standard;
+  return internet::campaign_as_registry();
 }
 
 netsim::IpAddress parse_address(const std::string& text) {

@@ -197,9 +197,9 @@ class ReportAccumulator {
 };
 
 struct RenderOptions {
-  /// AS name / prefix attribution source; when null the renderers use a
-  /// process-wide internet::AsRegistry::standard(240) (the default
-  /// synthetic population's registry).
+  /// AS name / prefix attribution source; when null the renderers use
+  /// internet::campaign_as_registry() (every campaign population's
+  /// registry).
   const internet::AsRegistry* as_registry = nullptr;
 };
 

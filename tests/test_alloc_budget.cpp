@@ -1,9 +1,11 @@
-// Heap-allocation budget of one SNI handshake, client and simulated
-// server together. The global operator new is replaced by a counting
-// version, so this file is its own test binary. Each target is scanned
-// once to build its lazily constructed server host and the process-wide
-// keys; the second QScanner (QUIC + TLS 1.3 + HTTP/3) and TcpTlsScanner
-// (TLS-over-TCP + HTTP/1.1) scan_one of the same target are counted.
+// Heap-allocation budgets: one SNI handshake, client and simulated
+// server together; one week's world; one week's list corpora; and bulk
+// DNS resolution per name. The global operator new is replaced by a
+// counting version, so this file is its own test binary. Each
+// handshake target is scanned once to build its lazily constructed
+// server host and the process-wide keys; the second QScanner (QUIC +
+// TLS 1.3 + HTTP/3) and TcpTlsScanner (TLS-over-TCP + HTTP/1.1)
+// scan_one of the same target are counted.
 //
 // The portable AES backend allocates one 4 KiB GHASH table per GCM
 // context (12 per QUIC scan, 8 per TCP scan), which AES-NI contexts do
@@ -17,6 +19,7 @@
 #include <new>
 
 #include "crypto/cpu.h"
+#include "dns/resolver.h"
 #include "internet/internet.h"
 #include "scanner/qscanner.h"
 #include "scanner/tcp_tls.h"
@@ -144,10 +147,14 @@ TEST(AllocBudget, SniHandshakesStayWithinBudget) {
 
 // One week's world, built the way every campaign builds it: the
 // population's hosts, domains and lists, which are also its DNS zone.
-// A second copy of the week (a record store, a per-host domain index)
-// would more than double the count.
+// A second copy of the week (a record store, a per-host domain index,
+// a name-keyed lookup map) or a temporary per domain would show here:
+// the count is 111 467, mostly each domain's name and host lists. The
+// AS registry every week shares is built once per process, before
+// counting.
 TEST(AllocBudget, WeekSnapshotStaysWithinBudget) {
-  constexpr uint64_t kBudget = 280'000;
+  constexpr uint64_t kBudget = 117'000;
+  internet::campaign_as_registry();
   const uint64_t before = g_allocations.load();
   const internet::Snapshot snapshot({.dns_corpus_scale = 0.01}, 18);
   const uint64_t count = g_allocations.load() - before;
@@ -159,6 +166,56 @@ TEST(AllocBudget, WeekSnapshotStaysWithinBudget) {
       static_cast<unsigned long long>(count),
       static_cast<unsigned long long>(kBudget));
   EXPECT_LE(count, kBudget);
+}
+
+// Every list corpus of a week: one string per name that does not fit
+// the string object itself, plus the vector.
+TEST(AllocBudget, ListCorpusAllocatesOncePerName) {
+  netsim::EventLoop loop;
+  const internet::Internet net{{.dns_corpus_scale = 0.01}, 18, loop};
+  for (const auto& list : net.population().lists()) {
+    const uint64_t before = g_allocations.load();
+    const auto corpus = net.list_corpus(list.name);
+    const uint64_t count = g_allocations.load() - before;
+    std::printf("list_corpus(%s): %zu names, %llu allocations\n",
+                list.name.c_str(), corpus.size(),
+                static_cast<unsigned long long>(count));
+    EXPECT_LE(count, corpus.size() + 1) << list.name;
+  }
+}
+
+// Bulk resolution of A, AAAA and HTTPS for every tenth name of each of
+// week 18's lists, the sample campaign_bench's weekly sweep resolves:
+// the query, the zone's answer and the decoded response reuse their
+// records, so what is left is the result itself (the normalized name
+// and one vector per non-empty record set).
+TEST(AllocBudget, BulkResolvePerNameStaysWithinBudget) {
+  constexpr double kBudget = 1.45;
+  const internet::Snapshot snapshot({.dns_corpus_scale = 0.01}, 18);
+  netsim::EventLoop loop;
+  const internet::Internet net{
+      std::make_shared<const internet::Snapshot>(snapshot.params(), 18), loop};
+  std::vector<std::string> names;
+  for (const auto& list : snapshot.population().lists()) {
+    const auto corpus = net.list_corpus(list.name);
+    for (size_t i = 0; i < corpus.size(); i += 10) names.push_back(corpus[i]);
+  }
+  dns::BulkResolver resolver(snapshot.zones());
+  uint64_t found = 0;
+  const uint64_t before = g_allocations.load();
+  for (const auto& name : names) {
+    const auto record = resolver.resolve_one(name);
+    found += !record.a.empty() || !record.aaaa.empty() || record.has_https_rr();
+  }
+  const double per_name =
+      static_cast<double>(g_allocations.load() - before) /
+      static_cast<double>(names.size());
+  std::printf(
+      "allocations per resolve_one over %zu names (%llu with records): "
+      "%.2f (budget %.2f)\n",
+      names.size(), static_cast<unsigned long long>(found), per_name, kBudget);
+  EXPECT_EQ(resolver.queries_sent(), 3 * names.size());
+  EXPECT_LE(per_name, kBudget);
 }
 
 }  // namespace

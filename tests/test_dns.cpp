@@ -262,6 +262,30 @@ TEST(Wire, DecodeAfterThrowEqualsFreshDecode) {
   EXPECT_EQ(std::get<SvcbData>(msg.answers[0].data), lean);
 }
 
+// A RecordList keeps the records it drops for reuse, but size,
+// iteration and equality see only the live ones; growing by resize()
+// appends empty records, and push_back of one of its own records is as
+// safe as std::vector's, across reallocation.
+TEST(RecordList, KeptRecordsStayOutOfSight) {
+  const ResourceRecord a{"a.example", RRType::kA, 60,
+                         ARecord{IpAddress::v4(0x01020304)}};
+  RecordList list;
+  list.push_back(a);
+  list.push_back({"b.example", RRType::kTxt, 60, TxtRecord{"x"}});
+  list.clear();
+  EXPECT_TRUE(list.empty());
+  EXPECT_EQ(list.begin(), list.end());
+  EXPECT_TRUE(list == RecordList{});
+  list.resize(2);
+  EXPECT_EQ(list[0], ResourceRecord{});
+  EXPECT_EQ(list[1], ResourceRecord{});
+  list.clear();
+  list.push_back(a);
+  for (int i = 0; i < 40; ++i) list.push_back(list[0]);
+  ASSERT_EQ(list.size(), 41u);
+  for (const auto& rr : list) EXPECT_EQ(rr, a);
+}
+
 TEST(Wire, EncodeIntoWriterAppendsTheSameBytes) {
   auto msg = rich_response();
   wire::Writer w;
@@ -284,11 +308,11 @@ class MapZone : public Zone {
   }
 
   RCode answer(const std::string& name, RRType type,
-               std::vector<ResourceRecord>& answers) const override {
+               RecordList& answers) const override {
     auto it = records_.find({name, type});
     if (it == records_.end()) it = records_.find({name, RRType::kCname});
     if (it != records_.end())
-      answers.insert(answers.end(), it->second.begin(), it->second.end());
+      for (const auto& rr : it->second) answers.push_back(rr);
     return names_.contains(name) ? RCode::kNoError : RCode::kNxDomain;
   }
 

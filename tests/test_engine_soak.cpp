@@ -202,7 +202,7 @@ TEST(EngineSoak, TenThousandTargetReportByteIdenticalAcrossJobs) {
 
   // Offline replay of the merged campaign CSV (the qreport_cli path)
   // reproduces the streaming report byte for byte at soak scale.
-  internet::AsRegistry registry = internet::campaign_as_registry();
+  const internet::AsRegistry& registry = internet::campaign_as_registry();
   report::ReportAccumulator replay("qscanner");
   auto rows = report::parse_csv(baseline.csv);
   ASSERT_GT(rows.size(), 1u);

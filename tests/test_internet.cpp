@@ -4,6 +4,7 @@
 // first contact.
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
 
 #include "internet/internet.h"
@@ -31,6 +32,114 @@ TEST(AsRegistry, LongestPrefixAttribution) {
   auto addr6 = reg.allocate(kAsGoogle, netsim::Family::kIpv6, 5);
   EXPECT_EQ(reg.asn_for(addr6), kAsGoogle);
   EXPECT_EQ(reg.asn_for(netsim::IpAddress::v4(0x08080808)), 0u);
+}
+
+// The first (last = false) or last address of a prefix.
+netsim::IpAddress prefix_edge(const netsim::Prefix& prefix, bool last) {
+  const int length = prefix.length();
+  if (prefix.family() == netsim::Family::kIpv4) {
+    const uint32_t mask = length == 0 ? 0 : ~0u << (32 - length);
+    const uint32_t v = prefix.base().v4_value();
+    return netsim::IpAddress::v4(last ? v | ~mask : v & mask);
+  }
+  auto top = [](int n) -> uint64_t {
+    return n <= 0 ? 0 : n >= 64 ? ~0ull : ~(~0ull >> n);
+  };
+  const uint64_t hi = prefix.base().v6_hi(), lo = prefix.base().v6_lo();
+  const uint64_t mhi = top(length), mlo = top(length - 64);
+  return last ? netsim::IpAddress::v6(hi | ~mhi, lo | ~mlo)
+              : netsim::IpAddress::v6(hi & mhi, lo & mlo);
+}
+
+// The per-length route tables against the linear scan they replaced:
+// the longest routed prefix that contains the address, or 0. Probed at
+// every route's first and last address, just outside each end, a random
+// address inside each route, and random v4 and v6 addresses.
+TEST(AsRegistry, LongestPrefixMatchAgreesWithLinearScan) {
+  const AsRegistry& reg = campaign_as_registry();
+  std::vector<std::pair<netsim::Prefix, uint32_t>> routes;
+  for (const auto& [asn, info] : reg.ases()) {
+    for (const auto& prefix : info.prefixes_v4)
+      routes.emplace_back(prefix, asn);
+    for (const auto& prefix : info.prefixes_v6)
+      routes.emplace_back(prefix, asn);
+  }
+  ASSERT_GT(routes.size(), 500u);
+  auto linear = [&](const netsim::IpAddress& addr) {
+    int best = -1;
+    uint32_t asn = 0;
+    for (const auto& [prefix, owner] : routes) {
+      if (prefix.length() > best && prefix.contains(addr)) {
+        best = prefix.length();
+        asn = owner;
+      }
+    }
+    return asn;
+  };
+  std::mt19937_64 rng(0x1f0c);
+  std::vector<netsim::IpAddress> probes;
+  for (const auto& [prefix, asn] : routes) {
+    const auto first = prefix_edge(prefix, false);
+    const auto last = prefix_edge(prefix, true);
+    probes.push_back(first);
+    probes.push_back(last);
+    if (first.is_v4()) {
+      probes.push_back(netsim::IpAddress::v4(first.v4_value() - 1));
+      probes.push_back(netsim::IpAddress::v4(last.v4_value() + 1));
+      const uint64_t width = uint64_t{last.v4_value()} - first.v4_value() + 1;
+      probes.push_back(netsim::IpAddress::v4(
+          first.v4_value() + static_cast<uint32_t>(rng() % width)));
+    } else {
+      probes.push_back(netsim::IpAddress::v6(first.v6_hi() - 1, first.v6_lo()));
+      probes.push_back(netsim::IpAddress::v6(last.v6_hi() + 1, last.v6_lo()));
+      probes.push_back(netsim::IpAddress::v6(
+          first.v6_hi() | (rng() & (last.v6_hi() ^ first.v6_hi())), rng()));
+    }
+  }
+  for (int i = 0; i < 4000; ++i) {
+    probes.push_back(netsim::IpAddress::v4(static_cast<uint32_t>(rng())));
+    const uint64_t hi = rng();
+    probes.push_back(netsim::IpAddress::v6(hi, rng()));
+  }
+  size_t routed = 0;
+  for (const auto& addr : probes) {
+    const uint32_t want = linear(addr);
+    routed += want != 0;
+    EXPECT_EQ(reg.asn_for(addr), want) << addr.to_string();
+  }
+  EXPECT_GT(routed, routes.size() * 3);
+}
+
+// Overlapping routes: the longest prefix wins whatever the order the
+// ASes were added in, and a prefix routed twice keeps its first AS.
+TEST(AsRegistry, NestedPrefixesAttributeToTheLongest) {
+  auto p = [](const char* text) { return *netsim::Prefix::parse(text); };
+  for (bool wide_first : {true, false}) {
+    AsRegistry reg;
+    const AsInfo wide{1, "wide", {p("10.0.0.0/8")}, {p("2001:db8::/32")}};
+    const AsInfo narrow{2, "narrow", {p("10.1.0.0/16"), p("10.1.2.0/24")},
+                        {p("2001:db8:1::/48")}};
+    if (wide_first) {
+      reg.add(wide);
+      reg.add(narrow);
+    } else {
+      reg.add(narrow);
+      reg.add(wide);
+    }
+    reg.add({3, "duplicate", {p("10.1.0.0/16")}, {}});
+    auto asn = [&](const char* text) {
+      return reg.asn_for(*netsim::IpAddress::parse(text));
+    };
+    EXPECT_EQ(asn("10.0.0.1"), 1u);
+    EXPECT_EQ(asn("10.1.0.1"), 2u);
+    EXPECT_EQ(asn("10.1.2.3"), 2u);
+    EXPECT_EQ(asn("10.2.0.1"), 1u);
+    EXPECT_EQ(asn("11.0.0.1"), 0u);
+    EXPECT_EQ(asn("2001:db8:1::5"), 2u);
+    EXPECT_EQ(asn("2001:db8:2::5"), 1u);
+    EXPECT_EQ(asn("2001:db9::1"), 0u);
+    EXPECT_EQ(asn("::a01:1"), 0u);  // IPv4's bits as IPv6: another family
+  }
 }
 
 TEST(AsRegistry, AllocationsAreDistinctAndStable) {

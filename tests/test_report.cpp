@@ -735,7 +735,7 @@ CampaignReport run_report_campaign(
 
 // The qreport_cli replay path, in miniature.
 std::string replay_report(const std::string& csv) {
-  internet::AsRegistry registry = internet::campaign_as_registry();
+  const internet::AsRegistry& registry = internet::campaign_as_registry();
   report::ReportAccumulator acc("qscanner");
   auto rows = report::parse_csv(csv);
   EXPECT_GT(rows.size(), 1u);

@@ -121,7 +121,7 @@ int run(int argc, char** argv) {
   // The same attribution the campaign population carries: both paths
   // classify addresses through campaign_as_registry, which is what
   // makes the replayed report byte-identical to the streaming one.
-  internet::AsRegistry registry = internet::campaign_as_registry();
+  const internet::AsRegistry& registry = internet::campaign_as_registry();
 
   report::ReportAccumulator qscan_acc("qscanner");
   report::ReportAccumulator zmap_acc("zmap");
